@@ -111,9 +111,14 @@ class ClassAd:
             ad.set_expr(name.strip(), expression.strip())
         return ad
 
+    def sized_text(self) -> tuple[str, int]:
+        """``serialize()`` and :meth:`estimated_size` from one encoding."""
+        text = self.serialize()
+        return text, len(text) + 2
+
     def estimated_size(self) -> int:
         """Approximate serialized size in bytes (drives network costs)."""
-        return len(self.serialize()) + 2
+        return self.sized_text()[1]
 
     def copy(self) -> "ClassAd":
         clone = ClassAd()

@@ -77,10 +77,11 @@ class AgentKernel:
             answer = agent.query(now=now)
         finally:
             yield Release(self.startd_lock)
+        text, size = answer.ad.sized_text()
         return KernelResponse(
             value={"attrs": len(answer.ad), "modules": answer.modules_run},
-            size=answer.estimated_size(),
-            wire=answer.ad.serialize() if self.wire else None,
+            size=size,
+            wire=text.encode() if self.wire else None,
         )
 
 
@@ -111,10 +112,11 @@ class ManagerDirectoryKernel:
             answer = self.manager.query_machine(machine)
         else:
             answer = self.manager.query('Name == "lucky4.mcs.anl.gov"')
+        text, size = answer.sized_text()
         return KernelResponse(
             value={"ads": len(answer.ads)},
-            size=max(answer.estimated_size(), 512),
-            wire="\n\n".join(ad.serialize() for ad in answer.ads) if self.wire else None,
+            size=max(size, 512),
+            wire=text.encode() if self.wire else None,
         )
 
 

@@ -25,7 +25,6 @@ from repro.core.kernels.ops import (
     Release,
 )
 from repro.errors import RegistryError
-from repro.ldap.ldif import to_ldif
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.params import GiisParams, GrisParams
@@ -94,7 +93,7 @@ class GrisKernel:
         return KernelResponse(
             value={"entries": len(result.entries), "fetched": result.fetched},
             size=result.estimated_size(),
-            wire=to_ldif(result.entries) if self.wire else None,
+            wire=result.wire() if self.wire else None,
         )
 
 
@@ -123,7 +122,7 @@ class GiisDirectoryKernel:
         return KernelResponse(
             value={"entries": len(result.entries)},
             size=result.estimated_size(),
-            wire=to_ldif(result.entries) if self.wire else None,
+            wire=result.wire() if self.wire else None,
         )
 
 
@@ -185,7 +184,7 @@ class GiisAggregateKernel:
         return KernelResponse(
             value={"entries": len(result.entries)},
             size=size,
-            wire=to_ldif(result.entries) if self.wire else None,
+            wire=result.wire() if self.wire else None,
         )
 
 
@@ -266,7 +265,7 @@ class GiisLeafKernel:
         return KernelResponse(
             value={"entries": len(result.entries), "size": size},
             size=size,
-            wire=to_ldif(result.entries) if self.wire else None,
+            wire=result.wire() if self.wire else None,
         )
 
 

@@ -203,15 +203,15 @@ class KernelResponse:
 
     ``value`` is the small structured answer the DES carries between
     simulated services; ``size`` drives simulated/real transfer costs.
-    ``wire`` is the full serialized body (LDIF text, encoded SQL result,
-    ClassAd text) and is only populated when the kernel was built with
-    ``wire=True`` — the live plane wants real bytes on the socket, the
-    DES must not pay for encoding it never looks at.
+    ``wire`` is the full serialized body (LDIF, encoded SQL result,
+    ClassAd text) as the bytes the listener writes, unchanged, to the
+    socket; it is only populated when the kernel was built with
+    ``wire=True`` — the DES must not pay for bytes it never looks at.
     """
 
     value: _t.Any
     size: int
-    wire: str | None = None
+    wire: bytes | None = None
 
 
 #: A kernel handler: payload in, generator of ops out, KernelResponse returned.

@@ -85,7 +85,7 @@ class ProducerServletKernel:
             value={"rows": len(answer.result.rows)},
             size=answer.estimated_size(),
             wire=(
-                encode_result(answer.result.columns, answer.result.rows)
+                encode_result(answer.result.columns, answer.result.rows).encode()
                 if self.wire
                 else None
             ),

@@ -30,10 +30,14 @@ class ManagerAnswer:
     ops: int
     index_hit: bool
 
+    def sized_text(self) -> tuple[str, int]:
+        """The reply body and its size, each ad serialized once."""
+        sized = [ad.sized_text() for ad in self.ads]
+        size = sum(n for _text, n in sized) if sized else 64
+        return "\n\n".join(text for text, _n in sized), size
+
     def estimated_size(self) -> int:
-        if not self.ads:
-            return 64
-        return sum(ad.estimated_size() for ad in self.ads)
+        return self.sized_text()[1]
 
 
 class Manager:

@@ -63,8 +63,12 @@ async def _serve_line(
 ) -> None:
     """One line-framed exchange (MDS and Hawkeye dialects)."""
     try:
-        line = await reader.readline()
-        if not line or len(line) > MAX_LINE:
+        try:
+            line = await reader.readline()
+        except ValueError:  # longer than the stream limit, MAX_LINE
+            writer.write(b"ERR protocol line too long\n")
+            return
+        if not line:
             return
         text = line.decode("utf-8", "replace").strip()
         verb, _, rest = text.partition(" ")
@@ -76,7 +80,7 @@ async def _serve_line(
             return
         try:
             payload = json.loads(rest) if rest else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed, or nested too deep
             writer.write(f"ERR protocol bad json: {exc}\n".encode())
             return
         if verb == _HAWKEYE_INGEST_VERB and isinstance(payload, dict):
@@ -92,10 +96,9 @@ async def _serve_line(
         except Exception as exc:
             writer.write(f"ERR error {type(exc).__name__}: {exc}\n".encode())
             return
-        body = (kr.wire or "").encode()
-        writer.write(
-            f"OK {_encode_value(kr.value)} {len(body)}\n".encode() + body
-        )
+        body = kr.wire or b""
+        writer.write(f"OK {_encode_value(kr.value)} {len(body)}\n".encode())
+        writer.write(body)  # the kernel's own bytes: not re-encoded, not copied
     finally:
         try:
             await writer.drain()
@@ -129,11 +132,19 @@ async def _serve_http(
         ]
         if value is not None:
             headers.append(f"X-Repro-Value: {_encode_value(value)}")
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode() + body)
+        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode())
+        writer.write(body)  # the kernel's own bytes: not re-encoded, not copied
+
+    async def read_line() -> bytes | None:
+        try:
+            return await reader.readline()
+        except ValueError:  # longer than the stream limit, MAX_LINE
+            respond("400 Bad Request", b"line too long\n")
+            return None
 
     try:
-        request_line = await reader.readline()
-        if not request_line or len(request_line) > MAX_LINE:
+        request_line = await read_line()
+        if not request_line:
             return
         try:
             method, _path, _version = request_line.decode().split(None, 2)
@@ -142,7 +153,9 @@ async def _serve_http(
             return
         content_length = 0
         while True:
-            header = await reader.readline()
+            header = await read_line()
+            if header is None:
+                return
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, header_value = header.decode("latin-1").partition(":")
@@ -157,7 +170,7 @@ async def _serve_http(
             return
         try:
             payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed, or nested too deep
             respond("400 Bad Request", f"bad json: {exc}\n".encode())
             return
         try:
@@ -168,7 +181,7 @@ async def _serve_http(
         except Exception as exc:
             respond("500 Internal Server Error", f"{type(exc).__name__}: {exc}\n".encode())
             return
-        respond("200 OK", (kr.wire or "").encode(), value=kr.value)
+        respond("200 OK", kr.wire or b"", value=kr.value)
     except asyncio.IncompleteReadError:
         pass
     finally:
@@ -203,4 +216,4 @@ async def server_for(
             except Exception:
                 pass
 
-    return await asyncio.start_server(on_connection, host, 0)
+    return await asyncio.start_server(on_connection, host, 0, limit=MAX_LINE)

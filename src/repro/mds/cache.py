@@ -12,7 +12,10 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
-__all__ = ["TtlCache", "CacheStats"]
+from repro.ldap.entry import Entry
+from repro.ldap.ldif import to_ldif
+
+__all__ = ["TtlCache", "CacheStats", "EncodedAnswer", "EncodedResult", "AnswerMemo"]
 
 V = _t.TypeVar("V")
 
@@ -96,3 +99,62 @@ class TtlCache(_t.Generic[V]):
 
     def __len__(self) -> int:
         return len(self._store)
+
+
+class EncodedAnswer:
+    """One reply's entries, the size the model charges for them, their LDIF bytes."""
+
+    __slots__ = ("entries", "size", "_wire")
+
+    def __init__(self, entries: list[Entry]) -> None:
+        self.entries = entries
+        self.size = len(to_ldif(entries)) if entries else 64  # characters, not bytes
+        self._wire: bytes | None = None
+
+    def wire(self) -> bytes:
+        """The reply body, encoded on the first ask: the DES never asks, and keeps none."""
+        if self._wire is None:
+            self._wire = to_ldif(self.entries).encode()
+        return self._wire
+
+
+class EncodedResult:
+    """What GRIS and GIIS results share: size and wire read off the memoized answer."""
+
+    entries: list[Entry]
+    _answer: EncodedAnswer | None  # filled by the server from its memo
+
+    def estimated_size(self) -> int:
+        """Serialized (LDIF) size of the result in bytes."""
+        return (self._answer or EncodedAnswer(self.entries)).size
+
+    def wire(self) -> bytes:
+        """The LDIF reply body, the same bytes for as long as the answer is memoized."""
+        return (self._answer or EncodedAnswer(self.entries)).wire()
+
+
+class AnswerMemo:
+    """Answers to the questions asked of one data generation.
+
+    A server's generation only grows, so an answer to an older one can
+    never be asked for again: the memo is dropped when the generation
+    moves, and reply bytes live exactly as long as the data they encode.
+    """
+
+    MAX_QUESTIONS = 64  # distinct questions kept within one generation
+
+    def __init__(self) -> None:
+        self._generation = -1
+        self._answers: dict[tuple, EncodedAnswer] = {}
+
+    def answer(
+        self, generation: int, question: tuple, select: _t.Callable[[], list[Entry]]
+    ) -> EncodedAnswer:
+        """The memoized answer to ``question``; ``select()`` computes a missing one."""
+        if generation != self._generation or len(self._answers) > self.MAX_QUESTIONS:
+            self._answers.clear()
+            self._generation = generation
+        found = self._answers.get(question)
+        if found is None:
+            found = self._answers[question] = EncodedAnswer(select())
+        return found

@@ -23,8 +23,7 @@ from repro.ldap.compile import compile_filter, compile_text
 from repro.ldap.dit import DIT
 from repro.ldap.entry import Entry
 from repro.ldap.filter import Filter, parse_filter
-from repro.ldap.ldif import to_ldif
-from repro.mds.cache import TtlCache
+from repro.mds.cache import AnswerMemo, EncodedAnswer, EncodedResult, TtlCache
 from repro.mds.registration import DEFAULT_REG_TTL, Registration, RegistrationTable
 
 __all__ = ["GIIS", "GiisResult"]
@@ -34,7 +33,7 @@ Puller = _t.Callable[[float], tuple[list[Entry], float]]
 
 
 @dataclass
-class GiisResult:
+class GiisResult(EncodedResult):
     """A GIIS query answer plus the aggregation work it caused."""
 
     entries: list[Entry]
@@ -42,15 +41,7 @@ class GiisResult:
     cache_hits: int = 0
     pull_cost: float = 0.0  # downstream provider CPU charged
     registrants_queried: int = 0
-    _size: int | None = None  # filled by the GIIS from its memo
-
-    def estimated_size(self) -> int:
-        """Serialized (LDIF) size of the merged result in bytes."""
-        if self._size is not None:
-            return self._size
-        if not self.entries:
-            return 64
-        return len(to_ldif(self.entries))
+    _answer: EncodedAnswer | None = None
 
 
 class GIIS:
@@ -72,7 +63,7 @@ class GIIS:
         self.queries = 0
         self.crashed = False
         self._generation = 0
-        self._memo: dict[tuple, tuple[list[Entry], int]] = {}
+        self._memo = AnswerMemo()
 
     # -- registration (soft state) ----------------------------------------------
     def register(
@@ -185,14 +176,13 @@ class GIIS:
             else:
                 result.cache_hits += 1
             fresh[reg.name] = entries
-        memo_key = (
-            self._generation,
+        question = (
             str(filter),
             tuple(attributes) if attributes is not None else None,
             tuple(sorted(subset)) if subset is not None else None,
         )
-        memoized = self._memo.get(memo_key)
-        if memoized is None:
+
+        def select() -> list[Entry]:
             merged = DIT()
             for entries in fresh.values():
                 for entry in entries:
@@ -201,15 +191,10 @@ class GIIS:
             # lazy indexes are never built; the compiled predicate alone
             # carries the speedup here.
             predicate = compile_filter(filter).predicate if use_compiled else filter.matches
-            selected = [
-                self._project(e, attributes) for e in merged.entries() if predicate(e)
-            ]
-            size = len(to_ldif(selected)) if selected else 64
-            memoized = (selected, size)
-            if len(self._memo) > 64:  # bound memo growth across generations
-                self._memo.clear()
-            self._memo[memo_key] = memoized
-        result.entries, result._size = memoized
+            return [self._project(e, attributes) for e in merged.entries() if predicate(e)]
+
+        result._answer = self._memo.answer(self._generation, question, select)
+        result.entries = result._answer.entries
         return result
 
     @staticmethod

@@ -23,16 +23,15 @@ import numpy as np
 from repro.ldap.dit import DIT, SCOPE_SUB
 from repro.ldap.entry import Entry
 from repro.ldap.filter import Filter
-from repro.ldap.ldif import to_ldif
 from repro.ldap.schema import MDS_VO_SUFFIX, host_dn_text
-from repro.mds.cache import TtlCache
+from repro.mds.cache import AnswerMemo, EncodedAnswer, EncodedResult, TtlCache
 from repro.mds.providers import InformationProvider
 
 __all__ = ["GRIS", "GrisResult"]
 
 
 @dataclass
-class GrisResult:
+class GrisResult(EncodedResult):
     """A GRIS search answer plus the work it caused."""
 
     entries: list[Entry]
@@ -40,20 +39,12 @@ class GrisResult:
     cache_hits: int = 0
     cache_misses: int = 0
     exec_cost: float = 0.0  # provider CPU-seconds charged by this query
-    _size: int | None = None  # filled by the GRIS from its memo
+    _answer: EncodedAnswer | None = None
 
     @property
     def fetched(self) -> bool:
         """True when at least one provider had to execute (cache miss)."""
         return bool(self.providers_run)
-
-    def estimated_size(self) -> int:
-        """Serialized (LDIF) size of the result in bytes."""
-        if self._size is not None:
-            return self._size
-        if not self.entries:
-            return 64
-        return len(to_ldif(self.entries))
 
 
 class GRIS:
@@ -73,7 +64,7 @@ class GRIS:
         self._rng = np.random.default_rng(seed)
         self.queries = 0
         self._generation = 0
-        self._memo: dict[tuple, tuple[list[Entry], int]] = {}
+        self._memo = AnswerMemo()
         self._dit = DIT()
         self._dit.add(Entry("o=grid"), create_parents=True)
         self._dit.add(Entry(MDS_VO_SUFFIX, {"objectclass": "MdsVoName"}), create_parents=True)
@@ -123,23 +114,15 @@ class GRIS:
                 self._generation += 1
             else:
                 result.cache_hits += 1
-        key = (
+        question = (str(filter), scope, tuple(attributes) if attributes is not None else None)
+        result._answer = self._memo.answer(
             self._generation,
-            str(filter),
-            scope,
-            tuple(attributes) if attributes is not None else None,
-        )
-        memoized = self._memo.get(key)
-        if memoized is None:
-            if len(self._memo) > 64:  # bound memo growth across generations
-                self._memo.clear()
-            entries = self._dit.search(
+            question,
+            lambda: self._dit.search(
                 MDS_VO_SUFFIX, scope=scope, filter=filter, attributes=attributes
-            )
-            size = len(to_ldif(entries)) if entries else 64
-            memoized = (entries, size)
-            self._memo[key] = memoized
-        result.entries, result._size = memoized
+            ),
+        )
+        result.entries = result._answer.entries
         return result
 
     def entry_count(self, now: float = 0.0) -> int:

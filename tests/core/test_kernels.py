@@ -118,8 +118,8 @@ def test_gris_warm_cache_skips_the_lock():
 def test_gris_wire_body_matches_entry_count():
     kernel, _lock = _gris_kernel(wire=True)
     _ops, response = ScriptedRuntime().drive(kernel.handle(None))
-    assert response.wire is not None
-    assert len(from_ldif(response.wire)) == response.value["entries"]
+    assert isinstance(response.wire, bytes)  # what the socket sends, already encoded
+    assert len(from_ldif(response.wire.decode())) == response.value["entries"]
 
 
 def test_exception_thrown_mid_kernel_still_releases_the_lock():

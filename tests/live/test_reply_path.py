@@ -1,0 +1,106 @@
+"""The live reply path: memoized bytes on the socket, and lines too long to read.
+
+The listeners write the bytes the answer memo holds, so these tests pin
+the two ways that could go wrong — serving bytes of data that has since
+changed — and the framing bug the same code carried: a request line
+longer than the stream limit used to raise out of the connection handler.
+"""
+
+import asyncio
+
+from repro.core.topology.catalog import exp1_plan, exp4_plan
+from repro.ldap.ldif import from_ldif, to_ldif
+from repro.live.clients import http_query, line_query
+from repro.live.loadgen import query_once
+from repro.live.protocols import MAX_LINE
+from repro.live.runtime import AsyncioRuntime
+from repro.mds import InformationProvider
+
+TS = 0.02  # wall seconds per model second
+
+
+def in_loop(coro):
+    return asyncio.run(coro)
+
+
+async def raw_exchange(host, port, request: bytes) -> bytes:
+    """Send ``request``, read until the server closes."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+
+
+def loop_errors() -> list:
+    """Collects what asyncio would log as an unhandled exception."""
+    errors: list = []
+    asyncio.get_running_loop().set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+    return errors
+
+
+def test_the_body_changes_when_a_registrants_data_changes():
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS).compile(exp4_plan("mds-giis-all", 3))
+        giis, bank = dep.objects["giis"], dep.objects["gris-bank"]
+        async with dep:
+            _value, before = await query_once(dep)
+            _value, again = await query_once(dep)
+            assert again == before  # nothing changed: the same memoized bytes
+            assert before == to_ldif(giis.query(now=0.0).entries)
+
+            # gris0 grows a provider, and its slice of the GIIS cache lapses.
+            bank[0].add_provider(InformationProvider("extra", "MdsMemory"))
+            giis.cache.invalidate("gris0")
+            value, after = await query_once(dep)
+            assert after != before
+            assert len(from_ldif(after)) == value["entries"] == len(from_ldif(before)) + 1
+            assert "extra" in after and "extra" not in before
+            assert after == to_ldif(giis.query(now=0.0).entries)
+
+            giis.unregister("gris1")
+            value, without = await query_once(dep)
+            assert bank[1].hostname in after and bank[1].hostname not in without
+            assert len(from_ldif(without)) == value["entries"]
+
+    in_loop(main())
+
+
+def test_an_over_long_line_gets_an_error_and_the_listener_lives_on():
+    async def main():
+        errors = loop_errors()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("mds-gris-cache"))
+        async with dep:
+            port = dep.ports[dep.entry]
+            long_line = b'SEARCH {"filter":"' + b"x" * (MAX_LINE + 6000) + b'"}\n'
+            assert await raw_exchange(dep.host, port, long_line) == b"ERR protocol line too long\n"
+            deep = b"SEARCH " + b"[" * 30000 + b"\n"  # json.loads runs out of stack
+            assert (await raw_exchange(dep.host, port, deep)).startswith(b"ERR protocol bad json")
+            value, body = await line_query(dep.host, port, {})
+            assert len(from_ldif(body)) == value["entries"] > 0
+            assert dep.services[dep.entry].requests == 1  # only the well-formed one got in
+        assert errors == []
+
+    in_loop(main())
+
+
+def test_an_over_long_http_line_gets_a_400_and_the_listener_lives_on():
+    async def main():
+        errors = loop_errors()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("rgma-ps-lucky"))
+        async with dep:
+            port = dep.ports[dep.entry]
+            padding = b"x" * (MAX_LINE + 6000)
+            long_request_line = b"POST /" + padding + b" HTTP/1.1\r\n\r\n"
+            long_header = b"POST /query HTTP/1.1\r\nX-Padding: " + padding + b"\r\n\r\n"
+            for request in (long_request_line, long_header):
+                reply = await raw_exchange(dep.host, port, request)
+                assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+                assert reply.endswith(b"\r\n\r\nline too long\n")
+            value, _body = await http_query(dep.host, port, {"sql": "SELECT * FROM cpuLoad"})
+            assert value["rows"] >= 0
+        assert errors == []
+
+    in_loop(main())
