@@ -24,8 +24,10 @@ FAST = dict(warmup=5.0, window=20.0)
 def test_ablation_gris_cachettl(benchmark, benchjson):
     """Sweep the GRIS cachettl between the paper's two extremes."""
     from repro.core.experiments.common import build_gris, uc_clients
+    from repro.core.desruntime import kernel_service
+    from repro.core.kernels import GrisKernel
     from repro.core.runner import drive, new_run
-    from repro.core.services import make_gris_service
+    from repro.sim.resources import Mutex
 
     def sweep():
         rows = []
@@ -36,7 +38,12 @@ def test_ablation_gris_cachettl(benchmark, benchjson):
             if ttl > 0:
                 gris.search(now=0.0)
             host = run.testbed.lucky["lucky7"]
-            service = make_gris_service(run.sim, run.net, host, gris, run.params.gris)
+            kernel = GrisKernel(
+                gris,
+                run.params.gris,
+                providers_lock=Mutex(run.sim, name=f"gris:{gris.hostname}:providers"),
+            )
+            service = kernel_service(run.sim, run.net, host, kernel.spec())
             point = drive(
                 run, system=f"ttl={ttl}", x=ttl, service=service,
                 clients=uc_clients(run, 200), server_host=host,

@@ -8,8 +8,10 @@ testbed into the benchmark methodology of the paper:
 * :mod:`repro.core.testbed` — the Lucky/UC topology;
 * :mod:`repro.core.workload` — blocking closed-loop users, 1 s waits;
 * :mod:`repro.core.metrics` — throughput/response/load/load1 estimators;
-* :mod:`repro.core.kernels` — runtime-agnostic service kernels;
-* :mod:`repro.core.services` — kernels bound to the simulated runtime;
+* :mod:`repro.core.kernels` — runtime-agnostic service kernels and the
+  shared materialize/connect/expose compile phases;
+* :mod:`repro.core.admission` — the one admission rule and ServiceStats;
+* :mod:`repro.core.desruntime` — kernels bound to the simulated runtime;
 * :mod:`repro.core.runner` — per-point orchestration;
 * :mod:`repro.core.experiments` — the four experiment sets (§3.3-§3.6);
 * :mod:`repro.core.figures` — Figures 5-20 registry and CLI;
@@ -42,9 +44,9 @@ _LAZY = {
     "drive": "repro.core.runner",
     "Figure": "repro.core.results",
     "Series": "repro.core.results",
-    "ReplicateStat": "repro.core.replication",
-    "replicate_point": "repro.core.replication",
-    "summarize_replicates": "repro.core.replication",
+    "ReplicateStat": "repro.core.stats",
+    "replicate_point": "repro.core.stats",
+    "summarize_replicates": "repro.core.stats",
 }
 
 __all__ = list(_LAZY)

@@ -4,8 +4,7 @@ Every system in the study serializes some back end — slapd's provider
 execution, the ProducerServlet's buffer database, the Manager's
 collector — and the paper's load1 *drop* past saturation falls out of
 how that serialized hold is split between runnable CPU time and blocked
-I/O time (DESIGN.md §2).  The split used to be re-implemented inside
-each ``make_*_service`` factory; this module is the single home for it.
+I/O time (DESIGN.md §2).  This module is the single home for that split.
 
 :class:`ConnectionOverhead` lives here too (it used to be defined in
 :mod:`repro.sim.rpc`): it is pure arithmetic shared by *both* runtimes

@@ -20,6 +20,7 @@ as injected opaque tokens and never import a runtime.
 from repro.core.kernels.build import (
     bank_placements,
     connect_plan,
+    expose_plan,
     materialize_plan,
 )
 from repro.core.kernels.hawkeye import (
@@ -88,8 +89,9 @@ __all__ = [
     "ProducerServletKernel",
     "ConsumerServletKernel",
     "RegistryKernel",
-    # plan materialization
+    # the shared compile phases
     "bank_placements",
     "materialize_plan",
     "connect_plan",
+    "expose_plan",
 ]

@@ -1,14 +1,22 @@
-"""Plan materialization: domain objects and edges, runtime-free.
+"""The three shared compile phases of a plan, runtime-free.
 
-The first two compile phases of a :class:`DeploymentPlan` — build the
-functional objects (GRIS, GIIS, Manager, Agent, ProducerServlet,
-Registry) and apply the plan's edges (registrations, producer
-attachment, priming) — involve no simulator and no sockets, yet they
-used to live inside the DES topology adapters.  This module is their
-single home: :mod:`repro.core.topology` calls these functions to fill a
-``Deployment``, and the live plane (:mod:`repro.live`) calls the same
-functions so both runtimes serve *identical* data from an identical
-plan.
+Compiling a :class:`DeploymentPlan` starts with three phases that
+involve no simulator and no sockets:
+
+1. **materialize** — build the functional objects (GRIS, GIIS, Manager,
+   Agent, ProducerServlet, Registry);
+2. **connect** — apply the plan's edges (registrations, producer
+   attachment, priming);
+3. **expose** — decide which kernel serves every exposed node and side
+   door (``<node>:ingest``, ``<node>:registration``), under which name
+   and with which thread/backlog bounds.
+
+This module is their single home: the DES adapters
+(:mod:`repro.core.topology`) and the live plane (:mod:`repro.live`)
+call the same functions, so both runtimes serve *identical* data
+through identical kernels; each runtime adds only the wrap — a
+:class:`~repro.sim.rpc.Service` or a ``LiveService`` around each
+:class:`~repro.core.kernels.ops.KernelSpec`.
 
 Everything here is deterministic in the plan (seeds come from specs),
 mutates only the ``objects``/``extras`` dicts it is handed, and imports
@@ -20,6 +28,28 @@ from __future__ import annotations
 import typing as _t
 
 from repro.core.components import System
+from repro.core.kernels.hawkeye import (
+    AgentKernel,
+    ManagerAggregateKernel,
+    ManagerDirectoryKernel,
+    ManagerFanoutKernel,
+    ManagerIngestKernel,
+)
+from repro.core.kernels.mds import (
+    GiisAggregateKernel,
+    GiisDirectoryKernel,
+    GiisFanoutKernel,
+    GiisLeafKernel,
+    GiisRegistrationKernel,
+    GrisKernel,
+)
+from repro.core.kernels.ops import KernelSpec
+from repro.core.kernels.rgma import (
+    ConsumerServletKernel,
+    ProducerServletKernel,
+    RegistryKernel,
+)
+from repro.core.params import StudyParams
 from repro.core.topology.plan import (
     AggregateSpec,
     CollectorSpec,
@@ -27,20 +57,11 @@ from repro.core.topology.plan import (
     DirectorySpec,
     EdgeKind,
     NodeSpec,
+    PlanError,
     ServerSpec,
 )
 
-__all__ = [
-    "bank_placements",
-    "materialize_plan",
-    "connect_plan",
-    "mds_materialize",
-    "mds_connect",
-    "rgma_materialize",
-    "rgma_connect",
-    "hawkeye_materialize",
-    "hawkeye_connect",
-]
+__all__ = ["bank_placements", "materialize_plan", "connect_plan", "expose_plan"]
 
 
 def bank_placements(spec: NodeSpec) -> list[str]:
@@ -234,6 +255,162 @@ def hawkeye_connect(
         manager.receive_ad(ad, now=0.0)  # pool is warm at t=0
 
 
+# -- expose -------------------------------------------------------------------
+#
+# One generator per system yields ``(service_name, node_spec, kernel)`` in
+# the order services are created.  ``x`` is the :class:`_Expose` context.
+
+
+class _Expose(_t.NamedTuple):
+    plan: DeploymentPlan
+    objects: dict[str, _t.Any]
+    extras: dict[str, _t.Any]
+    params: StudyParams
+    make_lock: _t.Callable[[str], _t.Any]
+    wire: bool
+    mediation_retry: _t.Any
+    services: _t.Mapping[str, _t.Any]
+
+    def exposed(self) -> _t.Iterator[tuple[NodeSpec, tuple[type, str]]]:
+        """Nodes that get a service of their own, with their (type, variant)."""
+        for spec in self.plan.nodes:
+            if spec.expose and not isinstance(spec, CollectorSpec):
+                yield spec, (type(spec), spec.variant)
+
+    def targets(self, spec: NodeSpec, names: _t.Sequence[str]) -> list:
+        """The already-wrapped services ``spec``'s kernel calls."""
+        missing = [name for name in names if name not in self.services]
+        if missing:
+            raise PlanError(
+                f"node {spec.name!r} calls {', '.join(map(repr, missing))}: declare "
+                "and expose the nodes it calls before it"
+            )
+        return [self.services[name] for name in names]
+
+    def fanout(self, spec: NodeSpec, label_prefix: str) -> dict[str, _t.Any]:
+        """Constructor arguments every fan-out kernel takes."""
+        edges = self.plan.edges_to(spec.name, EdgeKind.AGGREGATION)
+        if not edges:
+            raise PlanError(f"fanout node {spec.name!r} has no aggregation edges")
+        return dict(
+            children=self.targets(spec, [edge.source for edge in edges]),
+            label=spec.options.get("label", f"{label_prefix}:{spec.name}"),
+            top=spec.name == self.plan.entry,
+        )
+
+    def unknown(self, spec: NodeSpec) -> PlanError:
+        return PlanError(
+            f"node {spec.name!r}: {self.plan.system.value} has no "
+            f"{spec.variant!r} {spec.role.value} kernel"
+        )
+
+
+_Exposed = _t.Iterator[tuple[str, NodeSpec, _t.Any]]
+
+#: (spec type, variant) cells served by a resident GIIS / Manager object.
+_GIIS_KINDS = ((DirectorySpec, "default"), (AggregateSpec, "leaf"), (AggregateSpec, "default"))
+_MANAGER_KINDS = ((DirectorySpec, "default"), (AggregateSpec, "default"))
+
+
+def _mds_expose(x: _Expose) -> _Exposed:
+    p = x.params.giis
+    for spec, kind in x.exposed():
+        if kind == (ServerSpec, "default"):
+            gris = x.objects[spec.name]
+            lock = x.make_lock(f"gris:{gris.hostname}:providers")
+            yield spec.name, spec, GrisKernel(
+                gris, x.params.gris, providers_lock=lock, wire=x.wire
+            )
+            continue
+        if kind == (AggregateSpec, "fanout"):
+            yield spec.name, spec, GiisFanoutKernel(params=p, **x.fanout(spec, "giis"))
+            continue
+        if kind not in _GIIS_KINDS:
+            raise x.unknown(spec)
+        giis = x.objects[spec.name]
+        if kind == (DirectorySpec, "default"):
+            yield spec.name, spec, GiisDirectoryKernel(giis, p, wire=x.wire)
+        elif kind == (AggregateSpec, "leaf"):
+            yield spec.name, spec, GiisLeafKernel(giis, p, wire=x.wire)
+        else:
+            yield spec.name, spec, GiisAggregateKernel(
+                giis,
+                p,
+                assembly_lock=x.make_lock(f"giis:{giis.name}:assembly"),
+                query_part=spec.query_part,
+                wire=x.wire,
+            )
+        if any(
+            e.options.get("soft_state")
+            for e in x.plan.edges_to(spec.name, EdgeKind.REGISTRATION)
+        ):
+            yield f"{spec.name}:registration", spec, GiisRegistrationKernel(
+                giis, p, x.extras[f"pullers:{spec.name}"]
+            )
+
+
+def _rgma_expose(x: _Expose) -> _Exposed:
+    p = x.params
+    for spec, kind in x.exposed():
+        if kind == (DirectorySpec, "default"):
+            yield spec.name, spec, RegistryKernel(x.objects[spec.name], p.registry)
+        elif kind == (ServerSpec, "mediator"):
+            edges = x.plan.edges_from(spec.name, EdgeKind.MEDIATION)
+            if not edges:
+                raise PlanError(f"mediator node {spec.name!r} has no mediation edge")
+            name = spec.options.get("cs_name", spec.name)
+            yield spec.name, spec, ConsumerServletKernel(
+                name,
+                x.targets(spec, [edges[0].target])[0],
+                p.consumer_servlet,
+                mediation_lock=x.make_lock(f"cs:{name}:mediation"),
+                retry=x.mediation_retry,
+            )
+        elif kind == (ServerSpec, "default"):
+            servlet = x.objects[spec.name]
+            yield spec.name, spec, ProducerServletKernel(
+                servlet,
+                p.producer_servlet,
+                db_lock=x.make_lock(f"ps:{servlet.name}:db"),
+                wire=x.wire,
+            )
+        else:
+            raise x.unknown(spec)
+
+
+def _hawkeye_expose(x: _Expose) -> _Exposed:
+    p = x.params.manager
+    for spec, kind in x.exposed():
+        if kind == (ServerSpec, "default"):
+            agent = x.objects[spec.name]
+            lock = x.make_lock(f"agent:{agent.machine}:startd")
+            yield spec.name, spec, AgentKernel(
+                agent, x.params.agent, startd_lock=lock, wire=x.wire
+            )
+            continue
+        if kind == (AggregateSpec, "fanout"):
+            yield spec.name, spec, ManagerFanoutKernel(params=p, **x.fanout(spec, "manager"))
+            continue
+        if kind not in _MANAGER_KINDS:
+            raise x.unknown(spec)
+        manager = x.objects[spec.name]
+        # One collector lock per Manager, shared by queries and ingest.
+        lock = x.make_lock(f"manager:{manager.name}:collector")
+        if isinstance(spec, AggregateSpec):
+            yield spec.name, spec, ManagerAggregateKernel(manager, p, collector_lock=lock)
+        else:
+            yield spec.name, spec, ManagerDirectoryKernel(manager, p, wire=x.wire)
+        if any(
+            e.kind in (EdgeKind.REGISTRATION, EdgeKind.AGGREGATION)
+            and e.options.get("mode") in ("wire", "resilient")
+            for e in x.plan.edges_to(spec.name)
+        ):
+            # Ads arrive over the wire: the Manager needs an ingest door.
+            yield f"{spec.name}:ingest", spec, ManagerIngestKernel(
+                manager, p, collector_lock=lock
+            )
+
+
 # -- dispatch -----------------------------------------------------------------
 
 _MATERIALIZE = {
@@ -245,6 +422,11 @@ _CONNECT = {
     System.MDS: mds_connect,
     System.RGMA: rgma_connect,
     System.HAWKEYE: hawkeye_connect,
+}
+_EXPOSE = {
+    System.MDS: _mds_expose,
+    System.RGMA: _rgma_expose,
+    System.HAWKEYE: _hawkeye_expose,
 }
 
 
@@ -260,3 +442,33 @@ def connect_plan(
 ) -> None:
     """Phase-2 compile: apply the plan's edges and prime caches."""
     _CONNECT[plan.system](plan, objects, extras)
+
+
+def expose_plan(
+    plan: DeploymentPlan,
+    objects: dict[str, _t.Any],
+    extras: dict[str, _t.Any],
+    params: StudyParams,
+    *,
+    make_lock: _t.Callable[[str], _t.Any],
+    wire: bool,
+    mediation_retry: _t.Any = None,
+    services: _t.Mapping[str, _t.Any],
+) -> _t.Iterator[tuple[str, NodeSpec, KernelSpec]]:
+    """Phase-3 compile: the kernel behind every exposed node and side door.
+
+    Walks the plan once, in declaration order, and yields
+    ``(service_name, node_spec, kernel_spec)``.  What differs per
+    runtime arrives as arguments: ``make_lock(name)`` builds the
+    runtime's lock token, ``wire`` asks kernels for serialized reply
+    bodies, ``mediation_retry`` rides the R-GMA CS->PS hop, and
+    ``services`` is the caller's mapping of already-wrapped services —
+    the caller wraps each yielded spec and stores it under
+    ``service_name`` before asking for the next, so fan-out and mediator
+    kernels resolve their targets from it.
+    """
+    context = _Expose(
+        plan, objects, extras, params, make_lock, wire, mediation_retry, services
+    )
+    for name, spec, kernel in _EXPOSE[plan.system](context):
+        yield name, spec, kernel.spec()

@@ -1,8 +1,7 @@
 """MDS2 service kernels: GRIS and GIIS in every Table-1 role.
 
-Each kernel reproduces, op for op, the handler a DES service factory in
-:mod:`repro.core.services` used to inline — the byte-identity of the
-figures depends on the *sequence* of runtime effects staying exactly as
+Each kernel reproduces, op for op, the handler the DES services used to
+inline — the byte-identity of the figures depends on the *sequence* of runtime effects staying exactly as
 it was (same computes, same lock order, same clock reads relative to
 time-advancing ops).  Comments mark the spots where ordering is load-
 bearing.

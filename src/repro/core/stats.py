@@ -19,6 +19,12 @@ This module supplies the machinery, consumed in three places:
   history contains a genuine level shift, replacing the blunt
   single-baseline tolerance in CI (``repro-bench gate``).
 
+For a *fixed* replication budget rather than a precision target,
+:func:`replicate_point` runs a point once per seed and
+:func:`summarize_replicates` reduces the four figure metrics to
+mean ± half-width — through the same :func:`mean_ci` as everything
+else, so there is one way to compute a confidence interval.
+
 Everything here is dependency-free offline math over plain sequences;
 :mod:`repro.core.parallel` is imported lazily by the replication
 controller only, so the module stays importable from anywhere in the
@@ -36,6 +42,7 @@ __all__ = [
     "AdaptiveEstimate",
     "ConfidenceInterval",
     "GateVerdict",
+    "ReplicateStat",
     "ReplicationInfo",
     "SteadyState",
     "SteadyStateInfo",
@@ -45,8 +52,11 @@ __all__ = [
     "detect_steady_state",
     "mean_ci",
     "pelt_changepoints",
+    "replicate_point",
     "robust_noise_sigma2",
     "segment_means",
+    "summarize_replicates",
+    "t_critical",
 ]
 
 
@@ -284,7 +294,15 @@ class ConfidenceInterval:
     mean: float
     half_width: float
     n: int
-    confidence: float
+    confidence: float = 0.95
+
+    @property
+    def low(self) -> float:
+        return self.mean - self.half_width
+
+    @property
+    def high(self) -> float:
+        return self.mean + self.half_width
 
     @property
     def relative(self) -> float:
@@ -292,6 +310,13 @@ class ConfidenceInterval:
         if self.mean == 0.0:
             return 0.0 if self.half_width == 0.0 else math.inf
         return self.half_width / abs(self.mean)
+
+    def __str__(self) -> str:
+        return f"{self.mean:.3f} ± {self.half_width:.3f} (n={self.n})"
+
+
+#: The name the fixed-budget replication helpers give the same interval.
+ReplicateStat = ConfidenceInterval
 
 
 def mean_ci(values: _t.Sequence[float], confidence: float = 0.95) -> ConfidenceInterval:
@@ -305,6 +330,37 @@ def mean_ci(values: _t.Sequence[float], confidence: float = 0.95) -> ConfidenceI
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     hw = t_critical(n - 1, confidence) * math.sqrt(var / n)
     return ConfidenceInterval(mean=mean, half_width=hw, n=n, confidence=confidence)
+
+
+# -- fixed-budget replication -------------------------------------------------
+
+
+def replicate_point(
+    run_point: _t.Callable[..., _t.Any],
+    system: str,
+    x: int,
+    *,
+    seeds: _t.Iterable[int] = range(1, 6),
+    **kwargs: _t.Any,
+) -> list[_t.Any]:
+    """Run one experiment point once per seed."""
+    return [run_point(system, x, seed, **kwargs) for seed in seeds]
+
+
+def summarize_replicates(points: _t.Sequence[_t.Any]) -> dict[str, ReplicateStat]:
+    """Per-metric mean ± 95% CI over replicated ``PointResult``s.
+
+    Crashed replicates are excluded (a DNF has no metrics); if *all*
+    replicates crashed, every stat is NaN with n=0.
+    """
+    alive = [p for p in points if not p.crashed]
+    out: dict[str, ReplicateStat] = {}
+    for name in ("throughput", "response_time", "load1", "cpu_load"):
+        if alive:
+            out[name] = mean_ci([getattr(p, name) for p in alive])
+        else:
+            out[name] = ReplicateStat(math.nan, math.nan, 0)
+    return out
 
 
 # -- adaptive replication controller ------------------------------------------

@@ -2,19 +2,24 @@
 
 A :class:`SystemAdapter` compiles a validated
 :class:`~repro.core.topology.plan.DeploymentPlan` against a fresh
-:class:`~repro.core.runner.ScenarioRun` in four phases:
+:class:`~repro.core.runner.ScenarioRun` in four phases.  The first three
+are runtime-free and shared with the live plane
+(:mod:`repro.core.kernels.build`):
 
 1. **materialize** — build the functional objects (GRIS, Manager,
    ProducerServlet, ...) for every node spec, in declaration order;
 2. **connect** — apply the plan's edges: registrations (with labels and
    TTLs), producer attachment, agent registration, then cache priming;
-3. **expose** — wrap exposed nodes in :class:`~repro.sim.rpc.Service`
-   objects through the role-keyed adapter registry
-   (:data:`repro.core.services.SERVICE_FACTORIES`);
-4. **activate** — spawn the background processes (publishers,
-   advertisers, soft-state registrars, lease sweepers) in an order that
-   exactly matches the hand-written experiment wiring, so a compiled
-   deployment is event-for-event identical to the legacy one.
+3. **expose** — pick the kernel behind every exposed node and side
+   door; this runtime's whole share is the wrap, one
+   :func:`~repro.core.desruntime.kernel_service` per yielded
+   :class:`~repro.core.kernels.ops.KernelSpec`, with simulator
+   :class:`~repro.sim.resources.Mutex` locks;
+4. **activate** — the only per-system phase: spawn the background
+   processes (publishers, advertisers, soft-state registrars, lease
+   sweepers) in an order that exactly matches the hand-written
+   experiment wiring (``tests/core/legacy_wiring.py``), so a compiled
+   deployment is event-for-event identical to it.
 
 Retry policies for the plan's attachment points (CS->PS mediation,
 soft-state registration, resilient advertising) are workload-dependent,
@@ -26,9 +31,12 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
+from repro.core.desruntime import kernel_service
+from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
 from repro.core.runner import ScenarioRun
 from repro.core.topology.plan import DeploymentPlan, NodeSpec, PlanError
 from repro.sim.host import Host
+from repro.sim.resources import Mutex
 from repro.sim.rpc import RetryPolicy, Service
 
 if _t.TYPE_CHECKING:
@@ -101,7 +109,7 @@ class Deployment:
 
 
 class SystemAdapter:
-    """Base compiler; subclasses fill in the four phases for one system."""
+    """Base compiler: the shared phases; subclasses add ``activate``."""
 
     system: _t.ClassVar["System"]
 
@@ -119,26 +127,30 @@ class SystemAdapter:
         plan.validate()
         hooks = hooks or CompileHooks()
         dep = Deployment(plan=plan, run=run)
-        self.materialize(plan, run, dep)
-        self.connect(plan, run, dep, hooks)
+        materialize_plan(plan, dep.objects, dep.extras)
+        connect_plan(plan, dep.objects, dep.extras)
         self.expose(plan, run, dep, hooks)
         self.activate(plan, run, dep, hooks)
         self._finalize(plan, run, dep)
         return dep
 
-    # Phases — subclasses override what they need.
-    def materialize(self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
-        raise NotImplementedError
-
-    def connect(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        raise NotImplementedError
-
     def expose(
         self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
     ) -> None:
-        raise NotImplementedError
+        """Wrap every kernel the shared expose phase yields in a Service."""
+        for name, spec, kernel_spec in expose_plan(
+            plan,
+            dep.objects,
+            dep.extras,
+            run.params,
+            make_lock=lambda lock_name: Mutex(run.sim, name=lock_name),
+            wire=False,
+            mediation_retry=hooks.mediation_retry,
+            services=dep.services,
+        ):
+            dep.services[name] = kernel_service(
+                run.sim, run.net, self.node_host(run, spec), kernel_spec
+            )
 
     def activate(
         self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
@@ -173,16 +185,6 @@ class SystemAdapter:
         if spec.host is None:
             raise PlanError(f"node {spec.name!r} needs a placement to expose a service")
         return resolve_host(run, spec.host)
-
-    @staticmethod
-    def bank_placements(spec: NodeSpec) -> list[str]:
-        """Round-robin placement list for a replicated bank."""
-        hosts = spec.options.get("hosts")
-        if hosts:
-            return list(hosts)
-        if spec.host is not None:
-            return [spec.host]
-        return []
 
 
 ADAPTERS: dict["System", SystemAdapter] = {}

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.core.components import Role, System
-from repro.core.kernels.build import hawkeye_connect, hawkeye_materialize
+from repro.core.components import System
+from repro.core.kernels.build import bank_placements
 from repro.core.runner import ScenarioRun
-from repro.core.services import service_factory
 from repro.core.topology.adapters import (
     CompileHooks,
     Deployment,
@@ -29,101 +28,19 @@ from repro.core.topology.adapters import (
     register_adapter,
     resolve_host,
 )
-from repro.core.topology.plan import (
-    AggregateSpec,
-    CollectorSpec,
-    DeploymentPlan,
-    Edge,
-    EdgeKind,
-    ServerSpec,
-)
+from repro.core.topology.plan import DeploymentPlan, Edge, EdgeKind
 from repro.hawkeye.advertise import synthesize_startd_ad
 from repro.hawkeye.agent import Agent
 from repro.hawkeye.manager import Manager
 from repro.hawkeye.resilience import AdvertiserStats, resilient_advertiser
-from repro.sim.resources import Mutex
 from repro.sim.rpc import Service, call
 
 __all__ = ["HawkeyeAdapter"]
 
 
-def _advertise_edges(plan: DeploymentPlan, name: str) -> list[Edge]:
-    """Incoming edges that carry ads over the wire (need an ingest path)."""
-    return [
-        e
-        for e in plan.edges_to(name)
-        if e.kind in (EdgeKind.REGISTRATION, EdgeKind.AGGREGATION)
-        and e.options.get("mode") in ("wire", "resilient")
-    ]
-
-
 @register_adapter
 class HawkeyeAdapter(SystemAdapter):
     system = System.HAWKEYE
-
-    # -- phases 1+2: runtime-free, shared with the live plane ----------------
-
-    def materialize(self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
-        hawkeye_materialize(plan, dep.objects, dep.extras)
-
-    def connect(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        hawkeye_connect(plan, dep.objects, dep.extras)
-
-    def expose(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        p = run.params.manager
-        for spec in plan.nodes:
-            if not spec.expose or isinstance(spec, CollectorSpec):
-                continue
-            host = self.node_host(run, spec)
-            if isinstance(spec, ServerSpec):
-                factory = service_factory(self.system, Role.INFORMATION_SERVER, spec.variant)
-                dep.services[spec.name] = factory(
-                    run.sim, run.net, host, dep.objects[spec.name], run.params.agent
-                )
-                continue
-            if isinstance(spec, AggregateSpec) and spec.variant == "fanout":
-                children = [
-                    dep.services[e.source]
-                    for e in plan.edges_to(spec.name, EdgeKind.AGGREGATION)
-                ]
-                if not children:
-                    raise PlanError(f"fanout node {spec.name!r} has no aggregation edges")
-                factory = service_factory(
-                    self.system, Role.AGGREGATE_INFORMATION_SERVER, "fanout"
-                )
-                dep.services[spec.name] = factory(
-                    run.sim,
-                    run.net,
-                    host,
-                    children,
-                    p,
-                    label=spec.options.get("label", f"manager:{spec.name}"),
-                    top=spec.name == plan.entry,
-                )
-                continue
-            manager = dep.objects[spec.name]
-            needs_ingest = bool(_advertise_edges(plan, spec.name))
-            if isinstance(spec, AggregateSpec):
-                factory = service_factory(
-                    self.system, Role.AGGREGATE_INFORMATION_SERVER, spec.variant
-                )
-                service, lock = factory(run.sim, run.net, host, manager, p)
-                dep.services[spec.name] = service
-            else:
-                factory = service_factory(self.system, Role.DIRECTORY_SERVER, spec.variant)
-                dep.services[spec.name] = factory(run.sim, run.net, host, manager, p)
-                lock = Mutex(run.sim, name=f"manager:{manager.name}:collector")
-            if needs_ingest:
-                ingest_factory = service_factory(
-                    self.system, Role.AGGREGATE_INFORMATION_SERVER, "ingest"
-                )
-                dep.services[f"{spec.name}:ingest"] = ingest_factory(
-                    run.sim, run.net, host, manager, p, lock
-                )
 
     def activate(
         self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
@@ -197,7 +114,7 @@ class HawkeyeAdapter(SystemAdapter):
         source = plan.node(edge.source)
         manager: Manager = dep.objects[edge.target]
         ingest: Service = dep.services[f"{edge.target}:ingest"]
-        placements = self.bank_placements(source)
+        placements = bank_placements(source)
         machine_format = source.options.get("machine_format", source.name + "{i}")
         interval = float(edge.options.get("interval", p.advertise_interval))
         stream_key = edge.options.get("offset_stream", ("advertisers", source.name))

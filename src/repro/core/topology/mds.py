@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.core.components import Role, System
-from repro.core.kernels.build import mds_connect, mds_materialize
+from repro.core.components import System
 from repro.core.runner import ScenarioRun
-from repro.core.services import service_factory
 from repro.core.topology.adapters import (
     CompileHooks,
     Deployment,
@@ -24,13 +22,7 @@ from repro.core.topology.adapters import (
     register_adapter,
     resolve_host,
 )
-from repro.core.topology.plan import (
-    AggregateSpec,
-    CollectorSpec,
-    DeploymentPlan,
-    EdgeKind,
-    ServerSpec,
-)
+from repro.core.topology.plan import DeploymentPlan, EdgeKind
 from repro.mds.giis import GIIS
 from repro.mds.resilience import RegistrarStats, soft_state_registrar
 
@@ -40,69 +32,6 @@ __all__ = ["MdsAdapter"]
 @register_adapter
 class MdsAdapter(SystemAdapter):
     system = System.MDS
-
-    # -- phases 1+2: runtime-free, shared with the live plane ----------------
-
-    def materialize(self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
-        mds_materialize(plan, dep.objects, dep.extras)
-
-    def connect(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        mds_connect(plan, dep.objects, dep.extras)
-
-    # -- phase 3: services ---------------------------------------------------
-
-    def expose(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        p = run.params.giis
-        for spec in plan.nodes:
-            if not spec.expose or isinstance(spec, CollectorSpec):
-                continue
-            host = self.node_host(run, spec)
-            if isinstance(spec, ServerSpec):
-                factory = service_factory(self.system, Role.INFORMATION_SERVER, spec.variant)
-                dep.services[spec.name] = factory(
-                    run.sim, run.net, host, dep.objects[spec.name], run.params.gris
-                )
-                continue
-            if isinstance(spec, AggregateSpec) and spec.variant == "fanout":
-                children = [
-                    dep.services[e.source]
-                    for e in plan.edges_to(spec.name, EdgeKind.AGGREGATION)
-                ]
-                if not children:
-                    raise PlanError(f"fanout node {spec.name!r} has no aggregation edges")
-                factory = service_factory(
-                    self.system, Role.AGGREGATE_INFORMATION_SERVER, "fanout"
-                )
-                dep.services[spec.name] = factory(
-                    run.sim,
-                    run.net,
-                    host,
-                    children,
-                    p,
-                    label=spec.options.get("label", f"giis:{spec.name}"),
-                    top=spec.name == plan.entry,
-                )
-                continue
-            giis = dep.objects[spec.name]
-            factory = service_factory(self.system, spec.role, spec.variant)
-            if isinstance(spec, AggregateSpec) and spec.variant == "default":
-                dep.services[spec.name] = factory(
-                    run.sim, run.net, host, giis, p, query_part=spec.query_part
-                )
-            else:
-                dep.services[spec.name] = factory(run.sim, run.net, host, giis, p)
-            if any(
-                e.options.get("soft_state")
-                for e in plan.edges_to(spec.name, EdgeKind.REGISTRATION)
-            ):
-                reg_factory = service_factory(self.system, spec.role, "registration")
-                dep.services[f"{spec.name}:registration"] = reg_factory(
-                    run.sim, run.net, host, giis, p, dep.extras[f"pullers:{spec.name}"]
-                )
 
     # -- phase 4: background processes ---------------------------------------
 

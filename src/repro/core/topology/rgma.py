@@ -11,23 +11,15 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.core.components import Role, System
-from repro.core.kernels.build import rgma_connect, rgma_materialize
+from repro.core.components import System
 from repro.core.runner import ScenarioRun
-from repro.core.services import service_factory
 from repro.core.topology.adapters import (
     CompileHooks,
     Deployment,
     SystemAdapter,
     register_adapter,
 )
-from repro.core.topology.plan import (
-    CollectorSpec,
-    DeploymentPlan,
-    DirectorySpec,
-    EdgeKind,
-    ServerSpec,
-)
+from repro.core.topology.plan import DeploymentPlan, ServerSpec
 from repro.rgma.producer_servlet import ProducerServlet
 
 __all__ = ["RgmaAdapter"]
@@ -37,47 +29,8 @@ __all__ = ["RgmaAdapter"]
 class RgmaAdapter(SystemAdapter):
     system = System.RGMA
 
-    # -- phases 1+2: runtime-free, shared with the live plane ----------------
-
-    def materialize(self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
-        rgma_materialize(plan, dep.objects, dep.extras)
-
-    def connect(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        rgma_connect(plan, dep.objects, dep.extras)
-
-    def expose(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        p = run.params
-        for spec in plan.nodes:
-            if not spec.expose or isinstance(spec, CollectorSpec):
-                continue
-            host = self.node_host(run, spec)
-            if isinstance(spec, DirectorySpec):
-                factory = service_factory(self.system, Role.DIRECTORY_SERVER, spec.variant)
-                dep.services[spec.name] = factory(
-                    run.sim, run.net, host, dep.objects[spec.name], p.registry
-                )
-            elif isinstance(spec, ServerSpec) and spec.variant == "mediator":
-                edges = plan.edges_from(spec.name, EdgeKind.MEDIATION)
-                upstream = dep.services[edges[0].target]
-                factory = service_factory(self.system, Role.INFORMATION_SERVER, "mediator")
-                dep.services[spec.name] = factory(
-                    run.sim,
-                    run.net,
-                    host,
-                    spec.options.get("cs_name", spec.name),
-                    upstream,
-                    p.consumer_servlet,
-                    retry=hooks.mediation_retry,
-                )
-            elif isinstance(spec, ServerSpec):
-                factory = service_factory(self.system, Role.INFORMATION_SERVER, spec.variant)
-                dep.services[spec.name] = factory(
-                    run.sim, run.net, host, dep.objects[spec.name], p.producer_servlet
-                )
+    def _finalize(self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
+        super()._finalize(plan, run, dep)
         # Per-host mediator routing (the rgma-ps-lucky consumer layout):
         # when the entry is the anchor PS, clients talk to the mediator
         # co-located on their own node.

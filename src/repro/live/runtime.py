@@ -28,24 +28,13 @@ import typing as _t
 
 import numpy as np
 
+from repro.core.admission import Admission
 from repro.core.components import System
 from repro.core.kernels import (
-    AgentKernel,
-    GiisAggregateKernel,
-    GiisDirectoryKernel,
-    GiisFanoutKernel,
-    GiisLeafKernel,
-    GrisKernel,
     KernelResponse,
     KernelSpec,
-    ManagerAggregateKernel,
-    ManagerDirectoryKernel,
-    ManagerFanoutKernel,
-    ManagerIngestKernel,
-    ProducerServletKernel,
-    RegistryKernel,
-    ConsumerServletKernel,
     connect_plan,
+    expose_plan,
     materialize_plan,
 )
 from repro.core.kernels.ops import (
@@ -61,15 +50,8 @@ from repro.core.kernels.ops import (
     OP_RELEASE,
 )
 from repro.core.params import StudyParams, default_params
-from repro.core.topology.plan import (
-    AggregateSpec,
-    CollectorSpec,
-    DeploymentPlan,
-    DirectorySpec,
-    EdgeKind,
-    PlanError,
-    ServerSpec,
-)
+from repro.core.stablehash import stable_hash
+from repro.core.topology.plan import DeploymentPlan, EdgeKind, PlanError, ServerSpec
 from repro.errors import ServiceCrashError, ServiceUnavailableError
 
 __all__ = [
@@ -134,53 +116,68 @@ class LiveLock:
 class LiveService:
     """One kernel hosted as an in-process async service.
 
-    Emulates the DES Service's admission control exactly: at most
-    ``max_threads`` requests run concurrently, up to ``backlog`` more
-    wait for a thread, and past that the request is *refused*
-    (:class:`ServiceUnavailableError` — a RST on the wire).  Connection
-    overhead, when the kernel models it, is charged at admission from
-    the concurrency the request observes.
+    Admission is the DES Service's, literally: both own a
+    :class:`~repro.core.admission.Admission` and this class only does
+    the waiting — a future per queued request.  At most ``max_threads``
+    requests run concurrently, up to ``backlog`` more wait for a slot,
+    and past that the request is *refused*
+    (:class:`ServiceUnavailableError` — a RST on the wire).
     """
 
     def __init__(self, spec: KernelSpec, clock: LiveClock) -> None:
         self.spec = spec
         self.name = spec.name
         self.clock = clock
-        self._slots = asyncio.Semaphore(spec.max_threads)
-        self._active = 0
-        self._queued = 0
+        self.admission = Admission(spec.max_threads, spec.backlog, spec.conn_overhead)
+        self.stats = self.admission.stats
         self.crashed = False
         self.crash_reason: str | None = None
-        self.requests = 0
-        self.refusals = 0
+
+    @property
+    def requests(self) -> int:
+        return self.stats.arrived
+
+    @property
+    def refusals(self) -> int:
+        return self.stats.refused
 
     async def request(self, payload: _t.Any) -> KernelResponse:
         """Admit and serve one request; returns the full KernelResponse."""
-        self.requests += 1
+        admission, clock = self.admission, self.clock
+        admission.arrive()
         if self.crashed:
-            self.refusals += 1
+            admission.refuse()
             raise ServiceUnavailableError(f"service {self.name} is down")
-        spec = self.spec
-        if self._active + self._queued >= spec.max_threads + spec.backlog:
-            self.refusals += 1
+        if admission.full():
+            admission.refuse(clock.now())
             raise ServiceUnavailableError(
                 f"service {self.name} refused connection (accept queue full)"
             )
-        if spec.conn_overhead is not None:
-            await self.clock.sleep(
-                spec.conn_overhead.latency(self._active + self._queued)
-            )
-        self._queued += 1
+        slot = asyncio.get_running_loop().create_future()
+        if not admission.enter(slot):
+            try:
+                await slot
+            except asyncio.CancelledError:
+                if slot.done() and not slot.cancelled():
+                    # Cancelled with the slot already handed over: pass it on.
+                    self._leave(False, 0.0)
+                else:
+                    admission.abandon(slot)
+                raise
+        started = clock.now()
+        ok = False
         try:
-            await self._slots.acquire()
+            await clock.sleep(admission.overhead())
+            response = await self._drive(payload)
+            ok = True
+            return response
         finally:
-            self._queued -= 1
-        self._active += 1
-        try:
-            return await self._drive(payload)
-        finally:
-            self._active -= 1
-            self._slots.release()
+            self._leave(ok, clock.now() - started)
+
+    def _leave(self, ok: bool, busy: float) -> None:
+        waiter = self.admission.leave(ok, busy)
+        if waiter is not None:
+            waiter.set_result(None)
 
     async def _drive(self, payload: _t.Any) -> KernelResponse:
         """Interpret the kernel's op stream on asyncio (see desruntime)."""
@@ -380,7 +377,7 @@ class LiveDeployment:
 
         def make(machine: str, offset: float) -> _t.Callable[[], _t.Coroutine]:
             async def advertiser() -> None:
-                rng = np.random.default_rng(abs(hash(machine)) % (2**32))
+                rng = np.random.default_rng(stable_hash(machine))
                 ad = synthesize_startd_ad(machine, rng, now=0.0)
                 self.objects[edge.target].receive_ad(ad, now=0.0)  # warm pool
                 await clock.sleep(offset)
@@ -403,15 +400,17 @@ class LiveDeployment:
 class AsyncioRuntime:
     """Compile a :class:`DeploymentPlan` to live asyncio services.
 
-    The materialize/connect phases are *shared* with the DES
+    The materialize, connect and expose phases are *shared* with the DES
     (:mod:`repro.core.kernels.build`), so both runtimes serve the same
-    domain objects; only the expose phase differs — kernels get
-    :class:`LiveLock` tokens and ``wire=True`` (real bytes go on real
-    sockets).
+    domain objects through the same kernels; this runtime's share of
+    expose is the wrap — :class:`LiveLock` tokens, ``wire=True`` (real
+    bytes go on real sockets) and a :class:`LiveService` per kernel.
 
     DES-only control planes (soft-state registrars, resilient
     advertisers) are skipped and reported on ``deployment.skipped`` —
-    they model client-side behavior the live load generator owns.
+    they model client-side behavior the live load generator owns; the
+    server-side doors they talk to (``:registration``, ``:ingest``) are
+    served.
     """
 
     def __init__(
@@ -431,25 +430,18 @@ class AsyncioRuntime:
         materialize_plan(plan, objects, extras)
         connect_plan(plan, objects, extras)
         clock = LiveClock(self.time_scale)
-        builder = _KERNEL_BUILDERS[plan.system]
         services: dict[str, LiveService] = {}
+        for name, _spec, kernel_spec in expose_plan(
+            plan,
+            objects,
+            extras,
+            self.params,
+            make_lock=LiveLock,
+            wire=True,
+            services=services,
+        ):
+            services[name] = LiveService(kernel_spec, clock)
         skipped: list[str] = []
-        # Pass 1: self-contained nodes; pass 2: nodes calling other
-        # services (mediators, fanout interiors) resolve pass-1 targets.
-        deferred: list[_t.Any] = []
-        for spec in plan.nodes:
-            if not spec.expose or isinstance(spec, CollectorSpec):
-                continue
-            if _depends_on_services(spec):
-                deferred.append(spec)
-                continue
-            for name, kernel in builder(self, plan, spec, objects, extras, skipped):
-                services[name] = LiveService(kernel.spec(), clock)
-        for spec in deferred:
-            for name, kernel in builder(
-                self, plan, spec, objects, extras, skipped, services=services
-            ):
-                services[name] = LiveService(kernel.spec(), clock)
         for edge in plan.edges:
             if edge.options.get("soft_state"):
                 skipped.append(f"soft-state registrar {edge.source}->{edge.target}")
@@ -465,147 +457,3 @@ class AsyncioRuntime:
             host=self.host,
             skipped=tuple(skipped),
         )
-
-    # -- per-system kernel builders (the live expose phase) ------------------
-
-    def _mds_kernels(
-        self,
-        plan: DeploymentPlan,
-        spec: _t.Any,
-        objects: dict[str, _t.Any],
-        extras: dict[str, _t.Any],
-        skipped: list[str],
-        services: dict[str, LiveService] | None = None,
-    ) -> list[tuple[str, _t.Any]]:
-        p = self.params.giis
-        if isinstance(spec, ServerSpec):
-            gris = objects[spec.name]
-            kernel = GrisKernel(
-                gris,
-                self.params.gris,
-                providers_lock=LiveLock(f"gris:{gris.hostname}:providers"),
-                wire=True,
-            )
-            return [(spec.name, kernel)]
-        if isinstance(spec, AggregateSpec) and spec.variant == "fanout":
-            assert services is not None
-            children = [
-                services[e.source]
-                for e in plan.edges_to(spec.name, EdgeKind.AGGREGATION)
-            ]
-            label = spec.options.get("label", f"giis:{spec.name}")
-            return [
-                (spec.name, GiisFanoutKernel(children, p, label=label,
-                                             top=spec.name == plan.entry))
-            ]
-        giis = objects[spec.name]
-        if isinstance(spec, AggregateSpec) and spec.variant == "leaf":
-            return [(spec.name, GiisLeafKernel(giis, p, wire=True))]
-        if isinstance(spec, AggregateSpec):
-            kernel = GiisAggregateKernel(
-                giis,
-                p,
-                assembly_lock=LiveLock(f"giis:{giis.name}:assembly"),
-                query_part=spec.query_part,
-                wire=True,
-            )
-            return [(spec.name, kernel)]
-        return [(spec.name, GiisDirectoryKernel(giis, p, wire=True))]
-
-    def _rgma_kernels(
-        self,
-        plan: DeploymentPlan,
-        spec: _t.Any,
-        objects: dict[str, _t.Any],
-        extras: dict[str, _t.Any],
-        skipped: list[str],
-        services: dict[str, LiveService] | None = None,
-    ) -> list[tuple[str, _t.Any]]:
-        p = self.params
-        if isinstance(spec, DirectorySpec):
-            return [(spec.name, RegistryKernel(objects[spec.name], p.registry))]
-        if isinstance(spec, ServerSpec) and spec.variant == "mediator":
-            assert services is not None
-            upstream = services[plan.edges_from(spec.name, EdgeKind.MEDIATION)[0].target]
-            name = spec.options.get("cs_name", spec.name)
-            kernel = ConsumerServletKernel(
-                name,
-                upstream,
-                p.consumer_servlet,
-                mediation_lock=LiveLock(f"cs:{name}:mediation"),
-            )
-            return [(spec.name, kernel)]
-        kernel = ProducerServletKernel(
-            objects[spec.name],
-            p.producer_servlet,
-            db_lock=LiveLock(f"ps:{objects[spec.name].name}:db"),
-            wire=True,
-        )
-        return [(spec.name, kernel)]
-
-    def _hawkeye_kernels(
-        self,
-        plan: DeploymentPlan,
-        spec: _t.Any,
-        objects: dict[str, _t.Any],
-        extras: dict[str, _t.Any],
-        skipped: list[str],
-        services: dict[str, LiveService] | None = None,
-    ) -> list[tuple[str, _t.Any]]:
-        p = self.params.manager
-        if isinstance(spec, ServerSpec):
-            agent = objects[spec.name]
-            kernel = AgentKernel(
-                agent,
-                self.params.agent,
-                startd_lock=LiveLock(f"agent:{agent.machine}:startd"),
-                wire=True,
-            )
-            return [(spec.name, kernel)]
-        if isinstance(spec, AggregateSpec) and spec.variant == "fanout":
-            assert services is not None
-            children = [
-                services[e.source]
-                for e in plan.edges_to(spec.name, EdgeKind.AGGREGATION)
-            ]
-            label = spec.options.get("label", f"manager:{spec.name}")
-            return [
-                (spec.name, ManagerFanoutKernel(children, p, label=label,
-                                                top=spec.name == plan.entry))
-            ]
-        manager = objects[spec.name]
-        lock = LiveLock(f"manager:{manager.name}:collector")
-        out: list[tuple[str, _t.Any]] = []
-        if isinstance(spec, AggregateSpec):
-            out.append(
-                (spec.name, ManagerAggregateKernel(manager, p, collector_lock=lock))
-            )
-        else:
-            out.append((spec.name, ManagerDirectoryKernel(manager, p, wire=True)))
-        needs_ingest = any(
-            e.kind in (EdgeKind.REGISTRATION, EdgeKind.AGGREGATION)
-            and e.options.get("mode") in ("wire", "resilient")
-            for e in plan.edges_to(spec.name)
-        )
-        if needs_ingest:
-            out.append(
-                (
-                    f"{spec.name}:ingest",
-                    ManagerIngestKernel(manager, p, collector_lock=lock),
-                )
-            )
-        return out
-
-
-def _depends_on_services(spec: _t.Any) -> bool:
-    """Does this node's kernel call other live services?"""
-    if isinstance(spec, AggregateSpec) and spec.variant == "fanout":
-        return True
-    return isinstance(spec, ServerSpec) and spec.variant == "mediator"
-
-
-_KERNEL_BUILDERS = {
-    System.MDS: AsyncioRuntime._mds_kernels,
-    System.RGMA: AsyncioRuntime._rgma_kernels,
-    System.HAWKEYE: AsyncioRuntime._hawkeye_kernels,
-}

@@ -9,8 +9,8 @@ simulation process: renew every ``interval`` seconds through a
 when the GIIS answers "unknown name" (its lease table lost us while it
 was down), and count what an outage cost.
 
-Pairs with :func:`repro.core.services.make_giis_registration_service`
-on the server side.
+Pairs with :class:`repro.core.kernels.mds.GiisRegistrationKernel` (the
+GIIS's ``:registration`` service) on the server side.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from repro.sim.rpc import (
     call,
 )
 from repro.sim.sharing import ProcessorSharing, PsSnapshot
-from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -79,6 +78,4 @@ __all__ = [
     "HostSample",
     "RngHub",
     "stable_hash",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -8,16 +8,11 @@ idiom for parallel simulation.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
+from repro.core.stablehash import stable_hash
+
 __all__ = ["RngHub", "stable_hash"]
-
-
-def stable_hash(*parts: str) -> int:
-    """A process-independent 32-bit hash of the given name parts."""
-    return zlib.crc32("\x1f".join(parts).encode("utf-8"))
 
 
 class RngHub:

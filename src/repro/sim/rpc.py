@@ -17,16 +17,15 @@ request, exactly like a real overloaded server.
 from __future__ import annotations
 
 import typing as _t
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.admission import Admission, ServiceStats
 from repro.core.costmodel import ConnectionOverhead
 from repro.errors import (
     CircuitOpenError,
     RequestTimeoutError,
-    ServiceCrashError,
     ServiceUnavailableError,
     SimulationError,
 )
@@ -42,6 +41,7 @@ __all__ = [
     "Request",
     "Response",
     "Service",
+    "ServiceStats",
     "ConnectionOverhead",
     "CircuitBreaker",
     "RetryPolicy",
@@ -72,23 +72,9 @@ class Response:
     size: int = 1024
 
 
-# ConnectionOverhead moved to repro.core.costmodel (it is shared by the
-# live asyncio runtime, which must import without the simulator); it is
-# re-exported here so existing imports keep working.
-
-
-@dataclass
-class ServiceStats:
-    """Cumulative request accounting for one service."""
-
-    arrived: int = 0
-    refused: int = 0
-    completed: int = 0
-    errors: int = 0
-    dropped: int = 0  # connections reset by an injected transient fault
-    busy_time: float = 0.0
-    max_concurrent: int = 0
-    refusal_log: list[float] = field(default_factory=list)
+# ConnectionOverhead (repro.core.costmodel) and ServiceStats
+# (repro.core.admission) are shared with the live asyncio runtime, which
+# must import without the simulator; they are re-exported here.
 
 
 class CircuitBreaker:
@@ -267,26 +253,27 @@ class Service:
         self._down_depth = 0
         self.outage_log: list[tuple[float, float]] = []  # (down_at, up_at)
         self.faults: "FaultInjector | None" = None
-        self.stats = ServiceStats()
-        self._active = 0
+        # The admission rule (threads, accept queue, overhead, stats) is
+        # shared with the live runtime; this class only does the waiting.
+        self.admission = Admission(max_threads, backlog, conn_overhead)
+        self.stats = self.admission.stats
         self._down_at: float | None = None
-        self._slot_waiters: deque[Event] = deque()
 
     # -- inspection ----------------------------------------------------------
     @property
     def active(self) -> int:
         """Handlers currently executing."""
-        return self._active
+        return self.admission.active
 
     @property
     def queued(self) -> int:
         """Connections accepted but waiting for a handler thread."""
-        return len(self._slot_waiters)
+        return self.admission.queued
 
     @property
     def concurrent(self) -> int:
         """Open connections (executing + accept queue)."""
-        return self._active + len(self._slot_waiters)
+        return self.admission.open
 
     # -- lifecycle ----------------------------------------------------------
     def crash(self, reason: str) -> None:
@@ -337,29 +324,15 @@ class Service:
         return not (self.crashed or self.down)
 
     # -- internals ------------------------------------------------------------
-    def _acquire_thread(self) -> Event:
-        event = Event(self.sim)
-        if self._active < self.max_threads:
-            self._active += 1
-            event.succeed()
-        else:
-            self._slot_waiters.append(event)
-        return event
-
-    def _release_thread(self) -> None:
-        if self._slot_waiters:
-            self._slot_waiters.popleft().succeed()
-        else:
-            self._active -= 1
-
     def _serve(self, request: Request) -> _t.Generator:
         """Full server-side lifecycle of one admitted connection."""
-        stats = self.stats
-        concurrent = self._active + len(self._slot_waiters) + 1
-        if concurrent > stats.max_concurrent:
-            stats.max_concurrent = concurrent
-        yield self._acquire_thread()
+        admission = self.admission
+        slot = Event(self.sim)
+        if admission.enter(slot):
+            slot.succeed()
+        yield slot
         started = self.sim.now
+        ok = False
         try:
             faults = self.faults
             if faults is not None:
@@ -369,40 +342,28 @@ class Service:
                 stall = faults.stall_delay()
                 if stall > 0:
                     yield self.sim.timeout(stall)
-            if self.conn_overhead is not None:
-                # Overhead scales with connections being *serviced*, not
-                # with the accept queue: a queued-but-unaccepted socket
-                # costs the server nothing yet.
-                delay = self.conn_overhead.latency(self._active)
-                if delay > 0:
-                    yield self.sim.timeout(delay)
+            delay = admission.overhead()
+            if delay > 0:
+                yield self.sim.timeout(delay)
             response = yield from self.handler(self, request)
             if not isinstance(response, Response):
                 raise SimulationError(
                     f"handler of service {self.name!r} returned {type(response).__name__}, "
                     "expected Response"
                 )
-            stats.completed += 1
+            ok = True
             return response
-        except ServiceCrashError:
-            stats.errors += 1
-            raise
-        except (ServiceUnavailableError, RequestTimeoutError):
-            # An upstream dependency refused or timed out mid-handler
-            # (mediator chains during faults or churn): the admitted
-            # connection still terminates, so account it — conservation
-            # (arrived == refused+completed+errors+dropped+open) is a
-            # fuzzer invariant.
-            stats.errors += 1
-            raise
         except SimulationError:
+            # Crashes, upstream refusals/timeouts mid-handler (mediator
+            # chains during faults or churn) and engine errors end the
+            # connection as an error and propagate to the client.
             raise
         except Exception as exc:  # handler-level application error
-            stats.errors += 1
             return Response(value=exc, size=256)
         finally:
-            stats.busy_time += self.sim.now - started
-            self._release_thread()
+            waiter = admission.leave(ok, self.sim.now - started)
+            if waiter is not None:
+                waiter.succeed()
 
 
 def call(
@@ -503,28 +464,26 @@ def _lifecycle(
 ) -> _t.Generator:
     request = Request(payload=payload, size=size, client=client, issued_at=sim.now)
     yield from net.transfer(client, service.host, size)
-    stats = service.stats
-    stats.arrived += 1
+    admission = service.admission
+    admission.arrive()
     # Fast path: a healthy service with no fault injector attached skips
     # the per-condition checks (and the injector's RNG draw) entirely.
     if service.crashed or service.down or service.faults is not None:
         if service.crashed:
-            stats.refused += 1
+            admission.refuse()
             raise ServiceUnavailableError(
                 f"service {service.name} crashed: {service.crash_reason}"
             )
         if service.down:
-            stats.refused += 1
-            stats.refusal_log.append(sim.now)
+            admission.refuse(sim.now)
             raise ServiceUnavailableError(
                 f"service {service.name} down: {service.down_reason}"
             )
         if service.faults.drop_request():
-            stats.dropped += 1
+            admission.stats.dropped += 1
             raise ServiceUnavailableError(f"service {service.name} dropped the connection")
-    if service._active + len(service._slot_waiters) >= service.max_threads + service.backlog:
-        stats.refused += 1
-        stats.refusal_log.append(sim.now)
+    if admission.full():
+        admission.refuse(sim.now)
         # TCP RST back to the client is effectively free but not instant.
         yield from net.transfer(service.host, client, 64)
         raise ServiceUnavailableError(f"service {service.name} refused connection (backlog full)")

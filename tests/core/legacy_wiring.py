@@ -1,12 +1,14 @@
-"""Hand-wired scenario construction, kept as parity shims.
+"""Hand-wired scenario construction: the oracle for plan compilation.
 
-These are the pre-topology experiment builders, verbatim.  The live
-experiment modules (:mod:`exp1` .. :mod:`exp4`) now compile
-:mod:`repro.core.topology.catalog` plans instead; the equivalence
-tests (``tests/core/test_topology_equivalence.py``) drive one point of
-each experiment through both paths and require byte-identical metric
-tables.  Once a release cycle passes with the tests green this module
-can be deleted.
+These are the pre-topology experiment builders.  The experiment modules
+(:mod:`exp1` .. :mod:`exp4`) compile :mod:`repro.core.topology.catalog`
+plans instead; ``test_topology_equivalence.py`` drives one point of
+each experiment through both paths and requires byte-identical
+results.  Every service here is built by hand — a kernel, its
+:class:`~repro.sim.resources.Mutex` locks, and
+:func:`~repro.core.desruntime.kernel_service` — so the oracle shares
+none of the expose phase (:func:`repro.core.kernels.build.expose_plan`)
+it checks.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ from repro.core.experiments.common import (
 )
 from repro.core.params import StudyParams
 from repro.core.runner import PointResult, drive, new_run
-from repro.core.services import (
-    make_agent_service,
-    make_consumer_servlet_service,
-    make_giis_aggregate_service,
-    make_giis_directory_service,
-    make_gris_service,
-    make_manager_aggregate_service,
-    make_manager_directory_service,
-    make_manager_ingest_service,
-    make_producer_servlet_service,
-    make_registry_service,
+from repro.core.desruntime import kernel_service
+from repro.core.kernels import (
+    AgentKernel,
+    ConsumerServletKernel,
+    GiisAggregateKernel,
+    GiisDirectoryKernel,
+    GrisKernel,
+    ManagerAggregateKernel,
+    ManagerDirectoryKernel,
+    ManagerIngestKernel,
+    ProducerServletKernel,
+    RegistryKernel,
 )
 from repro.core.testbed import LUCKY_NAMES
 from repro.hawkeye.advertise import synthesize_startd_ad
@@ -48,9 +51,39 @@ from repro.rgma.producer import make_default_producers
 from repro.rgma.producer_servlet import ProducerServlet
 from repro.rgma.registry import Registry
 from repro.sim.faults import FaultPlan
+from repro.sim.resources import Mutex
 from repro.sim.rpc import RetryPolicy, Service, call
 
 __all__ = ["exp1_point", "exp2_point", "exp3_point", "exp4_point"]
+
+
+def _gris_service(run, host, gris: GRIS) -> Service:
+    lock = Mutex(run.sim, name=f"gris:{gris.hostname}:providers")
+    kernel = GrisKernel(gris, run.params.gris, providers_lock=lock)
+    return kernel_service(run.sim, run.net, host, kernel.spec())
+
+
+def _agent_service(run, host, agent: Agent) -> Service:
+    lock = Mutex(run.sim, name=f"agent:{agent.machine}:startd")
+    kernel = AgentKernel(agent, run.params.agent, startd_lock=lock)
+    return kernel_service(run.sim, run.net, host, kernel.spec())
+
+
+def _ps_service(run, host, servlet: ProducerServlet) -> Service:
+    lock = Mutex(run.sim, name=f"ps:{servlet.name}:db")
+    kernel = ProducerServletKernel(servlet, run.params.producer_servlet, db_lock=lock)
+    return kernel_service(run.sim, run.net, host, kernel.spec())
+
+
+def _cs_service(run, host, name: str, ps_service: Service, retry) -> Service:
+    kernel = ConsumerServletKernel(
+        name,
+        ps_service,
+        run.params.consumer_servlet,
+        mediation_lock=Mutex(run.sim, name=f"cs:{name}:mediation"),
+        retry=retry,
+    )
+    return kernel_service(run.sim, run.net, host, kernel.spec())
 
 
 def exp1_point(
@@ -78,7 +111,7 @@ def exp1_point(
         cached = system.endswith("cache") and not system.endswith("nocache")
         gris = build_gris(run, collectors=10, cached=cached, seed=seed)
         server_host = run.testbed.lucky["lucky7"]
-        service = make_gris_service(run.sim, run.net, server_host, gris, p.gris)
+        service = _gris_service(run, server_host, gris)
         run.services["gris"] = service
         return drive(
             run,
@@ -98,7 +131,7 @@ def exp1_point(
     if system == "hawkeye-agent":
         agent = build_agent(run, modules=11, seed=seed)
         server_host = run.testbed.lucky["lucky4"]
-        service = make_agent_service(run.sim, run.net, server_host, agent, p.agent)
+        service = _agent_service(run, server_host, agent)
         run.services["agent"] = service
         return drive(
             run,
@@ -117,9 +150,7 @@ def exp1_point(
 
     _registry, servlet = build_rgma_producer_side(run, producers=10, seed=seed)
     server_host = run.testbed.lucky["lucky3"]
-    ps_service = make_producer_servlet_service(
-        run.sim, run.net, server_host, servlet, p.producer_servlet
-    )
+    ps_service = _ps_service(run, server_host, servlet)
     run.services["ps"] = ps_service
     spawn_publisher(run, servlet, server_host)
     payload_fn = lambda uid: {"sql": "SELECT * FROM cpuLoad"}  # noqa: E731
@@ -134,10 +165,7 @@ def exp1_point(
 
     if system == "rgma-ps-uc":
         cs_host = run.testbed.uc[0]
-        cs_service = make_consumer_servlet_service(
-            run.sim, run.net, cs_host, "uc-cs", ps_service, p.consumer_servlet,
-            retry=cs_retry,
-        )
+        cs_service = _cs_service(run, cs_host, "uc-cs", ps_service, cs_retry)
         run.services["cs"] = cs_service
         return drive(
             run,
@@ -158,14 +186,8 @@ def exp1_point(
     cs_nodes = [name for name in run.testbed.lucky if name != "lucky3"]
     cs_services: dict[str, Service] = {}
     for name in cs_nodes:
-        cs_services[name] = make_consumer_servlet_service(
-            run.sim,
-            run.net,
-            run.testbed.lucky[name],
-            f"{name}-cs",
-            ps_service,
-            p.consumer_servlet,
-            retry=cs_retry,
+        cs_services[name] = _cs_service(
+            run, run.testbed.lucky[name], f"{name}-cs", ps_service, cs_retry
         )
     clients = lucky_clients(run, users, exclude=("lucky3",))
     services_by_user = [cs_services[c.name.split(".")[0]] for c in clients]
@@ -230,7 +252,9 @@ def exp2_point(
     if system == "mds-giis":
         giis = _build_giis_exp2(seed)
         server_host = run.testbed.lucky["lucky0"]
-        service = make_giis_directory_service(run.sim, run.net, server_host, giis, p.giis)
+        service = kernel_service(
+            run.sim, run.net, server_host, GiisDirectoryKernel(giis, p.giis).spec()
+        )
         run.services["giis"] = service
         return drive(
             run,
@@ -264,8 +288,8 @@ def exp2_point(
                 interval=p.manager.advertise_interval,
                 receive=manager.receive_ad,
             )
-        service = make_manager_directory_service(
-            run.sim, run.net, server_host, manager, p.manager
+        service = kernel_service(
+            run.sim, run.net, server_host, ManagerDirectoryKernel(manager, p.manager).spec()
         )
         run.services["manager"] = service
         return drive(
@@ -290,7 +314,9 @@ def exp2_point(
         servlet = ProducerServlet(f"{node}-ps")
         for producer in make_default_producers(f"{node}.mcs.anl.gov", 10, seed=seed * 31 + i):
             servlet.attach(producer, registry, now=0.0, lease=1e9)
-    service = make_registry_service(run.sim, run.net, server_host, registry, p.registry)
+    service = kernel_service(
+        run.sim, run.net, server_host, RegistryKernel(registry, p.registry).spec()
+    )
     run.services["registry"] = service
     if system == "rgma-registry-uc":
         clients = uc_clients(run, users)
@@ -337,23 +363,21 @@ def exp3_point(
         cached = not system.endswith("nocache")
         gris = build_gris(run, collectors=collectors, cached=cached, seed=seed)
         server_host = run.testbed.lucky["lucky7"]
-        service = make_gris_service(run.sim, run.net, server_host, gris, p.gris)
+        service = _gris_service(run, server_host, gris)
         run.services["gris"] = service
         payload_fn = lambda uid: {"filter": "(objectclass=*)"}  # noqa: E731
         request_size = p.gris.request_size
     elif system == "hawkeye-agent":
         agent = build_agent(run, modules=collectors, seed=seed)
         server_host = run.testbed.lucky["lucky4"]
-        service = make_agent_service(run.sim, run.net, server_host, agent, p.agent)
+        service = _agent_service(run, server_host, agent)
         run.services["agent"] = service
         payload_fn = lambda uid: {"query": "status"}  # noqa: E731
         request_size = p.agent.request_size
     else:
         _registry, servlet = build_rgma_producer_side(run, producers=collectors, seed=seed)
         server_host = run.testbed.lucky["lucky3"]
-        service = make_producer_servlet_service(
-            run.sim, run.net, server_host, servlet, p.producer_servlet
-        )
+        service = _ps_service(run, server_host, servlet)
         run.services["ps"] = service
         spawn_publisher(run, servlet, server_host)
         payload_fn = lambda uid: {"sql": "SELECT * FROM cpuLoad"}  # noqa: E731
@@ -414,9 +438,13 @@ def exp4_point(
         query_part = system.endswith("part")
         giis = _build_giis_exp4(servers, seed)
         server_host = run.testbed.lucky["lucky0"]
-        service = make_giis_aggregate_service(
-            run.sim, run.net, server_host, giis, p.giis, query_part=query_part
+        kernel = GiisAggregateKernel(
+            giis,
+            p.giis,
+            assembly_lock=Mutex(run.sim, name=f"giis:{giis.name}:assembly"),
+            query_part=query_part,
         )
+        service = kernel_service(run.sim, run.net, server_host, kernel.spec())
         run.services["giis"] = service
         return drive(
             run,
@@ -433,11 +461,18 @@ def exp4_point(
 
     manager = Manager("lucky3")
     server_host = run.testbed.lucky["lucky3"]
-    service, collector_mutex = make_manager_aggregate_service(
-        run.sim, run.net, server_host, manager, p.manager
+    collector_mutex = Mutex(run.sim, name=f"manager:{manager.name}:collector")
+    service = kernel_service(
+        run.sim,
+        run.net,
+        server_host,
+        ManagerAggregateKernel(manager, p.manager, collector_lock=collector_mutex).spec(),
     )
-    ingest = make_manager_ingest_service(
-        run.sim, run.net, server_host, manager, p.manager, collector_mutex
+    ingest = kernel_service(
+        run.sim,
+        run.net,
+        server_host,
+        ManagerIngestKernel(manager, p.manager, collector_lock=collector_mutex).spec(),
     )
     run.services["manager"] = service
     run.services["ingest"] = ingest

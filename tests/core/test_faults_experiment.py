@@ -8,16 +8,18 @@ outages — plus exact determinism from the seed.
 
 import pytest
 
+from repro.core.desruntime import kernel_service
 from repro.core.experiments import exp1, faults
+from repro.core.kernels import ProducerServletKernel, RegistryKernel
 from repro.core.params import default_params
 from repro.core.runner import new_run
-from repro.core.services import make_producer_servlet_service, make_registry_service
 from repro.errors import ServiceUnavailableError
 from repro.rgma.producer import make_default_producers
 from repro.rgma.producer_servlet import ProducerServlet
 from repro.rgma.registry import Registry
 from repro.rgma.resilience import MediatorStats, mediated_query
 from repro.sim.faults import CrashRestartSchedule, FaultPlan, install_faults
+from repro.sim.resources import Mutex
 from repro.sim.rpc import RetryPolicy
 
 FAST = dict(warmup=5.0, window=20.0)
@@ -110,11 +112,17 @@ class TestMediatedQuery:
         for producer in make_default_producers("lucky3.mcs.anl.gov", 5, seed=3):
             servlet.attach(producer, registry, now=0.0, lease=1e9)
         servlet.publish_all(now=0.0)
-        reg_svc = make_registry_service(
-            run.sim, run.net, run.testbed.lucky["lucky1"], registry, p.registry
+        reg_svc = kernel_service(
+            run.sim,
+            run.net,
+            run.testbed.lucky["lucky1"],
+            RegistryKernel(registry, p.registry).spec(),
         )
-        ps_svc = make_producer_servlet_service(
-            run.sim, run.net, run.testbed.lucky["lucky3"], servlet, p.producer_servlet
+        ps_kernel = ProducerServletKernel(
+            servlet, p.producer_servlet, db_lock=Mutex(run.sim, name="ps:db")
+        )
+        ps_svc = kernel_service(
+            run.sim, run.net, run.testbed.lucky["lucky3"], ps_kernel.spec()
         )
         return run, reg_svc, ps_svc
 

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.experiments import exp3
 from repro.core.metrics import MetricsSummary
-from repro.core.replication import (
+from repro.core.runner import PointResult
+from repro.core.stats import (
     ReplicateStat,
-    _t_critical,
     replicate_point,
     summarize_replicates,
+    t_critical,
 )
-from repro.core.runner import PointResult
 
 
 def fake_point(throughput, crashed=False):
@@ -35,11 +35,23 @@ def fake_point(throughput, crashed=False):
 
 
 def test_t_critical_values():
-    assert _t_critical(1) == pytest.approx(12.706)
-    assert _t_critical(4) == pytest.approx(2.776)
-    assert _t_critical(12) == pytest.approx(2.131)  # rounds up to df=15 bucket
-    assert _t_critical(1000) == pytest.approx(1.96)
-    assert _t_critical(0) == float("inf")
+    assert t_critical(1) == pytest.approx(12.706)
+    assert t_critical(4) == pytest.approx(2.776)
+    assert t_critical(12) == pytest.approx(2.179)  # its own row, not df=15's 2.131
+    assert t_critical(15) == pytest.approx(2.131)
+    assert t_critical(1000) == pytest.approx(1.96)
+    with pytest.raises(ValueError):
+        t_critical(0)
+
+
+def test_interval_uses_the_true_critical_value_between_table_rows():
+    # 13 replicates -> df = 12, which the old private table rounded up to
+    # the df = 15 value and so reported an interval 2 % too narrow.
+    values = [10.0 + 0.5 * i for i in range(13)]
+    stat = summarize_replicates([fake_point(v) for v in values])["throughput"]
+    mean = sum(values) / 13
+    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / 12)
+    assert stat.half_width == pytest.approx(2.179 * sd / math.sqrt(13))
 
 
 def test_summarize_mean_and_interval():

@@ -1,17 +1,18 @@
-"""Tests for the simulation service adapters (cost-model wiring)."""
+"""Tests for the kernels as simulated services (cost-model wiring)."""
 
 import pytest
 
-from repro.core.runner import new_run
-from repro.core.services import (
-    make_agent_service,
-    make_giis_aggregate_service,
-    make_gris_service,
-    make_manager_aggregate_service,
-    make_manager_ingest_service,
-    make_producer_servlet_service,
-    make_registry_service,
+from repro.core.desruntime import kernel_service
+from repro.core.kernels import (
+    AgentKernel,
+    GiisAggregateKernel,
+    GrisKernel,
+    ManagerAggregateKernel,
+    ManagerIngestKernel,
+    ProducerServletKernel,
+    RegistryKernel,
 )
+from repro.core.runner import new_run
 from repro.errors import ServiceUnavailableError
 from repro.hawkeye.agent import Agent
 from repro.hawkeye.advertise import synthesize_startd_ad
@@ -24,7 +25,36 @@ from repro.rgma.producer import make_default_producers
 from repro.rgma.producer_servlet import ProducerServlet
 from repro.rgma.registry import Registry
 from repro.sim.randomness import RngHub
+from repro.sim.resources import Mutex
 from repro.sim.rpc import call
+
+
+def serve(run, host, kernel):
+    return kernel_service(run.sim, run.net, host, kernel.spec())
+
+
+def gris_service(run, gris):
+    kernel = GrisKernel(gris, run.params.gris, providers_lock=Mutex(run.sim, name="providers"))
+    return serve(run, run.testbed.lucky["lucky7"], kernel)
+
+
+def agent_service(run, agent, p):
+    kernel = AgentKernel(agent, p, startd_lock=Mutex(run.sim, name="startd"))
+    return serve(run, run.testbed.lucky["lucky4"], kernel)
+
+
+def giis_aggregate_service(run, giis, p, **options):
+    kernel = GiisAggregateKernel(
+        giis, p, assembly_lock=Mutex(run.sim, name="assembly"), **options
+    )
+    return serve(run, run.testbed.lucky["lucky0"], kernel)
+
+
+def manager_aggregate_service(run, manager, p):
+    """The aggregate service and the collector lock ingest must share."""
+    lock = Mutex(run.sim, name="collector")
+    kernel = ManagerAggregateKernel(manager, p, collector_lock=lock)
+    return serve(run, run.testbed.lucky["lucky3"], kernel), lock
 
 
 def one_call(run, service, payload=None, client=None, size=512):
@@ -52,7 +82,7 @@ def run():
 def test_gris_service_cached_fast(run):
     gris = GRIS("lucky7.mcs.anl.gov", replicated_providers(10), cachettl=float("inf"), seed=1)
     gris.search(now=0.0)
-    service = make_gris_service(run.sim, run.net, run.testbed.lucky["lucky7"], gris, run.params.gris)
+    service = gris_service(run, gris)
     value, elapsed = one_call(run, service, {"filter": "(objectclass=*)"})
     assert value["entries"] == 12
     assert not value["fetched"]
@@ -61,7 +91,7 @@ def test_gris_service_cached_fast(run):
 
 def test_gris_service_uncached_pays_provider_time(run):
     gris = GRIS("lucky7.mcs.anl.gov", replicated_providers(10), cachettl=0.0, seed=1)
-    service = make_gris_service(run.sim, run.net, run.testbed.lucky["lucky7"], gris, run.params.gris)
+    service = gris_service(run, gris)
     value, elapsed = one_call(run, service, None)
     assert value["fetched"]
     assert elapsed > 10 * run.params.gris.provider_hold * 0.9  # ~0.52 s serialized
@@ -69,14 +99,13 @@ def test_gris_service_uncached_pays_provider_time(run):
 
 def test_agent_service_cost_scales_with_modules(run):
     p = run.params.agent
-    host = run.testbed.lucky["lucky4"]
     small = Agent("a.mcs.anl.gov", replicated_modules(11), seed=1)
-    svc_small = make_agent_service(run.sim, run.net, host, small, p)
+    svc_small = agent_service(run, small, p)
     _v, t_small = one_call(run, svc_small)
 
     run2 = new_run(seed=3)
     big = Agent("b.mcs.anl.gov", replicated_modules(88), seed=1)
-    svc_big = make_agent_service(run2.sim, run2.net, run2.testbed.lucky["lucky4"], big, p)
+    svc_big = agent_service(run2, big, p)
     _v, t_big = one_call(run2, svc_big)
     assert t_big > t_small + p.fetch_quad_coeff * (88**2 - 11**2) * 0.9
 
@@ -87,9 +116,10 @@ def test_producer_servlet_service_returns_rows(run):
     for producer in make_default_producers("lucky3.mcs.anl.gov", 10, seed=1):
         servlet.attach(producer, registry)
     servlet.publish_all(now=0.0)
-    service = make_producer_servlet_service(
-        run.sim, run.net, run.testbed.lucky["lucky3"], servlet, run.params.producer_servlet
+    kernel = ProducerServletKernel(
+        servlet, run.params.producer_servlet, db_lock=Mutex(run.sim, name="db")
     )
+    service = serve(run, run.testbed.lucky["lucky3"], kernel)
     value, _elapsed = one_call(run, service, {"sql": "SELECT * FROM cpuLoad"})
     assert value["rows"] == 2
 
@@ -97,8 +127,8 @@ def test_producer_servlet_service_returns_rows(run):
 def test_registry_service_lookup(run):
     registry = Registry("reg")
     registry.register("p1", "cpuLoad", "s1", lease=1e9)
-    service = make_registry_service(
-        run.sim, run.net, run.testbed.lucky["lucky1"], registry, run.params.registry
+    service = serve(
+        run, run.testbed.lucky["lucky1"], RegistryKernel(registry, run.params.registry)
     )
     value, elapsed = one_call(run, service, {"table": "cpuLoad"})
     assert value["producers"] == 1
@@ -118,9 +148,7 @@ def test_giis_aggregate_service_crash_path(run):
     import dataclasses
 
     tight = dataclasses.replace(p, max_queryall_registrants=3)
-    service = make_giis_aggregate_service(
-        run.sim, run.net, run.testbed.lucky["lucky0"], giis, tight
-    )
+    service = giis_aggregate_service(run, giis, tight)
     client = run.testbed.uc[0]
     outcomes = []
 
@@ -147,14 +175,11 @@ def test_giis_aggregate_query_part_smaller_and_faster(run):
             ttl=1e12,
         )
     giis.query(now=0.0)
-    host = run.testbed.lucky["lucky0"]
-    svc_all = make_giis_aggregate_service(run.sim, run.net, host, giis, run.params.giis)
+    svc_all = giis_aggregate_service(run, giis, run.params.giis)
     _va, t_all = one_call(run, svc_all)
 
     run2 = new_run(seed=4)
-    svc_part = make_giis_aggregate_service(
-        run2.sim, run2.net, run2.testbed.lucky["lucky0"], giis, run2.params.giis, query_part=True
-    )
+    svc_part = giis_aggregate_service(run2, giis, run2.params.giis, query_part=True)
     _vp, t_part = one_call(run2, svc_part)
     assert t_part < t_all
 
@@ -163,8 +188,8 @@ def test_manager_aggregate_and_ingest_share_lock(run):
     manager = Manager("lucky3")
     host = run.testbed.lucky["lucky3"]
     p = run.params.manager
-    agg, lock = make_manager_aggregate_service(run.sim, run.net, host, manager, p)
-    ingest = make_manager_ingest_service(run.sim, run.net, host, manager, p, lock)
+    _agg, lock = manager_aggregate_service(run, manager, p)
+    ingest = serve(run, host, ManagerIngestKernel(manager, p, collector_lock=lock))
     rng = RngHub(1).stream("ads")
     ad = synthesize_startd_ad("sim0", rng)
     value, _ = one_call(run, ingest, {"ad": ad}, size=p.ad_wire_bytes)
@@ -173,8 +198,7 @@ def test_manager_aggregate_and_ingest_share_lock(run):
 
     run2 = new_run(seed=5)
     manager2 = Manager("m2")
-    host2 = run2.testbed.lucky["lucky3"]
-    agg2, _lock2 = make_manager_aggregate_service(run2.sim, run2.net, host2, manager2, p)
+    agg2, _lock2 = manager_aggregate_service(run2, manager2, p)
     for i in range(20):
         manager2.receive_ad(synthesize_startd_ad(f"sim{i}", rng), now=0.0)
     value, _ = one_call(run2, agg2, {"constraint": "TARGET.CpuLoad > 50"})
@@ -189,8 +213,7 @@ def test_manager_scan_cost_scales_with_pool(run):
     def scan_time(n):
         r = new_run(seed=6)
         manager = Manager("m")
-        host = r.testbed.lucky["lucky3"]
-        service, _lock = make_manager_aggregate_service(r.sim, r.net, host, manager, p)
+        service, _lock = manager_aggregate_service(r, manager, p)
         for i in range(n):
             manager.receive_ad(synthesize_startd_ad(f"sim{i}", rng), now=0.0)
         _v, elapsed = one_call(r, service)

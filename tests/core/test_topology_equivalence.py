@@ -2,7 +2,7 @@
 
 Every experiment module now compiles a declarative
 :class:`~repro.core.topology.plan.DeploymentPlan`;
-:mod:`repro.core.experiments.legacy` preserves the hand-built wiring it
+:mod:`tests.core.legacy_wiring` preserves the hand-built wiring it
 replaced.  For one point of each Experiment set 1-4 the two paths must
 agree *exactly* — same metrics, same event count, same rendered figure
 rows — because the compiler replays the identical construction order
@@ -11,8 +11,9 @@ rows — because the compiler replays the identical construction order
 
 import pytest
 
-from repro.core.experiments import exp1, exp2, exp3, exp4, legacy
+from repro.core.experiments import exp1, exp2, exp3, exp4
 from repro.core.figures import points_to_series
+from tests.core import legacy_wiring as legacy
 
 FAST = dict(warmup=5.0, window=20.0)
 

@@ -112,13 +112,16 @@ def test_replay_requires_clients():
 def test_replay_against_experiment_service():
     """End to end: a Poisson trace against a real GRIS service."""
     from repro.core.experiments.common import build_gris
+    from repro.core.desruntime import kernel_service
+    from repro.core.kernels import GrisKernel
     from repro.core.runner import new_run
-    from repro.core.services import make_gris_service
+    from repro.sim.resources import Mutex
 
     run = new_run(seed=5, monitored=("lucky7",))
     gris = build_gris(run, collectors=10, cached=True, seed=5)
     host = run.testbed.lucky["lucky7"]
-    service = make_gris_service(run.sim, run.net, host, gris, run.params.gris)
+    kernel = GrisKernel(gris, run.params.gris, providers_lock=Mutex(run.sim, name="providers"))
+    service = kernel_service(run.sim, run.net, host, kernel.spec())
     rng = np.random.default_rng(5)
     entries = synthesize_poisson_trace(rate=20.0, duration=30.0, users=40, rng=rng)
     log = RequestLog()

@@ -25,6 +25,7 @@ class SimBlocker:
 
 sys.meta_path.insert(0, SimBlocker())
 
+import repro.core.admission
 import repro.core.kernels
 import repro.core.workload
 import repro.core.metrics
@@ -32,17 +33,32 @@ import repro.mds.resilience
 import repro.rgma.resilience
 import repro.hawkeye.resilience
 import repro.live
-from repro.core.kernels.build import connect_plan, materialize_plan
+from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
+from repro.core.params import default_params
 from repro.core.topology.plan import DeploymentPlan
 from repro.core.topology.catalog import exp1_plan
 
-# Compiling a plan to live services exercises materialize/connect and
-# every kernel constructor -- still no simulator.
-from repro.live.runtime import AsyncioRuntime
+# Compiling a plan to live services exercises materialize/connect/expose
+# and every kernel constructor -- still no simulator.
+from repro.live.runtime import AsyncioRuntime, LiveLock
 
 for system in ("mds-gris-cache", "rgma-ps-lucky", "hawkeye-agent"):
     dep = AsyncioRuntime(time_scale=0.1).compile(exp1_plan(system))
     assert dep.services, system
+
+# The shared expose phase and the admission rule, called directly.
+plan, objects, extras, services = exp1_plan("rgma-ps-uc"), {}, {}, {}
+materialize_plan(plan, objects, extras)
+connect_plan(plan, objects, extras)
+for name, _node, spec in expose_plan(
+    plan, objects, extras, default_params(),
+    make_lock=LiveLock, wire=True, services=services,
+):
+    services[name] = spec
+assert list(services) == ["ps", "cs"], services
+admission = repro.core.admission.Admission(max_threads=1, backlog=0)
+admission.arrive()
+assert admission.enter("w") and admission.full()
 
 assert "repro.sim" not in sys.modules
 print("sim-free imports OK")

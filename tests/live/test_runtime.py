@@ -7,12 +7,22 @@ read back off the runtime handle).
 """
 
 import asyncio
+import dataclasses
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.classad.ads import ClassAd
 from repro.core.kernels.ops import Compute, KernelResponse, KernelSpec
-from repro.core.topology.catalog import catalog_entries, exp1_plan, two_level_plan
+from repro.core.params import default_params
+from repro.core.topology.catalog import (
+    catalog_entries,
+    exp1_plan,
+    exp2_plan,
+    two_level_plan,
+)
 from repro.errors import ServiceUnavailableError
 from repro.ldap.ldif import from_ldif
 from repro.live.clients import line_query
@@ -156,10 +166,121 @@ def test_admission_refuses_past_threads_plus_backlog():
     in_loop(main())
 
 
+def test_cancelled_waiter_releases_its_place_in_the_queue():
+    async def main():
+        service = LiveService(_slow_kernel_spec(0.2), LiveClock(0.1))
+        first = asyncio.ensure_future(service.request(None))
+        queued = asyncio.ensure_future(service.request(None))
+        await asyncio.sleep(0)
+        assert (service.admission.active, service.admission.queued) == (1, 1)
+        queued.cancel()
+        await asyncio.gather(first, queued, return_exceptions=True)
+        stats = service.stats
+        assert (stats.completed, stats.errors) == (1, 1)
+        assert service.admission.open == 0
+        assert isinstance(await service.request(None), KernelResponse)  # not wedged
+
+    in_loop(main())
+
+
+def test_run_load_with_refusals_conserves_every_arrival():
+    # One handler thread and no accept queue at the GIIS: six users
+    # collide, some are refused, and the server-side books must balance.
+    params = default_params()
+    params = dataclasses.replace(
+        params, giis=dataclasses.replace(params.giis, max_threads=1, backlog=0)
+    )
+
+    async def main():
+        dep = AsyncioRuntime(params, time_scale=TS).compile(exp2_plan("mds-giis"))
+        async with dep:
+            result = await run_load(dep, users=6, duration=10.0, seed=7)
+            service = dep.entry_service
+            stats, still_open = service.stats, service.admission.open
+        return result, stats, still_open
+
+    result, stats, still_open = in_loop(main())
+    assert result.protocol_errors == 0
+    assert stats.refused > 0 and stats.completed > 0
+    assert stats.arrived == (
+        stats.refused + stats.dropped + stats.completed + stats.errors + still_open
+    )
+    assert still_open == 0
+    assert len(stats.refusal_log) == stats.refused
+
+
 def test_des_only_edges_are_skipped_with_notes():
     plan = catalog_entries()["faults-mds-registration"]()
     dep = AsyncioRuntime(time_scale=TS).compile(plan)
     assert any("soft-state registrar" in note for note in dep.skipped)
+
+
+def test_registration_door_answers_register_and_renew_over_a_socket():
+    plan = catalog_entries()["faults-mds-registration"]()
+
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS).compile(plan)
+        giis = dep.objects["giis"]
+        async with dep:
+            port = dep.ports["giis:registration"]
+
+            async def register(payload):
+                value, _body = await line_query(dep.host, port, payload, verb="REGISTER")
+                return value
+
+            assert await register({"op": "renew", "name": "lucky3"}) == {"renewed": True}
+            assert await register({"op": "renew", "name": "nobody"}) == {"renewed": False}
+            giis.unregister("lucky3")
+            before = giis.registrant_count
+            assert await register({"op": "renew", "name": "lucky3"}) == {"renewed": False}
+            assert await register(
+                {"op": "register", "name": "lucky3", "ttl": 6.0}
+            ) == {"registered": True}
+            assert giis.registrant_count == before + 1
+            assert dep.services["giis:registration"].stats.completed == 4
+
+    in_loop(main())
+
+
+# -- determinism across hash seeds -------------------------------------------
+
+_FIRST_AD_SCRIPT = """
+import asyncio
+from repro.core.topology.catalog import exp4_plan
+from repro.live.runtime import AsyncioRuntime
+
+async def main():
+    dep = AsyncioRuntime().compile(exp4_plan("hawkeye-manager", 3))
+    async with dep:
+        await asyncio.sleep(0)  # one loop turn: every advertiser publishes its first ad
+        ads = dep.objects["manager"].collector.ads()
+    for text in sorted(ad.serialize() for ad in ads):
+        print(text)
+
+asyncio.run(main())
+"""
+
+
+def test_live_advertisers_publish_the_same_ads_under_any_hash_seed():
+    repo = pathlib.Path(__file__).resolve().parents[2]
+
+    def first_ads(hash_seed):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_AD_SCRIPT],
+            capture_output=True,
+            cwd=repo,
+            env={
+                "PYTHONPATH": str(repo / "src"),
+                "PATH": "/usr/bin:/bin",
+                "PYTHONHASHSEED": hash_seed,
+            },
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    ads = first_ads("0")
+    assert ads.count(b"Machine") >= 3
+    assert ads == first_ads("1")
 
 
 # -- closed-loop load --------------------------------------------------------
