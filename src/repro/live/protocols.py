@@ -28,7 +28,7 @@ import json
 import typing as _t
 
 from repro.core.components import System
-from repro.errors import ServiceCrashError, ServiceUnavailableError
+from repro.errors import ClassAdSyntaxError, ServiceCrashError, ServiceUnavailableError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.live.runtime import LiveService
@@ -84,7 +84,12 @@ async def _serve_line(
             writer.write(f"ERR protocol bad json: {exc}\n".encode())
             return
         if verb == _HAWKEYE_INGEST_VERB and isinstance(payload, dict):
-            payload = _decode_ad_payload(payload)
+            try:
+                payload = _decode_ad_payload(payload)
+            except (ClassAdSyntaxError, ValueError, RecursionError) as exc:
+                # not ClassAd text, an integer too long to convert, or nested too deep
+                writer.write(f"ERR protocol bad ad: {exc}\n".encode())
+                return
         try:
             kr = await service.request(payload)
         except ServiceUnavailableError as exc:

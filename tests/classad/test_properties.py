@@ -13,7 +13,9 @@ _scalars = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(lambda f: round(f, 6)),
     st.booleans(),
     st.text(
-        alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters=" ._-"),
+        alphabet=st.characters(
+            whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters=" ._-\n\t\"\\"
+        ),
         max_size=20,
     ),
 )

@@ -156,6 +156,35 @@ def test_manager_expiry(pool):
     assert manager.pool_size == 0
 
 
+def test_manager_query_follows_receive_expire_and_remove(pool):
+    """A repeated constraint is answered from the pool as it is now."""
+    manager, _ = pool
+    constraint = "hawkeye_metric0 >= 0"  # only hawkeye_advertise ads carry it
+    empty = manager.query(constraint)
+    assert empty.ads == [] and empty.scanned == 6 and not empty.index_hit
+
+    rng = np.random.default_rng(3)
+    first = advertise(manager, "sim0001.pool", rng, now=100.0)
+    second = advertise(manager, "sim0002.pool", rng, now=500.0)
+    answer = manager.query(constraint)
+    assert answer.ads == [first, second] and answer.scanned == 8
+    assert answer.ops > empty.ops
+
+    replacement = advertise(manager, "sim0001.pool", rng, now=600.0)
+    assert manager.query(constraint).ads == [replacement, second]  # same slot, new ad
+
+    assert manager.expire(now=1_000.0) == 6  # the agents' ads, advertised at 0
+    after_expiry = manager.query(constraint)
+    assert after_expiry.ads == [replacement, second] and after_expiry.scanned == 2
+
+    assert manager.collector.remove("sim0002.pool")
+    after_remove = manager.query(constraint)
+    assert after_remove.ads == [replacement] and after_remove.scanned == 1
+    assert manager.expire(now=2_000.0) == 1
+    gone = manager.query(constraint)
+    assert gone.ads == [] and gone.scanned == 0 and gone.ops == 0
+
+
 # -- triggers -------------------------------------------------------------
 
 

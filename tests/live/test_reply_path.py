@@ -1,16 +1,22 @@
-"""The live reply path: memoized bytes on the socket, and lines too long to read.
+"""The live reply path: memoized bytes on the socket, and input no handler may die of.
 
 The listeners write the bytes the answer memo holds, so these tests pin
 the two ways that could go wrong — serving bytes of data that has since
-changed — and the framing bug the same code carried: a request line
-longer than the stream limit used to raise out of the connection handler.
+changed — and the bugs the same code carried: a request line longer than
+the stream limit, and an ``ADVERTISE`` whose ad is not ClassAd text, used
+to raise out of the connection handler.
 """
 
 import asyncio
+import json
+
+import numpy as np
+import pytest
 
 from repro.core.topology.catalog import exp1_plan, exp4_plan
+from repro.hawkeye import synthesize_startd_ad
 from repro.ldap.ldif import from_ldif, to_ldif
-from repro.live.clients import http_query, line_query
+from repro.live.clients import ProtocolError, http_query, line_query
 from repro.live.loadgen import query_once
 from repro.live.protocols import MAX_LINE
 from repro.live.runtime import AsyncioRuntime
@@ -101,6 +107,58 @@ def test_an_over_long_http_line_gets_a_400_and_the_listener_lives_on():
                 assert reply.endswith(b"\r\n\r\nline too long\n")
             value, _body = await http_query(dep.host, port, {"sql": "SELECT * FROM cpuLoad"})
             assert value["rows"] >= 0
+        assert errors == []
+
+    in_loop(main())
+
+
+MALFORMED_ADS = [
+    'Name = "a" &&',
+    'Name = "unterminated',
+    'Name = "a"\nCpuLoad = 1e',
+    'Name = "a"\na line with no binding',
+    '= "no name"',
+    'Name = "a"\nBig = ' + "9" * 5000,  # more digits than int() converts
+    'Name = "a"\nDeep = ' + "(" * 2000 + "1" + ")" * 2000,  # deeper than the parser recurses
+]
+
+
+def test_a_malformed_ad_gets_an_error_and_the_ingest_port_lives_on():
+    async def main():
+        errors = loop_errors()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp4_plan("hawkeye-manager", 3))
+        manager = dep.objects["manager"]
+        rng = np.random.default_rng(7)
+        async with dep:
+            port = dep.ports["manager:ingest"]
+            ingest = dep.services["manager:ingest"]
+            value, _body = await query_once(dep)
+            assert value == {"ads": 0, "scanned": 3}  # the fleet has warmed the pool
+            before, reached_before = manager.ads_received, ingest.requests
+            for i, bad in enumerate(MALFORMED_ADS):
+                request = f"ADVERTISE {json.dumps({'ad': bad})}\n".encode()
+                reply = await raw_exchange(dep.host, port, request)
+                assert reply.startswith(b"ERR protocol bad ad: ") and reply.count(b"\n") == 1, reply
+                with pytest.raises(ProtocolError, match="protocol: bad ad"):
+                    await line_query(dep.host, port, {"ad": bad}, verb="ADVERTISE")
+                good = synthesize_startd_ad(f"late{i}.pool", rng).serialize()
+                value, _body = await line_query(dep.host, port, {"ad": good}, verb="ADVERTISE")
+                assert value == {"ok": True}
+            good_ones = len(MALFORMED_ADS)
+            # Only ads that decoded reached the service: ours plus the background
+            # fleet's, once none of the fleet's is still in the handler.
+            for _ in range(500):
+                if ingest.admission.open == 0:
+                    break
+                await asyncio.sleep(0.01)
+            assert manager.ads_received - before == ingest.requests - reached_before >= good_ones
+            assert ingest.stats.completed == ingest.requests and ingest.refusals == 0
+            assert manager.pool_size == 3 + good_ones
+            late = [n for n in (ad.get_scalar("Name") for ad in manager.collector.ads())
+                    if n.startswith("late")]
+            assert late == [f"late{i}.pool" for i in range(good_ones)]
+            value, _body = await query_once(dep)
+            assert value == {"ads": 0, "scanned": 3 + good_ones}
         assert errors == []
 
     in_loop(main())

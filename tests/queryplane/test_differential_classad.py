@@ -140,3 +140,23 @@ def test_removed_ads_leave_the_bucket():
     outcome = collector.query('Machine == "box" && Cpus >= 1', compiled=True)
     assert [ad.get_scalar("Name") for ad in outcome.ads] == ["b"]
     assert outcome.scanned == 1
+
+
+def test_an_emptied_bucket_is_deleted_not_kept():
+    """Name churn must not leave one empty set per value ever indexed."""
+    collector = AdCollector(indexed_attrs=("Name", "Machine"))
+    collector.advertise(ClassAd({"Name": "stays", "Machine": "box", "Cpus": 2}))
+    for i in range(50):
+        collector.advertise(ClassAd({"Name": f"churn{i}", "Machine": f"host{i}", "Cpus": 2}))
+        collector.remove(f"churn{i}")
+    collector.advertise(ClassAd({"Name": "stays", "Machine": "rack", "Cpus": 2}))  # moved bucket
+    assert sorted(collector._index) == [("machine", "rack"), ("name", "stays")]
+    # The absent keys still answer: nothing there, nothing scanned.
+    assert collector.lookup_equal("Machine", "host7") == []
+    for constraint in ('Machine == "box"', 'Machine == "host7" && Cpus >= 1'):
+        got = collector.query(constraint, compiled=True)
+        want = collector.query(constraint, compiled=False)
+        assert got.ads == want.ads == []
+        assert (got.scanned, got.index_hit) == (0, True)
+    rack = collector.query('Machine == "rack" && Cpus >= 1', compiled=True)
+    assert [ad.get_scalar("Name") for ad in rack.ads] == ["stays"] and rack.scanned == 1
