@@ -1,68 +1,22 @@
-"""Benchmarks regenerating Figures 5-8 (information server vs. users).
+"""Regenerate Figures 5-8 (information server vs. users).
 
-Each ``test_point_*`` times one representative simulation point; the
-``test_figures_5_to_8`` entry runs the coarse sweep once and prints the
-four figures' rows.
+One shared sweep, four projections; prints the rows and checks the
+headline shapes.
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, BENCH_X_USERS, emit
-from repro.core.experiments import exp1
 from repro.core.figures import reproduce_figure
 
 FAST = dict(warmup=BENCH_WARMUP, window=BENCH_WINDOW)
 
 
-@pytest.mark.parametrize("system", exp1.SYSTEMS)
-def test_point_100_users(benchmark, benchjson, system):
-    """Time-to-solution of one 100-user experiment point per system."""
-    result = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"point_100_users[{system}]",
-            lambda: exp1.run_point(system, 100, seed=1, **FAST),
-            config={"system": system, "users": 100, **FAST},
-        ),
-        rounds=2,
-        iterations=1,
-    )
-    assert result.summary.completed > 0
-    benchmark.extra_info["throughput_qps"] = round(result.throughput, 2)
-    benchmark.extra_info["response_s"] = round(result.response_time, 2)
-
-
-def test_point_cached_gris_600_users(benchmark, benchjson):
-    """The heaviest Exp-1 point: 600 users on the cached GRIS."""
-    result = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "point_600_users[mds-gris-cache]",
-            lambda: exp1.run_point("mds-gris-cache", 600, seed=1, **FAST),
-            config={"system": "mds-gris-cache", "users": 600, **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.throughput > 60
-
-
-def test_figures_5_to_8(benchmark, benchjson):
+def test_figures_5_to_8():
     """Regenerate Figures 5-8 rows (one shared sweep, four projections)."""
-
-    def sweep():
-        cache: dict = {}
-        figures = [
-            reproduce_figure(n, seed=1, x_values=BENCH_X_USERS, sweep_cache=cache, **FAST)
-            for n in (5, 6, 7, 8)
-        ]
-        return figures
-
-    figures = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "figures_5_to_8", sweep, config={"x_values": list(BENCH_X_USERS), **FAST}
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    cache: dict = {}
+    figures = [
+        reproduce_figure(n, seed=1, x_values=BENCH_X_USERS, sweep_cache=cache, **FAST)
+        for n in (5, 6, 7, 8)
+    ]
     for figure in figures:
         emit(f"figure{figure.number:02d}", figure.to_table())
     # Headline checks: cache decisive; R-GMA response grows with users.

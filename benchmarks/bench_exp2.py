@@ -1,47 +1,18 @@
-"""Benchmarks regenerating Figures 9-12 (directory server vs. users)."""
-
-import pytest
+"""Regenerate Figures 9-12 (directory server vs. users)."""
 
 from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, BENCH_X_USERS, emit
-from repro.core.experiments import exp2
 from repro.core.figures import reproduce_figure
 
 FAST = dict(warmup=BENCH_WARMUP, window=BENCH_WINDOW)
 
 
-@pytest.mark.parametrize("system", ("mds-giis", "hawkeye-manager", "rgma-registry-lucky"))
-def test_point_300_users(benchmark, benchjson, system):
-    """Time-to-solution of one 300-user directory point per system."""
-    result = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"point_300_users[{system}]",
-            lambda: exp2.run_point(system, 300, seed=1, **FAST),
-            config={"system": system, "users": 300, **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.summary.completed > 0
-    benchmark.extra_info["throughput_qps"] = round(result.throughput, 2)
-
-
-def test_figures_9_to_12(benchmark, benchjson):
+def test_figures_9_to_12():
     """Regenerate Figures 9-12 rows (one shared sweep, four projections)."""
-
-    def sweep():
-        cache: dict = {}
-        return [
-            reproduce_figure(n, seed=1, x_values=BENCH_X_USERS, sweep_cache=cache, **FAST)
-            for n in (9, 10, 11, 12)
-        ]
-
-    figures = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "figures_9_to_12", sweep, config={"x_values": list(BENCH_X_USERS), **FAST}
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    cache: dict = {}
+    figures = [
+        reproduce_figure(n, seed=1, x_values=BENCH_X_USERS, sweep_cache=cache, **FAST)
+        for n in (9, 10, 11, 12)
+    ]
     for figure in figures:
         emit(f"figure{figure.number:02d}", figure.to_table())
     # Headline checks: GIIS/Manager scale well; Registry is slower and hotter.

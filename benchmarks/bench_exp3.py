@@ -1,48 +1,19 @@
-"""Benchmarks regenerating Figures 13-16 (info server vs. collectors)."""
-
-import pytest
+"""Regenerate Figures 13-16 (info server vs. collectors)."""
 
 from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, emit
-from repro.core.experiments import exp3
 from repro.core.figures import reproduce_figure
 
 FAST = dict(warmup=BENCH_WARMUP, window=BENCH_WINDOW)
 X_COLLECTORS = (10, 50, 90)
 
 
-@pytest.mark.parametrize("system", exp3.SYSTEMS)
-def test_point_90_collectors(benchmark, benchjson, system):
-    """Time-to-solution of the 90-collector point per system."""
-    result = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"point_90_collectors[{system}]",
-            lambda: exp3.run_point(system, 90, seed=1, **FAST),
-            config={"system": system, "collectors": 90, **FAST},
-        ),
-        rounds=2,
-        iterations=1,
-    )
-    benchmark.extra_info["throughput_qps"] = round(result.throughput, 2)
-    benchmark.extra_info["response_s"] = round(result.response_time, 2)
-
-
-def test_figures_13_to_16(benchmark, benchjson):
+def test_figures_13_to_16():
     """Regenerate Figures 13-16 rows (one shared sweep, four projections)."""
-
-    def sweep():
-        cache: dict = {}
-        return [
-            reproduce_figure(n, seed=1, x_values=X_COLLECTORS, sweep_cache=cache, **FAST)
-            for n in (13, 14, 15, 16)
-        ]
-
-    figures = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "figures_13_to_16", sweep, config={"x_values": list(X_COLLECTORS), **FAST}
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    cache: dict = {}
+    figures = [
+        reproduce_figure(n, seed=1, x_values=X_COLLECTORS, sweep_cache=cache, **FAST)
+        for n in (13, 14, 15, 16)
+    ]
     for figure in figures:
         emit(f"figure{figure.number:02d}", figure.to_table())
     fig13, fig14 = figures[0], figures[1]

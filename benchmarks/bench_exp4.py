@@ -1,9 +1,9 @@
-"""Benchmarks regenerating Figures 17-20 (aggregate server scalability)."""
-
-import pytest
+"""Regenerate Figures 17-20 (aggregate server scalability)."""
 
 from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, emit
 from repro.core.experiments import exp4
+from repro.core.figures import FIGURES, points_to_series
+from repro.core.results import Figure
 
 FAST = dict(warmup=BENCH_WARMUP, window=BENCH_WINDOW)
 X_BY_SYSTEM = {
@@ -13,58 +13,24 @@ X_BY_SYSTEM = {
 }
 
 
-@pytest.mark.parametrize(
-    "system,servers",
-    [("mds-giis-all", 200), ("mds-giis-part", 500), ("hawkeye-manager", 1000)],
-)
-def test_point_worst_case(benchmark, benchjson, system, servers):
-    """Time-to-solution of each series' largest surviving point."""
-    result = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"point_worst_case[{system}-{servers}]",
-            lambda: exp4.run_point(system, servers, seed=1, **FAST),
-            config={"system": system, "servers": servers, **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert not result.crashed
-    benchmark.extra_info["throughput_qps"] = round(result.throughput, 3)
-
-
-def test_figures_17_to_20(benchmark, benchjson):
+def test_figures_17_to_20():
     """Regenerate Figures 17-20 rows (per-series sweep grids, shared runs)."""
-    from repro.core.figures import FIGURES, points_to_series
-    from repro.core.results import Figure
-
-    def run_sets():
-        points = {
-            system: exp4.sweep(system, x_values=X_BY_SYSTEM[system], seed=1, **FAST)
-            for system in exp4.SYSTEMS
-        }
-        figures = []
-        for n in (17, 18, 19, 20):
-            spec = FIGURES[n]
-            fig = Figure(
-                number=n,
-                title=spec.title,
-                xlabel=spec.xlabel,
-                ylabel=spec.title.split(" vs.")[0],
-            )
-            for system, pts in points.items():
-                fig.series.append(points_to_series(system, pts, spec.metric))
-            figures.append(fig)
-        return figures
-
-    figures = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "figures_17_to_20",
-            run_sets,
-            config={"x_by_system": {k: list(v) for k, v in X_BY_SYSTEM.items()}, **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    points = {
+        system: exp4.sweep(system, x_values=X_BY_SYSTEM[system], seed=1, **FAST)
+        for system in exp4.SYSTEMS
+    }
+    figures = []
+    for n in (17, 18, 19, 20):
+        spec = FIGURES[n]
+        fig = Figure(
+            number=n,
+            title=spec.title,
+            xlabel=spec.xlabel,
+            ylabel=spec.title.split(" vs.")[0],
+        )
+        for system, pts in points.items():
+            fig.series.append(points_to_series(system, pts, spec.metric))
+        figures.append(fig)
     for figure in figures:
         emit(f"figure{figure.number:02d}", figure.to_table())
     fig17 = figures[0]

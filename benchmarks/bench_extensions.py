@@ -1,8 +1,8 @@
 """Benchmarks for the future-work extensions (paper §4, §3.6).
 
 Not figures from the paper — these are the experiments the paper says
-should be run next, so they get the same harness treatment: a timed
-sweep each, with the resulting rows printed and archived.
+should be run next, so they get the same treatment: one sweep each,
+with the resulting rows printed and archived.
 """
 
 from benchmarks.conftest import emit
@@ -17,24 +17,16 @@ from repro.core.experiments.extensions import (
 FAST = dict(warmup=10.0, window=30.0)
 
 
-def test_ext_wan_environment(benchmark, benchjson):
+def test_ext_wan_environment():
     """§4: 'the experiments should be repeated ... in a WAN environment'."""
-
-    def sweep():
-        # 30 users: below every server's saturation knee, so the WAN
-        # delta passes straight through to client response times.  (At
-        # saturation a closed loop pins response at ~N/X_cap regardless
-        # of path latency — asserting there would test the noise.)
-        return {
-            system: wan_sweep(system, users=30, seed=1, **FAST)
-            for system in ("mds-gris-cache", "hawkeye-agent")
-        }
-
-    results = benchmark.pedantic(
-        lambda: benchjson.timed("ext_wan", sweep, config={"users": 30, **FAST}),
-        rounds=1,
-        iterations=1,
-    )
+    # 30 users: below every server's saturation knee, so the WAN delta
+    # passes straight through to client response times.  (At saturation
+    # a closed loop pins response at ~N/X_cap regardless of path
+    # latency — asserting there would test the noise.)
+    results = {
+        system: wan_sweep(system, users=30, seed=1, **FAST)
+        for system in ("mds-gris-cache", "hawkeye-agent")
+    }
     lines = ["WAN environment sweep (30 users)"]
     for system, rows in results.items():
         for label, p in rows:
@@ -47,17 +39,9 @@ def test_ext_wan_environment(benchmark, benchjson):
     assert agent["intercontinental"].response_time > agent["lan"].response_time + 0.1
 
 
-def test_ext_access_patterns(benchmark, benchjson):
+def test_ext_access_patterns():
     """§4: 'additional patterns of user access'."""
-
-    def sweep():
-        return access_pattern_sweep("mds-gris-cache", users=300, seed=1, **FAST)
-
-    rows = benchmark.pedantic(
-        lambda: benchjson.timed("ext_access_patterns", sweep, config={"users": 300, **FAST}),
-        rounds=1,
-        iterations=1,
-    )
+    rows = access_pattern_sweep("mds-gris-cache", users=300, seed=1, **FAST)
     emit(
         "ext_access_patterns",
         "Access-pattern sweep (GRIS cache, 300 users)\n"
@@ -69,20 +53,12 @@ def test_ext_access_patterns(benchmark, benchjson):
     assert all(p.throughput > 20 for _label, p in rows)
 
 
-def test_ext_aggregate_vs_direct(benchmark, benchjson):
+def test_ext_aggregate_vs_direct():
     """§4: GIIS vs. GRIS for the same piece of information."""
-
-    def sweep():
-        return {
-            users: aggregate_vs_direct(users=users, seed=1, **FAST)
-            for users in (10, 50, 200)
-        }
-
-    results = benchmark.pedantic(
-        lambda: benchjson.timed("ext_aggregate_vs_direct", sweep, config=FAST),
-        rounds=1,
-        iterations=1,
-    )
+    results = {
+        users: aggregate_vs_direct(users=users, seed=1, **FAST)
+        for users in (10, 50, 200)
+    }
     lines = ["Aggregate (GIIS) vs direct (GRIS), same query"]
     for users, out in results.items():
         lines.append(
@@ -93,22 +69,14 @@ def test_ext_aggregate_vs_direct(benchmark, benchjson):
     assert results[200]["via-giis"].response_time < results[200]["direct-gris"].response_time
 
 
-def test_ext_push_vs_pull(benchmark, benchjson):
+def test_ext_push_vs_pull():
     """§3.7's pull/push contrast measured over one event stream."""
-
-    def sweep():
-        return {
-            interval: push_vs_pull(
-                watchers=50, poll_interval=interval, seed=1, warmup=10.0, window=60.0
-            )
-            for interval in (2.0, 10.0, 30.0)
-        }
-
-    results = benchmark.pedantic(
-        lambda: benchjson.timed("ext_push_vs_pull", sweep, config={"watchers": 50}),
-        rounds=1,
-        iterations=1,
-    )
+    results = {
+        interval: push_vs_pull(
+            watchers=50, poll_interval=interval, seed=1, warmup=10.0, window=60.0
+        )
+        for interval in (2.0, 10.0, 30.0)
+    }
     lines = ["Push vs pull notification (50 watchers)"]
     for interval, out in results.items():
         pull, push = out["pull"], out["push"]
@@ -123,17 +91,9 @@ def test_ext_push_vs_pull(benchmark, benchjson):
         assert out["push"].mean_latency < out["pull"].mean_latency
 
 
-def test_ext_multilayer_hierarchy(benchmark, benchjson):
+def test_ext_multilayer_hierarchy():
     """§3.6's proposed fix: two-level GIIS tree vs. flat aggregation."""
-
-    def sweep():
-        return {n: hierarchy_comparison(n, users=10, seed=1, **FAST) for n in (49, 100, 196)}
-
-    results = benchmark.pedantic(
-        lambda: benchjson.timed("ext_hierarchy", sweep, config={"users": 10, **FAST}),
-        rounds=1,
-        iterations=1,
-    )
+    results = {n: hierarchy_comparison(n, users=10, seed=1, **FAST) for n in (49, 100, 196)}
     lines = ["Two-level GIIS hierarchy vs flat (10 users)"]
     for n, out in results.items():
         lines.append(

@@ -30,47 +30,24 @@ RECOVERY_FLOOR = 0.8
 
 
 @pytest.mark.parametrize("system", FAULT_SYSTEMS)
-def test_point_outage_100_users(benchmark, benchjson, system):
+def test_point_outage_100_users(system):
     """One mid-window outage at 100 users: recovery and amplification."""
-    result = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"point_outage_100_users[{system}]",
-            lambda: faults.run_fault_point(system, 100, seed=1, schedule="outage", **FAST),
-            config={"system": system, "users": 100, "schedule": "outage", **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    result = faults.run_fault_point(system, 100, seed=1, schedule="outage", **FAST)
     res = result.faulted.resilience
     assert res is not None and res.downtime > 0
     # Retries claw back most of the clean-run goodput after the restart.
     assert result.recovered_fraction >= RECOVERY_FLOOR
     # The breaker keeps the retry storm bounded.
     assert result.retry_amplification <= AMPLIFICATION_BOUND
-    benchmark.extra_info["recovered"] = round(result.recovered_fraction, 3)
-    benchmark.extra_info["amplification"] = round(result.retry_amplification, 3)
 
 
-def test_breaker_caps_amplification(benchmark, benchjson):
+def test_breaker_caps_amplification():
     """Same outage with and without the breaker: rejections replace tries."""
-
-    def pair():
-        guarded = faults.run_fault_point(
-            "mds-gris-cache", 100, seed=1, schedule="flapping", **FAST
-        )
-        naked = faults.run_fault_point(
-            "mds-gris-cache", 100, seed=1, schedule="flapping", breaker=False, **FAST
-        )
-        return guarded, naked
-
-    guarded, naked = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "breaker_caps_amplification",
-            pair,
-            config={"system": "mds-gris-cache", "schedule": "flapping", **FAST},
-        ),
-        rounds=1,
-        iterations=1,
+    guarded = faults.run_fault_point(
+        "mds-gris-cache", 100, seed=1, schedule="flapping", **FAST
+    )
+    naked = faults.run_fault_point(
+        "mds-gris-cache", 100, seed=1, schedule="flapping", breaker=False, **FAST
     )
     g, n = guarded.faulted.resilience, naked.faulted.resilience
     assert g is not None and n is not None
@@ -79,27 +56,17 @@ def test_breaker_caps_amplification(benchmark, benchjson):
     # Fewer wire attempts reach the dead service when the breaker trips.
     assert g.attempts < n.attempts
     assert guarded.retry_amplification <= naked.retry_amplification
-    benchmark.extra_info["guarded_amp"] = round(guarded.retry_amplification, 3)
-    benchmark.extra_info["naked_amp"] = round(naked.retry_amplification, 3)
 
 
-def test_fault_tables(benchmark, benchjson):
+def test_fault_tables():
     """Emit the resilience tables for both fault schedules."""
-
-    def sweep():
-        rows = {}
-        for schedule in faults.SCHEDULES:
-            rows[schedule] = [
-                faults.run_fault_point(system, 100, seed=1, schedule=schedule, **FAST)
-                for system in FAULT_SYSTEMS
-            ]
-        return rows
-
-    rows = benchmark.pedantic(
-        lambda: benchjson.timed("fault_tables", sweep, config={"users": 100, **FAST}),
-        rounds=1,
-        iterations=1,
-    )
+    rows = {
+        schedule: [
+            faults.run_fault_point(system, 100, seed=1, schedule=schedule, **FAST)
+            for system in FAULT_SYSTEMS
+        ]
+        for schedule in faults.SCHEDULES
+    }
     for schedule, results in rows.items():
         emit(f"faults_{schedule}", faults.format_fault_table(results))
     # The soft-state registrars re-register after the long outage ...

@@ -1,21 +1,19 @@
-"""Benchmarks for the hierarchy scalability sweep (deployment-plane grids).
+"""Hierarchy scalability sweeps (deployment-plane grids).
 
 Each grid point is an N-level aggregate tree compiled from one
 ``hierarchy_plan`` — no per-shape wiring.  The table lands in
 ``benchmarks/results/scale_<system>.txt``.
 
-The fast-tier benchmarks at the bottom push the same grid to
-populations the exact DES cannot touch — 10^5-10^6 users over
-10^4-server trees (docs/FIDELITY.md) — and hold the meanfield tier to
-a >= 50x wall-clock advantage over the *projected* exact cost.
+The cohort sweep at the bottom pushes the same grid to populations the
+exact DES cannot touch — 10^4-10^5 users (docs/FIDELITY.md); the
+10^6-user meanfield point and its >= 50x advantage over the projected
+exact cost are checked in ``tests/core/test_fidelity.py``.
 """
-
-from time import perf_counter
 
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.experiments import scale
+from repro.core.experiments import exp4, scale
 
 # One shape per depth keeps the smoke grid under a minute.
 SMOKE_GRID = ((1, 8), (2, 4), (3, 2))
@@ -26,131 +24,37 @@ FAST_TIER_WINDOW = dict(warmup=10.0, window=30.0)
 
 
 @pytest.mark.parametrize("system", scale.SYSTEMS)
-def test_scale_grid(benchmark, benchjson, system):
-    """Time-to-solution of a depth-1/2/3 tree sweep per system."""
-    rows = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"scale_grid[{system}]",
-            lambda: [
-                scale.run_scale_point(system, depth, fanout, seed=1, **FAST)
-                for depth, fanout in SMOKE_GRID
-            ],
-            config={"system": system, "grid": [list(g) for g in SMOKE_GRID], **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_scale_grid(system):
+    """A depth-1/2/3 tree sweep per system."""
+    rows = [
+        scale.run_scale_point(system, depth, fanout, seed=1, **FAST)
+        for depth, fanout in SMOKE_GRID
+    ]
     emit(f"scale_{system}", scale.format_scale_table(rows))
     assert all(not r.result.crashed for r in rows)
     # Eight info servers behind one aggregate still answer queries.
     assert all(r.result.throughput > 0 for r in rows)
 
 
-def test_deep_tree_beats_flat_mds(benchmark, benchjson):
+def test_deep_tree_beats_flat_mds():
     """§3.6's fix, quantified: 64 GRIS behind a depth-2 tree vs. one GIIS."""
-    from repro.core.experiments import exp4
-
-    def run_pair():
-        tree = scale.run_scale_point("mds", 2, 8, seed=1, **FAST)
-        flat = exp4.run_point("mds-giis-all", 64, seed=1, **FAST)
-        return tree, flat
-
-    tree, flat = benchmark.pedantic(
-        lambda: benchjson.timed("deep_tree_vs_flat_mds", run_pair, config=FAST),
-        rounds=1,
-        iterations=1,
-    )
+    tree = scale.run_scale_point("mds", 2, 8, seed=1, **FAST)
+    flat = exp4.run_point("mds-giis-all", 64, seed=1, **FAST)
     assert not tree.result.crashed
     # The tree parallelizes per-GRIS work across mid-level nodes.
     assert tree.result.response_time < flat.response_time
-    benchmark.extra_info["tree_resp_s"] = round(tree.result.response_time, 3)
-    benchmark.extra_info["flat_resp_s"] = round(flat.response_time, 3)
 
 
-def test_meanfield_million_user_point(benchmark, benchjson):
-    """The headline fast-tier point: 10^6 users on a 10^4-server tree.
-
-    The exact DES is capped at ``scale.MAX_EXACT_USERS``, so the
-    comparison projects a measured small-population exact point
-    linearly in users (:func:`repro.core.fidelity.projected_exact_cost`
-    — a deliberate *under*-estimate of the true exact cost, which makes
-    the >= 50x requirement conservative).
-    """
-    from repro.core.fidelity import projected_exact_cost
-
-    exact_users = 10
-    start = perf_counter()
-    exact = scale.run_scale_point("mds", 2, 4, seed=1, users=exact_users, **FAST)
-    exact_wall = perf_counter() - start
-    assert not exact.result.crashed
-
-    walls: dict[str, float] = {}
-
-    def run_fast():
-        start = perf_counter()
-        point = scale.run_scale_point(
-            "mds", 4, 10, seed=1, users=1_000_000,
-            fidelity="meanfield", **FAST_TIER_WINDOW,
-        )
-        walls["fast"] = perf_counter() - start
-        return point
-
-    point = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "meanfield_1m_users[mds-d4f10]",
-            run_fast,
-            config={
-                "system": "mds", "depth": 4, "fanout": 10,
-                "users": 1_000_000, "fidelity": "meanfield", **FAST_TIER_WINDOW,
-            },
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert point.servers == 10_000
-    assert point.result.fidelity == "meanfield"
-    assert point.result.population == 1_000_000
-    assert point.result.throughput > 0
-    projected = projected_exact_cost(exact_wall, exact_users, 1_000_000)
-    speedup = projected / walls["fast"]
-    benchmark.extra_info["projected_exact_s"] = round(projected, 1)
-    benchmark.extra_info["speedup_vs_projected_exact"] = round(speedup, 1)
-    assert speedup >= 50.0, (
-        f"meanfield point took {walls['fast']:.3f}s vs projected exact "
-        f"{projected:.1f}s — only {speedup:.1f}x"
-    )
-
-
-def test_cohort_large_population_sweep(benchmark, benchjson):
-    """Cohort tier: stochastic per-epoch stepping at 10^4-10^5 users.
-
-    Unlike meanfield these points process real (batched) events, so the
-    record's events/sec lands in the changepoint-gate history and any
-    vectorization regression in the cohort engine trips the perf gate.
-    """
+def test_cohort_large_population_sweep():
+    """Cohort tier: stochastic per-epoch stepping at 10^4-10^5 users."""
     shapes = (("mds", 10_000), ("hawkeye", 100_000))
-
-    def run_points():
-        return [
-            scale.run_scale_point(
-                system, 2, 10, seed=1, users=users,
-                fidelity="cohort", **FAST_TIER_WINDOW,
-            )
-            for system, users in shapes
-        ]
-
-    rows = benchmark.pedantic(
-        lambda: benchjson.timed(
-            "cohort_sweep[d2f10-1e5]",
-            run_points,
-            config={
-                "shapes": [list(s) for s in shapes],
-                "fidelity": "cohort", **FAST_TIER_WINDOW,
-            },
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    rows = [
+        scale.run_scale_point(
+            system, 2, 10, seed=1, users=users,
+            fidelity="cohort", **FAST_TIER_WINDOW,
+        )
+        for system, users in shapes
+    ]
     emit("scale_fast_tiers", scale.format_scale_table(rows))
     assert all(r.result.fidelity == "cohort" for r in rows)
     assert all(r.result.population == users for r, (_, users) in zip(rows, shapes))

@@ -3,8 +3,7 @@
 Runs every named scenario on a representative system, checks the
 headline scenario invariants (conservation under churn, real message
 loss under WAN weather, a flash crowd that actually raises measured
-throughput), and times a small metamorphic fuzz batch — so the fuzzer's
-own cost is a gated number, not a surprise.
+throughput), and runs a small metamorphic fuzz batch.
 """
 
 import pytest
@@ -25,24 +24,16 @@ SCENARIO_SYSTEMS = (
     ("client-mix", "hawkeye-agent", 100),
 )
 
-#: Fuzz batch seed — distinct from CI's SMOKE_SEED so the bench record
+#: Fuzz batch seed — distinct from CI's SMOKE_SEED so this batch
 #: exercises a second fixed trajectory.
 FUZZ_SEED = 20030915
 FUZZ_COUNT = 3
 
 
 @pytest.mark.parametrize("name,system,users", SCENARIO_SYSTEMS)
-def test_named_scenario_point(benchmark, benchjson, name, system, users):
+def test_named_scenario_point(name, system, users):
     """One exact-DES point per named scenario, audit invariants checked."""
-    point = benchmark.pedantic(
-        lambda: benchjson.timed(
-            f"scenario_point[{name}]",
-            lambda: scenarios.run_scenario_point(system, name, users, seed=1, **FAST),
-            config={"system": system, "scenario": name, "users": users, **FAST},
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    point = scenarios.run_scenario_point(system, name, users, seed=1, **FAST)
     audit = point.audit
     assert audit is not None and audit.client_ok > 0
     for svc_name, svc in audit.services.items():
@@ -55,48 +46,29 @@ def test_named_scenario_point(benchmark, benchjson, name, system, users):
     if name == "wan-weather":
         assert audit.wan_episodes > 0
         assert audit.messages_lost > 0
-    benchmark.extra_info["client_ok"] = audit.client_ok
 
 
-def test_flash_crowd_raises_throughput(benchjson):
+def test_flash_crowd_raises_throughput():
     """The spike adds offered load; an unsaturated GRIS must serve it."""
     plain = exp1.run_point("mds-gris-cache", 100, seed=1, **FAST)
-    under = benchjson.timed(
-        "flash_vs_plain",
-        lambda: scenarios.run_scenario_point(
-            "mds-gris-cache", "flash-crowd", 100, seed=1, **FAST
-        ),
-        config={"system": "mds-gris-cache", "users": 100, **FAST},
-    )
+    under = scenarios.run_scenario_point("mds-gris-cache", "flash-crowd", 100, seed=1, **FAST)
     assert under.result.throughput >= plain.throughput * 0.98
 
 
-def test_fuzz_batch(benchjson):
-    """A small fixed-seed metamorphic batch: green, and its cost recorded."""
+def test_fuzz_batch():
+    """A small fixed-seed metamorphic batch must come back green."""
     from repro.core.scenario.fuzz import run_fuzz
 
-    report = benchjson.timed(
-        "fuzz_batch",
-        lambda: run_fuzz(FUZZ_SEED, FUZZ_COUNT),
-        config={"seed": FUZZ_SEED, "count": FUZZ_COUNT},
-    )
+    report = run_fuzz(FUZZ_SEED, FUZZ_COUNT)
     assert report.count == FUZZ_COUNT
     assert not report.failures, [r.violations for r in report.failures]
 
 
-def test_scenario_tables(benchmark, benchjson):
+def test_scenario_tables():
     """Emit the named-scenario table (all four, representative systems)."""
-
-    def table_rows():
-        return [
-            scenarios.run_scenario_point(system, name, users, seed=1, **FAST)
-            for name, system, users in SCENARIO_SYSTEMS
-        ]
-
-    rows = benchmark.pedantic(
-        lambda: benchjson.timed("scenario_tables", table_rows, config={**FAST}),
-        rounds=1,
-        iterations=1,
-    )
+    rows = [
+        scenarios.run_scenario_point(system, name, users, seed=1, **FAST)
+        for name, system, users in SCENARIO_SYSTEMS
+    ]
     emit("scenario_named", scenarios.format_scenario_table(rows))
     assert all(r.result.throughput > 0 for r in rows)

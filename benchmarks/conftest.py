@@ -1,68 +1,31 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the table regenerators.
 
-Each ``bench_expN`` module regenerates the corresponding paper figures
-and *prints the same rows the paper plots* (writing them to
-``benchmarks/results/`` as well, since pytest captures stdout).  The
-module-scoped ``benchjson`` fixture additionally writes one JSON record
-file per bench module — the machine-readable side-channel CI's perf
-gate compares against ``benchmarks/baselines/`` (see docs/BENCHMARKS.md).
-
-``REPRO_FULL=1`` switches the harness to paper-faithful 600-second
-measurement windows AND redirects all output to the ``results-full/``
-namespace, whose committed baselines live in ``baselines-full/`` — so
-the weekly scheduled full-window run gates against like-for-like
-numbers instead of silently skipping the compare (fast-window baselines
-would always mismatch).
+Each ``bench_*`` module regenerates one family of committed tables and
+*prints the same rows the paper plots* (writing them to
+``benchmarks/results/`` as well, since pytest captures stdout), then
+asserts the headline shape of each.  Speed is measured by the ledger
+(``benchmarks/ledger/``, see docs/BENCHMARKS.md), not here.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
 
-import pytest
-
-from benchmarks.benchjson import JsonSession
-
-REPRO_FULL = bool(os.environ.get("REPRO_FULL"))
-
-RESULTS_DIR = pathlib.Path(__file__).parent / (
-    "results-full" if REPRO_FULL else "results"
-)
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 # Coarser sweeps than the paper's tick marks keep `pytest benchmarks/`
-# in minutes; the repro-figures CLI runs the full grids.  REPRO_FULL
-# restores the paper's 600 s window after a 60 s warm-up (matching
-# repro.core.params.measurement_window) — the benches pass these
-# explicitly, so without this switch the env var changed nothing here.
+# in minutes; the repro-figures CLI runs the full grids.
 BENCH_X_USERS = (10, 100, 300, 600)
-BENCH_WARMUP, BENCH_WINDOW = (60.0, 600.0) if REPRO_FULL else (10.0, 30.0)
-
-
-def results_dir() -> pathlib.Path:
-    """The shared output directory, created on first use."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+BENCH_WARMUP, BENCH_WINDOW = 10.0, 30.0
 
 
 def emit(name: str, text: str) -> pathlib.Path:
     """Write a figure table to benchmarks/results/ and echo it live."""
-    path = results_dir() / f"{name}.txt"
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
-    # Bypass pytest's capture so the rows appear in the benchmark log.
+    # Bypass pytest's capture so the rows appear in the run log.
     sys.__stdout__.write(f"\n{text}\n[written to {path}]\n")
     sys.__stdout__.flush()
     return path
-
-
-@pytest.fixture(scope="module")
-def benchjson(request) -> JsonSession:
-    """One JSON record session per bench module, written at teardown."""
-    bench = request.module.__name__.rsplit(".", 1)[-1]
-    session = JsonSession(bench, results_dir())
-    yield session
-    path = session.write()
-    if path is not None:
-        sys.__stdout__.write(f"\n[bench records written to {path}]\n")
-        sys.__stdout__.flush()

@@ -1,7 +1,7 @@
 """Shared ``--version`` support for every repro CLI.
 
-All five entry points (``repro-bench``, ``repro-figures``,
-``repro-report``, ``repro-topology``, ``repro-serve``) report the same
+All five entry points (``repro-figures``, ``repro-report``,
+``repro-scenario``, ``repro-topology``, ``repro-serve``) report the same
 version: the installed package metadata when available, the in-tree
 ``repro.__version__`` when running from a source checkout.
 """

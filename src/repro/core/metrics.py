@@ -168,7 +168,7 @@ class MetricsSummary:
     window: float
     # Streaming-histogram latency percentiles over successful queries in
     # the window.  Not part of any paper figure (tables stay byte-for-
-    # byte); recorded for the machine-readable benchmark side-channel.
+    # byte); carried with the point through the result codec.
     latency_p50: float = 0.0
     latency_p95: float = 0.0
 

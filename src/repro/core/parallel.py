@@ -362,14 +362,12 @@ class SweepStats:
         return self.busy_seconds / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
-# Process-wide accumulators so bench glue can attribute sweep work to a
-# timed region by snapshot delta (see benchmarks/benchjson.py).
+# Process-wide totals over every run_specs call (see counters_snapshot).
 _counters = {
     "points": 0,
     "executed": 0,
     "cache_hits": 0,
     "busy_seconds": 0.0,
-    "max_jobs": 1,
 }
 _last_stats = SweepStats()
 
@@ -451,6 +449,5 @@ def run_specs(
     _counters["executed"] += stats.executed
     _counters["cache_hits"] += stats.cache_hits
     _counters["busy_seconds"] += stats.busy_seconds
-    _counters["max_jobs"] = max(_counters["max_jobs"], jobs)
     _last_stats = stats
     return results

@@ -4,7 +4,7 @@ The paper fixes a warm-up period, measures one 600 s window and reports
 single-run means; SHARP-style methodology (PELT changepoint detection +
 the "Adaptive stopping rule for performance measurements") replaces
 both with *detected* steady state and *replication until convergence*.
-This module supplies the machinery, consumed in three places:
+This module supplies the machinery, consumed in two places:
 
 * :func:`detect_steady_state` — find the warm-up / cool-down boundaries
   of a run from its own metric stream (bucketed completion rates)
@@ -14,10 +14,7 @@ This module supplies the machinery, consumed in three places:
   point out through :mod:`repro.core.parallel` until the confidence
   interval on the chosen metric converges (or a replication cap is
   hit), reporting mean ± CI half-width
-  (:func:`repro.core.experiments.common.adaptive_sweep_points`);
-* :func:`changepoint_gate` — decide whether a benchmark's events/sec
-  history contains a genuine level shift, replacing the blunt
-  single-baseline tolerance in CI (``repro-bench gate``).
+  (:func:`repro.core.experiments.common.adaptive_sweep_points`).
 
 For a *fixed* replication budget rather than a precision target,
 :func:`replicate_point` runs a point once per seed and
@@ -41,13 +38,11 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveEstimate",
     "ConfidenceInterval",
-    "GateVerdict",
     "ReplicateStat",
     "ReplicationInfo",
     "SteadyState",
     "SteadyStateInfo",
     "adaptive_replications",
-    "changepoint_gate",
     "default_penalty",
     "detect_steady_state",
     "mean_ci",
@@ -485,166 +480,6 @@ def adaptive_replications(
         converged = ci.relative <= cfg.rel_precision
         if converged or len(results) >= cfg.max_replications:
             return AdaptiveEstimate(results=tuple(results), ci=ci, converged=converged)
-
-
-# -- the history-aware perf gate ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateVerdict:
-    """Changepoint-gate decision for one benchmark record key.
-
-    ``status``:
-
-    * ``ok`` — no level shift, current run within the noise-adaptive
-      tolerance of the detected stable level;
-    * ``regression`` — a detected downward level shift, or a current
-      run far below the stable level;
-    * ``improved`` — a detected *upward* level shift (informational —
-      refresh baselines to make it the new level);
-    * ``short`` — not enough history to judge (callers fall back to the
-      single-baseline tolerance compare).
-    """
-
-    key: tuple[str, str]
-    status: str
-    current: float
-    level: float  # detected stable events/sec level (0 = untracked)
-    tolerance: float  # relative drop allowed below the level
-    runs: int
-    shift_at: int | None = None  # history index where a level shift begins
-    detail: str = ""
-
-    def describe(self) -> str:
-        bench, name = self.key
-        tag = {"regression": "REGRESSION", "improved": "IMPROVED"}.get(
-            self.status, self.status
-        )
-        head = f"{tag:<11} {bench}:{name}"
-        if self.level <= 0.0:
-            return f"{head} (untracked: no events/sec history)"
-        body = (
-            f"{self.current:>12,.0f} ev/s vs level {self.level:>12,.0f} "
-            f"over {self.runs} runs (tol {self.tolerance:.0%})"
-        )
-        return f"{head} {body}" + (f" — {self.detail}" if self.detail else "")
-
-
-def changepoint_gate(
-    series: _t.Sequence[float],
-    key: tuple[str, str] = ("bench", "record"),
-    *,
-    min_history: int = 5,
-    min_drop: float = 0.10,
-    sigmas: float = 4.0,
-    penalty: float | None = None,
-) -> GateVerdict:
-    """Judge the latest run of one events/sec history.
-
-    ``series`` is chronological with the gated (current) run last.  Two
-    complementary checks:
-
-    1. **Level shift** — PELT over the full series; if the final
-       segment's mean sits more than ``min_drop`` below the preceding
-       segment's, a genuine (multi-run) regression has landed.
-    2. **Current vs stable level** — PELT over the *prior* runs finds
-       the stable level the current run must hold; the allowed drop is
-       the larger of ``min_drop`` and ``sigmas`` standard deviations of
-       that stable segment, so a noisy benchmark earns a wider gate and
-       a quiet one a tighter gate.
-
-    Upward shifts report ``improved`` (refresh baselines; see
-    docs/BENCHMARKS.md for the blessing policy).
-    """
-    runs = len(series)
-    if runs < max(min_history, 3):
-        return GateVerdict(
-            key=key,
-            status="short",
-            current=series[-1] if runs else 0.0,
-            level=0.0,
-            tolerance=min_drop,
-            runs=runs,
-            detail=f"history has {runs} runs (< {min_history})",
-        )
-    current = series[-1]
-    prior = list(series[:-1])
-
-    # Untracked records (wall-clock-only benches) carry no rate to gate.
-    if all(v <= 0.0 for v in prior):
-        return GateVerdict(
-            key=key, status="ok", current=current, level=0.0,
-            tolerance=min_drop, runs=runs,
-        )
-
-    # Check 1: persistent level shift across the full series.
-    cps = pelt_changepoints(series, penalty=penalty)
-    if cps:
-        segs = segment_means(series, cps)
-        prev_mean = segs[-2][2]
-        last_lo, _, last_mean = segs[-1]
-        if prev_mean > 0.0 and last_mean < prev_mean * (1.0 - min_drop):
-            return GateVerdict(
-                key=key,
-                status="regression",
-                current=current,
-                level=prev_mean,
-                tolerance=min_drop,
-                runs=runs,
-                shift_at=last_lo,
-                detail=(
-                    f"level shift at run {last_lo + 1}/{runs}: "
-                    f"{prev_mean:,.0f} -> {last_mean:,.0f} ev/s "
-                    f"({last_mean / prev_mean:.2f}x)"
-                ),
-            )
-
-    # Check 2: the current run against the detected stable level.
-    prior_cps = pelt_changepoints(prior, penalty=penalty)
-    lo, hi, level = segment_means(prior, prior_cps)[-1]
-    stable = prior[lo:hi]
-    if level <= 0.0:
-        return GateVerdict(
-            key=key, status="ok", current=current, level=0.0,
-            tolerance=min_drop, runs=runs,
-        )
-    if len(stable) > 1:
-        var = sum((v - level) ** 2 for v in stable) / (len(stable) - 1)
-        rel_sigma = math.sqrt(var) / level
-    else:
-        rel_sigma = 0.0
-    tolerance = max(min_drop, sigmas * rel_sigma)
-    if current < level * (1.0 - tolerance):
-        return GateVerdict(
-            key=key,
-            status="regression",
-            current=current,
-            level=level,
-            tolerance=tolerance,
-            runs=runs,
-            detail=f"current run {current / level:.2f}x the stable level",
-        )
-    if cps:
-        segs = segment_means(series, cps)
-        prev_mean, last_mean = segs[-2][2], segs[-1][2]
-        if prev_mean > 0.0 and last_mean > prev_mean * (1.0 + min_drop):
-            return GateVerdict(
-                key=key,
-                status="improved",
-                current=current,
-                level=level,
-                tolerance=tolerance,
-                runs=runs,
-                shift_at=segs[-1][0],
-                detail=(
-                    f"level shift up at run {segs[-1][0] + 1}/{runs} "
-                    f"({last_mean / prev_mean:.2f}x) — consider refreshing baselines"
-                ),
-            )
-    return GateVerdict(
-        key=key, status="ok", current=current, level=level,
-        tolerance=tolerance, runs=runs,
-    )
 
 
 # Re-exported convenience: summaries averaged across replications live

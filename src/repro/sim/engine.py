@@ -6,15 +6,17 @@ resources layered on top.  The engine is fully deterministic — ties in
 time are broken by insertion order — which makes every experiment in the
 study exactly reproducible from its seed.
 
-Performance notes (see ``benchmarks/profile_engine.py``): the schedule
-entries are plain ``(time, seq, event)`` tuples — CPython's tuple free
-list makes them both cheaper to allocate and faster to compare than
-reusable list slots, which we measured before choosing.  The sequence
-counter is a bare int (``itertools.count`` pays a C-call per event), and
-:meth:`run` inlines :meth:`step` so the hot loop touches no method
-descriptors.  None of this changes scheduling order: every event is
-still assigned the same ``(time, seq)`` key it always was, which is what
-keeps the committed figure tables byte-identical.
+Performance notes (the ledger's traced ``sim.engine.*`` metrics time
+this loop; ``python -m cProfile -m repro.core.figures 5`` breaks it
+down): the schedule entries are plain ``(time, seq, event)`` tuples —
+CPython's tuple free list makes them both cheaper to allocate and
+faster to compare than reusable list slots, which we measured before
+choosing.  The sequence counter is a bare int (``itertools.count`` pays
+a C-call per event), and :meth:`run` inlines :meth:`step` so the hot
+loop touches no method descriptors.  None of this changes scheduling
+order: every event is still assigned the same ``(time, seq)`` key it
+always was, which is what keeps the committed figure tables
+byte-identical.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ receives the same instantaneous rate, a single monotone virtual clock
 arriving when the clock reads ``V0`` finishes when ``V`` reaches
 ``V0 + w``.  Jobs live in a min-heap keyed by that target, so arrivals
 and departures cost O(log n) instead of the naive O(n) rescan — this is
-the hot path of the whole simulation (see ``benchmarks/bench_substrates``).
+the hot path of the whole simulation.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The adaptive mode must (a) leave the exact mode byte-identical — same
 ``PointResult`` with ``ci``/``steady_state`` unset — (b) produce the
 same reported mean ± CI regardless of worker count (the stopping rule
 runs between batches), and (c) attach honest estimation metadata that
-survives the JSON record schema.
+survives the point codec.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import dataclasses
 import pytest
 
 from repro.core import parallel
-from repro.core.benchjson import record_from_result
 from repro.core.experiments import exp1
 from repro.core.experiments.common import adaptive_point, adaptive_sweep_points
 from repro.core.figures import points_to_series
@@ -122,17 +121,6 @@ def test_figure_series_annotates_ci_only_in_adaptive_mode():
     adaptive = adaptive_point(exp1.run_point, "mds-gris-cache", 10, 1, config=CFG, **FAST)
     series = points_to_series("s", [adaptive], "throughput")
     assert series.ci == {10: adaptive.ci.throughput_ci}
-
-
-def test_bench_record_carries_estimation_metadata():
-    adaptive = adaptive_point(exp1.run_point, "mds-gris-cache", 10, 1, config=CFG, **FAST)
-    rec = record_from_result("bench_x", "adaptive_point", 1.0, adaptive)
-    assert rec.replications == adaptive.ci.replications
-    assert rec.throughput_ci == pytest.approx(adaptive.ci.throughput_ci)
-    assert rec.converged == adaptive.ci.converged
-    exact = exp1.run_point("mds-gris-cache", 10, 1, **FAST)
-    rec = record_from_result("bench_x", "exact_point", 1.0, exact)
-    assert (rec.replications, rec.throughput_ci, rec.converged) == (1, 0.0, True)
 
 
 def test_adaptive_point_result_round_trips_json_codec():

@@ -5,9 +5,9 @@ import pytest
 from repro.core.cliversion import repro_version
 
 MAINS = [
-    ("repro-bench", "repro.core.benchcli"),
     ("repro-figures", "repro.core.figures"),
     ("repro-report", "repro.core.report"),
+    ("repro-scenario", "repro.core.scenario.cli"),
     ("repro-topology", "repro.core.topology.cli"),
     ("repro-serve", "repro.live.cli"),
 ]

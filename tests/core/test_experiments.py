@@ -23,6 +23,16 @@ class TestExp1:
         assert high.throughput > 4 * low.throughput
         assert high.throughput > 60
 
+    def test_cached_gris_600_users(self):
+        """The heaviest Exp-1 point still scales."""
+        r = exp1.run_point("mds-gris-cache", 600, seed=1, **FAST)
+        assert r.throughput > 60
+
+    @pytest.mark.parametrize("system", exp1.SYSTEMS)
+    def test_every_system_completes_at_100_users(self, system):
+        r = exp1.run_point(system, 100, seed=1, **FAST)
+        assert r.summary.completed > 0
+
     def test_uncached_gris_caps_below_two(self):
         r = exp1.run_point("mds-gris-nocache", 200, seed=1, **FAST)
         assert r.throughput < 2.0  # "does not exceed 2 queries per second"
@@ -69,6 +79,11 @@ class TestExp1:
 
 
 class TestExp2:
+    @pytest.mark.parametrize("system", ("mds-giis", "hawkeye-manager", "rgma-registry-lucky"))
+    def test_every_system_completes_at_300_users(self, system):
+        r = exp2.run_point(system, 300, seed=1, **FAST)
+        assert r.summary.completed > 0
+
     def test_giis_good_scalability(self):
         r = exp2.run_point("mds-giis", 400, seed=1, **FAST)
         assert r.throughput > 80
@@ -133,6 +148,7 @@ class TestExp4:
         small = exp4.run_point("mds-giis-all", 10, seed=1, **FAST)
         big = exp4.run_point("mds-giis-all", 200, seed=1, **FAST)
         assert small.throughput > 5.0
+        assert not big.crashed  # the last surviving point before the crash
         assert big.throughput < 1.0
         assert big.response_time > 10.0
 
@@ -156,6 +172,7 @@ class TestExp4:
         small = exp4.run_point("hawkeye-manager", 10, seed=1, **FAST)
         big = exp4.run_point("hawkeye-manager", 1000, seed=1, **FAST)
         assert small.throughput > 4.0
+        assert not big.crashed
         assert big.throughput < 1.0
         assert big.response_time > 10.0
 

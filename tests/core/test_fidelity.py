@@ -16,6 +16,7 @@ Three families of guarantees (docs/FIDELITY.md):
 """
 
 import dataclasses
+from time import perf_counter
 
 import pytest
 
@@ -183,6 +184,35 @@ def test_projected_exact_cost():
         projected_exact_cost(0.0, 10, 100)
     with pytest.raises(ValueError):
         projected_exact_cost(1.0, 0, 100)
+
+
+def test_meanfield_million_user_point_beats_projected_exact():
+    """The headline fast-tier point: 10^6 users on a 10^4-server tree.
+
+    The exact DES is capped at ``scale.MAX_EXACT_USERS``, so the
+    comparison projects a measured small-population exact point linearly
+    in users — a deliberate *under*-estimate of the true exact cost,
+    which makes the >= 50x requirement conservative.
+    """
+    exact_users = 10
+    start = perf_counter()
+    exact = scale.run_scale_point("mds", 2, 4, seed=1, users=exact_users, **TINY)
+    exact_wall = perf_counter() - start
+    assert not exact.result.crashed
+
+    start = perf_counter()
+    point = scale.run_scale_point(
+        "mds", 4, 10, seed=1, users=1_000_000, fidelity="meanfield", **WINDOW
+    )
+    fast_wall = perf_counter() - start
+    assert point.servers == 10_000
+    assert point.result.fidelity == "meanfield"
+    assert point.result.population == 1_000_000
+    assert point.result.throughput > 0
+    projected = projected_exact_cost(exact_wall, exact_users, 1_000_000)
+    assert projected / fast_wall >= 50.0, (
+        f"meanfield point took {fast_wall:.3f}s vs projected exact {projected:.1f}s"
+    )
 
 
 # -- feature gating ----------------------------------------------------------

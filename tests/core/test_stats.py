@@ -1,10 +1,9 @@
-"""Unit tests for :mod:`repro.core.stats` (changepoints, CIs, the gate).
+"""Unit tests for :mod:`repro.core.stats` (changepoints, steady state, CIs).
 
 Everything here is offline math over synthetic series, so the tests pin
 exact behaviour: a constant series yields no changepoints, an exact
-single step is found at the right index, short series never produce
-spurious detections, and the gate's verdicts match the documented
-policy (noise passes, level shifts fail, upward shifts inform).
+single step is found at the right index, and short series never produce
+spurious detections.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 from repro.core.stats import (
     AdaptiveConfig,
     adaptive_replications,
-    changepoint_gate,
     default_penalty,
     detect_steady_state,
     mean_ci,
@@ -216,62 +214,3 @@ def test_adaptive_replications_seed_kw_and_stride():
     )
     assert est.converged
     assert all(r.throughput == 50.0 for r in est.results)
-
-
-# -- the history-aware gate ---------------------------------------------------
-
-
-def test_gate_short_history():
-    verdict = changepoint_gate([100.0, 101.0], min_history=5)
-    assert verdict.status == "short"
-    assert verdict.runs == 2
-
-
-def test_gate_passes_pure_noise():
-    verdict = changepoint_gate([*NOISY_FLAT, 100.7], min_history=5)
-    assert verdict.status == "ok"
-    assert verdict.level == pytest.approx(100.0, rel=0.02)
-
-
-def test_gate_flags_current_run_regression():
-    verdict = changepoint_gate([*NOISY_FLAT, 75.0], min_history=5)
-    assert verdict.status == "regression"
-    assert verdict.current == 75.0
-
-
-def test_gate_flags_persistent_level_shift():
-    series = [*NOISY_FLAT, 74.0, 75.5, 74.8, 75.2]
-    verdict = changepoint_gate(series, min_history=5)
-    assert verdict.status == "regression"
-    assert verdict.shift_at == len(NOISY_FLAT)
-
-
-def test_gate_small_dip_within_tolerance_passes():
-    verdict = changepoint_gate([*NOISY_FLAT, 96.0], min_history=5)
-    assert verdict.status == "ok"
-
-
-def test_gate_reports_upward_shift_as_improved():
-    series = [*NOISY_FLAT, 124.0, 125.5, 124.8, 125.2]
-    verdict = changepoint_gate(series, min_history=5)
-    assert verdict.status == "improved"
-
-
-def test_gate_noise_adaptive_tolerance_widens():
-    # The same 15% dip: fatal on a quiet history, tolerated on a noisy
-    # one (4 sigma of a +-8% history comfortably covers it).
-    quiet = [100.0, 100.2, 99.8, 100.1, 99.9, 100.0, 100.1, 99.9]
-    noisy = [100.0, 112.0, 89.0, 107.0, 92.0, 110.0, 91.0, 108.0]
-    assert changepoint_gate([*quiet, 85.0], min_history=5).status == "regression"
-    assert changepoint_gate([*noisy, 85.0], min_history=5).status == "ok"
-
-
-def test_gate_untracked_history_is_ok():
-    verdict = changepoint_gate([0.0] * 8, min_history=5)
-    assert verdict.status == "ok"
-    assert verdict.level == 0.0
-
-
-def test_gate_describe_mentions_status():
-    assert "REGRESSION" in changepoint_gate([*NOISY_FLAT, 60.0]).describe()
-    assert "ok" in changepoint_gate([*NOISY_FLAT, 100.0]).describe()
