@@ -24,6 +24,7 @@ import typing as _t
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro import queryplane
 from repro.ldap.entry import Entry
 from repro.ldap.filter import (
     And,
@@ -43,6 +44,7 @@ __all__ = [
     "CompiledFilter",
     "compile_filter",
     "compile_text",
+    "resolve_filter",
     "index_key",
     "EqTerm",
     "PresTerm",
@@ -226,3 +228,15 @@ def compile_filter(flt: Filter) -> CompiledFilter:
 def compile_text(text: str) -> CompiledFilter:
     """Parse and compile a filter string (LRU keyed on the text)."""
     return compile_filter(parse_filter(text))
+
+
+def resolve_filter(flt: Filter | str, compiled: bool | None = None) -> CompiledFilter:
+    """What a search runs for ``flt`` on the mode :func:`repro.queryplane.resolve` picks.
+
+    Compiled: the memoized closure and its prune plan.  Interpreted (the
+    oracle): the parsed tree's own ``matches`` and no plan.
+    """
+    if queryplane.resolve(compiled):
+        return compile_text(flt) if isinstance(flt, str) else compile_filter(flt)
+    parsed = parse_filter(flt) if isinstance(flt, str) else flt
+    return CompiledFilter(parsed, parsed.matches, None)

@@ -1,6 +1,6 @@
 """The Directory Information Tree (DIT) with scoped search.
 
-This is the storage engine behind the simulated GRIS/GIIS back ends: a
+This is the storage engine behind the simulated GIIS merge: a
 tree of entries addressed by DN, searchable with RFC 1960 filters at the
 three standard LDAP scopes (``base``, ``one``, ``sub``).  Search results
 are returned in deterministic insertion order, which keeps every
@@ -20,20 +20,11 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro import queryplane
 from repro.errors import EntryExistsError, NoSuchEntryError
-from repro.ldap.compile import (
-    AnyTerm,
-    EqTerm,
-    Plan,
-    PresTerm,
-    compile_filter,
-    compile_text,
-    index_key,
-)
+from repro.ldap.compile import AnyTerm, EqTerm, Plan, PresTerm, index_key, resolve_filter
 from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
-from repro.ldap.filter import Filter, parse_filter
+from repro.ldap.filter import Filter
 
 __all__ = ["DIT", "SCOPE_BASE", "SCOPE_ONE", "SCOPE_SUB"]
 
@@ -233,21 +224,8 @@ class DIT:
         """
         if isinstance(base, str):
             base = DN.parse(base)
-        use_compiled = queryplane.resolve(compiled)
-        plan: Plan | None = None
-        if isinstance(filter, str):
-            if use_compiled:
-                compiled_filter = compile_text(filter)
-                predicate = compiled_filter.predicate
-                plan = compiled_filter.plan
-            else:
-                predicate = parse_filter(filter).matches
-        elif use_compiled:
-            compiled_filter = compile_filter(filter)
-            predicate = compiled_filter.predicate
-            plan = compiled_filter.plan
-        else:
-            predicate = filter.matches
+        resolved = resolve_filter(filter, compiled)
+        predicate, plan = resolved.predicate, resolved.plan
         if scope not in (SCOPE_BASE, SCOPE_ONE, SCOPE_SUB):
             raise ValueError(f"unknown scope: {scope!r}")
         node = self._find(base)
@@ -264,7 +242,7 @@ class DIT:
             for cand in members:
                 entry = cand.entry
                 if entry is not None and predicate(entry):
-                    hits.append(self._project(entry, attributes))
+                    hits.append(entry.project(attributes))
             return hits
         if scope == SCOPE_BASE:
             candidates: _t.Iterable[_Node] = [node] if node.entry else []
@@ -276,7 +254,7 @@ class DIT:
         for cand in candidates:
             entry = cand.entry
             if entry is not None and predicate(entry):
-                hits.append(self._project(entry, attributes))
+                hits.append(entry.project(attributes))
         return hits
 
     def _resolve_plan(self, plan: Plan) -> _t.Collection[_Node]:
@@ -297,18 +275,6 @@ class DIT:
             yield node
         for child in node.children.values():
             yield from self._walk(child)
-
-    @staticmethod
-    def _project(entry: Entry, attributes: _t.Sequence[str] | None) -> Entry:
-        if attributes is None:
-            return entry
-        wanted = {a.lower() for a in attributes}
-        wanted.add(entry.dn.rdn.attr.lower()) if entry.dn.depth else None
-        projected = Entry(entry.dn)
-        for name in entry.attribute_names():
-            if name.lower() in wanted:
-                projected.put(name, entry.get(name))
-        return projected
 
     def entries(self) -> list[Entry]:
         """Every entry in the tree, DFS order."""

@@ -19,6 +19,10 @@ from repro.errors import DnSyntaxError
 
 __all__ = ["DN", "RDN", "parse_dn"]
 
+# DN.parse memo, safe to share because a DN is immutable; dropped whole when full.
+_PARSED: dict[str, "DN"] = {}
+_PARSED_MAX = 4096
+
 
 class RDN(_t.NamedTuple):
     """One relative distinguished name: an (attribute, value) pair."""
@@ -44,8 +48,17 @@ class DN:
     # -- constructors ----------------------------------------------------------
     @classmethod
     def parse(cls, text: str) -> "DN":
-        """Parse a string DN; ``DN.parse("")`` is the root DN."""
-        return parse_dn(text)
+        """Parse a string DN; ``DN.parse("")`` is the root DN.
+
+        Successful parses are memoized (malformed text raises every time).
+        """
+        found = _PARSED.get(text)
+        if found is None:
+            found = parse_dn(text)
+            if len(_PARSED) >= _PARSED_MAX:
+                _PARSED.clear()
+            _PARSED[text] = found
+        return found
 
     def child(self, attr: str, value: str) -> "DN":
         """DN one level below this one."""

@@ -17,12 +17,13 @@ class Entry:
     supplied as ints/floats are stringified on insertion.
     """
 
-    __slots__ = ("dn", "_attrs", "_display")
+    __slots__ = ("dn", "_attrs", "_display", "_ldif_len")
 
     def __init__(self, dn: DN | str, attributes: _t.Mapping[str, _t.Any] | None = None) -> None:
         self.dn = dn if isinstance(dn, DN) else DN.parse(dn)
         self._attrs: dict[str, list[str]] = {}
         self._display: dict[str, str] = {}
+        self._ldif_len: int | None = None  # ldif_length(), until the next mutation
         if attributes:
             for name, value in attributes.items():
                 self.put(name, value)
@@ -37,6 +38,7 @@ class Entry:
         key = name.lower()
         self._display[key] = name
         self._attrs[key] = [str(v) for v in values]
+        self._ldif_len = None
 
     def add_value(self, name: str, value: _t.Any) -> None:
         """Append one value to attribute ``name``.
@@ -49,16 +51,22 @@ class Entry:
         text = str(value)
         if text not in values:
             values.append(text)
+            self._ldif_len = None
 
     def remove(self, name: str) -> None:
         """Delete attribute ``name`` if present."""
         key = name.lower()
         self._attrs.pop(key, None)
         self._display.pop(key, None)
+        self._ldif_len = None
 
     # -- access -----------------------------------------------------------------
     def get(self, name: str) -> list[str]:
-        """All values of ``name`` (empty list when absent)."""
+        """All values of ``name`` (empty list when absent).
+
+        The list is the entry's own: callers read it and never mutate it,
+        which is what lets :meth:`ldif_length` stay memoized.
+        """
         return self._attrs.get(name.lower(), [])
 
     def first(self, name: str, default: str | None = None) -> str | None:
@@ -79,13 +87,33 @@ class Entry:
         """Number of attributes (drives serialized-size cost models)."""
         return len(self._attrs)
 
-    def estimated_size(self) -> int:
-        """Approximate LDIF wire size in bytes."""
-        size = len(str(self.dn)) + 5
+    def ldif_length(self) -> int:
+        """``len(entry_to_ldif(self))``, memoized until the entry next changes."""
+        if self._ldif_len is None:
+            size = len("dn: ") + len(str(self.dn))
+            for key, values in self._attrs.items():
+                line = len(self._display[key]) + len("\n: ")
+                for value in values:
+                    size += line + len(value)
+            self._ldif_len = size
+        return self._ldif_len
+
+    def project(self, attributes: _t.Sequence[str] | None) -> "Entry":
+        """This entry cut down to ``attributes`` (itself when None).
+
+        The RDN attribute is always kept, with this entry's own spelling
+        and values, as in LDAP.
+        """
+        if attributes is None:
+            return self
+        wanted = {a.lower() for a in attributes}
+        if self.dn.depth:
+            wanted.add(self.dn.rdn.attr.lower())
+        projected = Entry(self.dn)
         for key, values in self._attrs.items():
-            for value in values:
-                size += len(key) + len(value) + 3
-        return size
+            if key in wanted:
+                projected.put(self._display[key], values)
+        return projected
 
     def copy(self) -> "Entry":
         """Deep-enough copy (values are immutable strings)."""

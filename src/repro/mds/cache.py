@@ -108,7 +108,9 @@ class EncodedAnswer:
 
     def __init__(self, entries: list[Entry]) -> None:
         self.entries = entries
-        self.size = len(to_ldif(entries)) if entries else 64  # characters, not bytes
+        # len(to_ldif(entries)), in characters, not bytes: the records, a blank
+        # line between each two, one final newline.
+        self.size = sum(e.ldif_length() for e in entries) + 2 * len(entries) - 1 if entries else 64
         self._wire: bytes | None = None
 
     def wire(self) -> bytes:

@@ -17,12 +17,11 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro import queryplane
 from repro.errors import RegistryError, ServiceCrashError
-from repro.ldap.compile import compile_filter, compile_text
+from repro.ldap.compile import resolve_filter
 from repro.ldap.dit import DIT
 from repro.ldap.entry import Entry
-from repro.ldap.filter import Filter, parse_filter
+from repro.ldap.filter import Filter
 from repro.mds.cache import AnswerMemo, EncodedAnswer, EncodedResult, TtlCache
 from repro.mds.registration import DEFAULT_REG_TTL, Registration, RegistrationTable
 
@@ -147,9 +146,7 @@ class GIIS:
         """
         self._check_alive()
         self.queries += 1
-        use_compiled = queryplane.resolve(None)
-        if isinstance(filter, str):
-            filter = compile_text(filter).filter if use_compiled else parse_filter(filter)
+        predicate = resolve_filter(filter).predicate
         live = self.registrations.alive(now)
         if subset is not None:
             wanted = set(subset)
@@ -190,23 +187,11 @@ class GIIS:
             # The merged DIT is consumed linearly, never searched, so its
             # lazy indexes are never built; the compiled predicate alone
             # carries the speedup here.
-            predicate = compile_filter(filter).predicate if use_compiled else filter.matches
-            return [self._project(e, attributes) for e in merged.entries() if predicate(e)]
+            return [e.project(attributes) for e in merged.entries() if predicate(e)]
 
         result._answer = self._memo.answer(self._generation, question, select)
         result.entries = result._answer.entries
         return result
-
-    @staticmethod
-    def _project(entry: Entry, attributes: _t.Sequence[str] | None) -> Entry:
-        if attributes is None:
-            return entry
-        wanted = {a.lower() for a in attributes}
-        projected = Entry(entry.dn)
-        for name in entry.attribute_names():
-            if name.lower() in wanted:
-                projected.put(name, entry.get(name))
-        return projected
 
     def as_puller(self) -> Puller:
         """Expose this GIIS as a puller so it can register into a parent

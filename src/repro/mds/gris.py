@@ -7,10 +7,13 @@ the merged data.
 
 The functional core is simulation-free; :class:`GrisResult` reports
 what work a query caused (providers executed, cache hits, result size)
-so the simulation layer can charge time for it.  Search results are
-memoized per cache generation: with a warm cache, repeated identical
-queries — the workload of Experiment 1 — cost O(1), mirroring slapd's
-in-memory serving while keeping the host-Python experiments fast.
+so the simulation layer can charge time for it.  It keeps no directory
+tree: the VO suffix entry, the host entry beneath it, and one slice per
+provider (its latest output, directly beneath the host), in
+first-production order — the order a tree search would visit them in.
+Answers are memoized per cache generation: with a warm cache, repeated
+identical queries — the workload of Experiment 1 — cost O(1), mirroring
+slapd's in-memory serving while keeping the host-Python experiments fast.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ldap.dit import DIT, SCOPE_SUB
+from repro.ldap.compile import resolve_filter
+from repro.ldap.dit import SCOPE_BASE, SCOPE_ONE, SCOPE_SUB
 from repro.ldap.entry import Entry
 from repro.ldap.filter import Filter
 from repro.ldap.schema import MDS_VO_SUFFIX, host_dn_text
@@ -65,15 +69,12 @@ class GRIS:
         self.queries = 0
         self._generation = 0
         self._memo = AnswerMemo()
-        self._dit = DIT()
-        self._dit.add(Entry("o=grid"), create_parents=True)
-        self._dit.add(Entry(MDS_VO_SUFFIX, {"objectclass": "MdsVoName"}), create_parents=True)
-        self._dit.add(
-            Entry(
-                host_dn_text(hostname),
-                {"objectclass": ["MdsHost", "MdsComputer"], "Mds-Host-hn": hostname},
-            )
+        self._suffix = Entry(MDS_VO_SUFFIX, {"objectclass": "MdsVoName"})
+        self._host = Entry(
+            host_dn_text(hostname),
+            {"objectclass": ["MdsHost", "MdsComputer"], "Mds-Host-hn": hostname},
         )
+        self._slices: dict[str, list[Entry]] = {}  # provider name -> its last output
 
     @property
     def base_dn(self) -> str:
@@ -98,7 +99,7 @@ class GRIS:
         scope: str = SCOPE_SUB,
         attributes: _t.Sequence[str] | None = None,
     ) -> GrisResult:
-        """Answer one LDAP search, running stale providers as needed."""
+        """Answer one LDAP search of the VO suffix, running stale providers as needed."""
         self.queries += 1
         result = GrisResult(entries=[])
         for provider in self.providers:
@@ -109,22 +110,29 @@ class GRIS:
                 result.providers_run.append(provider.name)
                 result.exec_cost += provider.exec_cost
                 result.cache_misses += 1
-                for entry in entries:
-                    self._dit.upsert(entry)
+                self._slices[provider.name] = entries
                 self._generation += 1
             else:
                 result.cache_hits += 1
         question = (str(filter), scope, tuple(attributes) if attributes is not None else None)
         result._answer = self._memo.answer(
-            self._generation,
-            question,
-            lambda: self._dit.search(
-                MDS_VO_SUFFIX, scope=scope, filter=filter, attributes=attributes
-            ),
+            self._generation, question, lambda: self._select(filter, scope, attributes)
         )
         result.entries = result._answer.entries
         return result
 
-    def entry_count(self, now: float = 0.0) -> int:
-        """Number of entries a full search would return."""
-        return len(self.search(now=now).entries)
+    def _select(
+        self, filter: Filter | str, scope: str, attributes: _t.Sequence[str] | None
+    ) -> list[Entry]:
+        predicate = resolve_filter(filter).predicate
+        if scope == SCOPE_BASE:
+            candidates = [self._suffix]
+        elif scope == SCOPE_ONE:
+            candidates = [self._host]
+        elif scope == SCOPE_SUB:
+            candidates = [self._suffix, self._host]
+            for entries in self._slices.values():
+                candidates.extend(entries)
+        else:
+            raise ValueError(f"unknown scope: {scope!r}")
+        return [entry.project(attributes) for entry in candidates if predicate(entry)]

@@ -1,5 +1,7 @@
 """Tests for the DIT: add/get/delete, scoped search, projection, LDIF."""
 
+import random
+
 import pytest
 
 from repro.errors import EntryExistsError, NoSuchEntryError
@@ -9,6 +11,7 @@ from repro.ldap import (
     SCOPE_ONE,
     SCOPE_SUB,
     Entry,
+    entry_to_ldif,
     from_ldif,
     parse_dn,
     to_ldif,
@@ -156,7 +159,31 @@ def test_ldif_roundtrip(tree):
 def test_ldif_estimated_size_tracks_content():
     small = Entry("cn=a", {"x": "1"})
     big = Entry("cn=a", {f"attr{i}": "value" * 10 for i in range(50)})
-    assert big.estimated_size() > small.estimated_size() * 10
+    assert len(entry_to_ldif(big)) > len(entry_to_ldif(small)) * 10
+    assert big.ldif_length() == len(entry_to_ldif(big))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ldif_length_follows_every_mutation(seed):
+    # Values that need escaping in a DN, non-ASCII text, and names that differ
+    # only in case; add_value repeats values so the duplicate no-op is hit.
+    rng = random.Random(seed)
+    names = ("cn", "CN", "objectclass", "Mds-Host-hn", "mds-host-HN", "x")
+    values = ("a", "b,c", "k=v", "back\\slash", "ünïcødé", "日本", "", 12, 3.5)
+    entry = Entry(r"cn=Smith\, J\=r\\, Mds-Vo-name=lücky, o=grid", {"x": "1"})
+    assert entry.ldif_length() == len(entry_to_ldif(entry))
+    for _ in range(200):
+        op = rng.random()
+        name = rng.choice(names)
+        if op < 0.35:
+            entry.put(name, rng.sample(values, rng.randint(0, 3)))
+        elif op < 0.85:
+            entry.add_value(name, rng.choice(values))
+        else:
+            entry.remove(name)
+        assert entry.ldif_length() == len(entry_to_ldif(entry))
+    for derived in (entry.copy(), entry.project(["objectclass"])):
+        assert derived.ldif_length() == len(entry_to_ldif(derived))
 
 
 def test_entry_basics():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.ldap.dn as dn_module
 from repro.errors import DnSyntaxError
 from repro.ldap import DN, RDN, parse_dn
 
@@ -71,6 +72,28 @@ def test_malformed_dns_rejected():
     for bad in ["cn", "=value", "cn=a,,o=b", "cn=a,", "a+b=c", "cn=x\\"]:
         with pytest.raises(DnSyntaxError):
             parse_dn(bad)
+
+
+def test_parse_memo_returns_equal_dns_for_equal_text():
+    text = "Mds-Device-name=cpu, Mds-Host-hn=lucky7.mcs.anl.gov, Mds-Vo-name=local, o=grid"
+    first, again = DN.parse(text), DN.parse(text)
+    assert first == again == parse_dn(text)
+    assert str(again) == str(parse_dn(text)) and again.rdns == parse_dn(text).rdns
+
+
+def test_parse_memo_never_caches_malformed_text():
+    for _ in range(3):
+        for bad in ["cn", "=value", "cn=a,,o=b", "a+b=c", "cn=x\\"]:
+            with pytest.raises(DnSyntaxError):
+                DN.parse(bad)
+            assert bad not in dn_module._PARSED
+
+
+def test_parse_memo_stays_within_its_bound():
+    for i in range(dn_module._PARSED_MAX + 50):
+        assert DN.parse(f"cn=n{i}, o=memo").rdn.value == f"n{i}"
+        assert len(dn_module._PARSED) <= dn_module._PARSED_MAX
+    assert DN.parse("cn=n0, o=memo") == parse_dn("cn=n0, o=memo")  # re-parsed after a drop
 
 
 def test_child_construction():

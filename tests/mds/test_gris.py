@@ -179,4 +179,4 @@ def test_add_provider_invalidates():
 
 
 def test_entry_count():
-    assert make_gris().entry_count() == 12
+    assert len(make_gris().search().entries) == 12

@@ -127,16 +127,18 @@ def test_unchanged_data_is_encoded_once_however_often_it_is_served(encodings):
     served = [giis.query(now=float(t)).wire() for t in range(1, 20)]
     assert all(body is served[0] for body in served)  # the very same bytes object
     assert first.wire() is served[0]
-    # Each of the four memos (three GRIS, the GIIS) measured its answer once;
-    # only the GIIS was asked for bytes, and encoded them once.
-    assert len(encodings) == 5
+    # Sizing the four answers (three GRIS, the GIIS) encoded nothing; only the
+    # GIIS was asked for bytes, and encoded them once for all 20 answers.
+    assert len(encodings) == 1
 
 
 def test_sizing_alone_keeps_no_bytes(encodings):
-    # The DES asks for sizes only: nothing but the integer may be retained.
+    # The DES asks for sizes only: they are summed, never encoded, and
+    # nothing but the integer may be retained.
     gris = GRIS("lucky7.mcs.anl.gov", replicated_providers(10), cachettl=float("inf"))
     sizes = {gris.search(now=float(t)).estimated_size() for t in range(10)}
-    assert len(sizes) == 1 and len(encodings) == 1
+    assert len(sizes) == 1 and len(encodings) == 0
+    assert sizes == {old_size(gris.search(now=10.0).entries)}
     assert all(answer._wire is None for answer in gris._memo._answers.values())
 
 
