@@ -35,6 +35,7 @@ Configuration: :func:`configure` sets process-wide defaults; the
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
@@ -242,9 +243,17 @@ class PointSpec:
 
 
 def _run_spec(spec: PointSpec) -> tuple[_t.Any, float]:
-    """Worker entry point: execute one spec, timing its busy seconds."""
+    """Worker entry point: execute one spec, timing its busy seconds.
+
+    A finished point's simulator, deployment and processes form one large
+    reference cycle that only a full collection frees.  Collecting here,
+    once the point has returned, frees it before the next point starts,
+    so a sweep's peak memory is its largest point, not whichever points
+    the collector's own thresholds happened to leave behind.
+    """
     start = perf_counter()
     result = spec.resolve()(*spec.args, **dict(spec.kwargs))
+    gc.collect()
     return result, perf_counter() - start
 
 

@@ -29,6 +29,7 @@ from repro.core.topology.adapters import (
     resolve_host,
 )
 from repro.core.topology.plan import DeploymentPlan, Edge, EdgeKind
+from repro.errors import ReproError
 from repro.hawkeye.advertise import synthesize_startd_ad
 from repro.hawkeye.agent import Agent
 from repro.hawkeye.manager import Manager
@@ -136,7 +137,7 @@ class HawkeyeAdapter(SystemAdapter):
                         {"ad": ad},
                         size=p.ad_wire_bytes,
                     )
-                except Exception:
+                except ReproError:
                     pass  # a dropped ad is just a missed update
                 yield run.sim.timeout(interval)
 

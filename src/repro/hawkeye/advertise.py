@@ -9,18 +9,31 @@ for a fictitious machine and deliver it to a Manager.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.classad import ClassAd
+from repro.hawkeye.draws import DrawPlan, Integers, Uniform
 from repro.hawkeye.manager import Manager
 
 __all__ = ["synthesize_startd_ad", "advertise", "AdvertiserFleet"]
+
+
+_BASE_ATTRS = 10  # the fixed Startd attributes, CpuLoad among them
+
+
+@functools.lru_cache(maxsize=None)
+def _readings(nattrs: int) -> DrawPlan:
+    """CpuLoad, then one ``hawkeye_metric<i>`` per attribute past the base."""
+    return DrawPlan([Uniform(0.0, 2.0, 3)] + [Integers(0, 10_000)] * (nattrs - _BASE_ATTRS))
 
 
 def synthesize_startd_ad(
     machine: str, rng: np.random.Generator, now: float = 0.0, nattrs: int = 40
 ) -> ClassAd:
     """A fake—but schema-complete—Startd ad for ``machine``."""
+    cpu_load, *metrics = _readings(nattrs).draw(rng)
     ad = ClassAd(
         {
             "MyType": "Machine",
@@ -31,14 +44,12 @@ def synthesize_startd_ad(
             "Arch": "INTEL",
             "Memory": 512,
             "Cpus": 2,
-            "CpuLoad": round(float(rng.uniform(0.0, 2.0)), 3),
+            "CpuLoad": cpu_load,
             "LastHeardFrom": now,
         }
     )
-    i = 0
-    while len(ad) < nattrs:
-        ad[f"hawkeye_metric{i}"] = int(rng.integers(0, 10_000))
-        i += 1
+    for i, value in enumerate(metrics):
+        ad[f"hawkeye_metric{i}"] = value
     return ad
 
 

@@ -8,11 +8,11 @@ ClassAd format" (paper §2.3).  A standard install runs 11 Modules
 
 from __future__ import annotations
 
-import numpy as np
+import typing as _t
 
-from repro.classad import ClassAd
+from repro.hawkeye.draws import Integers, Uniform
 
-__all__ = ["Module", "make_default_modules", "replicated_modules", "DEFAULT_MODULE_NAMES"]
+__all__ = ["Module", "NOW", "make_default_modules", "replicated_modules", "DEFAULT_MODULE_NAMES"]
 
 # The 11 modules of a standard Hawkeye install (paper §3.4: "11 default
 # Modules").
@@ -34,100 +34,52 @@ DEFAULT_MODULE_NAMES = (
 # its output); drives the Agent's per-query refresh cost.
 DEFAULT_EXEC_COST = 0.02
 
+NOW = object()  # a plan value: the query's clock reading
+
+
+# What each sensor reports after its ``<name>_LastUpdate``: attribute
+# suffix and value, a constant or a draw.  Unknown sensors report one
+# ``Value``; every module pads to ``nattrs`` with ``extra<i>`` draws.
+_SENSORS: dict[str, tuple[tuple[str, _t.Any], ...]] = {
+    "vmstat": (
+        ("CpuLoad", Uniform(0.0, 2.0, 3)),
+        ("CpuIdle", Integers(0, 100)),
+        ("ContextSwitches", Integers(100, 50_000)),
+    ),
+    "df": (("DiskTotalMB", 17_000), ("DiskFreeMB", Integers(1_000, 16_000))),
+    "memory": (("TotalMB", 512), ("FreeMB", Integers(32, 480))),
+    "network": (("RxKBps", Uniform(0.0, 12_500.0, 1)), ("TxKBps", Uniform(0.0, 12_500.0, 1))),
+    "users": (("LoggedIn", Integers(0, 12)),),
+    "processes": (("Total", Integers(40, 300)), ("Running", Integers(1, 10))),
+    "uptime": (("Days", Integers(0, 365)),),
+    "swap": (("TotalMB", 1024), ("FreeMB", Integers(100, 1000))),
+    "os": (("OpSys", "LINUX"), ("KernelVersion", "2.4.10")),
+    "filesystem": (("Mounts", Integers(2, 12)),),
+    "condor_view": (("JobsRunning", Integers(0, 4)), ("JobsIdle", Integers(0, 50))),
+}
+_GENERIC = (("Value", Integers(0, 10_000)),)
+_EXTRA = Integers(0, 10_000)
+
 
 class Module:
-    """One sensor producing a ClassAd fragment."""
+    """One sensor producing a ClassAd fragment.
+
+    Attribute names never depend on the readings, so the sensor's
+    ``plan`` — ``(display, key, spec)`` per attribute, in fragment order,
+    ``spec`` being a constant, :data:`NOW`, :class:`Integers` or
+    :class:`Uniform` — is fixed here; the Agent draws the values.
+    """
 
     def __init__(self, name: str, *, exec_cost: float = DEFAULT_EXEC_COST, nattrs: int = 8) -> None:
         self.name = name
         self.exec_cost = exec_cost
         self.nattrs = nattrs
-        self.collections = 0
-
-    def collect(self, machine: str, rng: np.random.Generator, now: float = 0.0) -> ClassAd:
-        """Run the sensor: returns a fresh ClassAd fragment."""
-        self.collections += 1
-        prefix = self.name.split("#")[0]  # replicas are "vmstat#3"
-        ad = ClassAd({f"{self.name}_LastUpdate": now})
-        fill = _FILLERS.get(prefix, _fill_generic)
-        fill(ad, self.name, machine, rng)
-        i = 0
-        while len(ad) < self.nattrs:
-            ad[f"{self.name}_extra{i}"] = int(rng.integers(0, 10_000))
-            i += 1
-        return ad
-
-
-def _fill_vmstat(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_CpuLoad"] = round(float(rng.uniform(0.0, 2.0)), 3)
-    ad[f"{name}_CpuIdle"] = int(rng.integers(0, 100))
-    ad[f"{name}_ContextSwitches"] = int(rng.integers(100, 50_000))
-
-
-def _fill_df(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_DiskTotalMB"] = 17_000
-    ad[f"{name}_DiskFreeMB"] = int(rng.integers(1_000, 16_000))
-
-
-def _fill_memory(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_TotalMB"] = 512
-    ad[f"{name}_FreeMB"] = int(rng.integers(32, 480))
-
-
-def _fill_network(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_RxKBps"] = round(float(rng.uniform(0, 12_500)), 1)
-    ad[f"{name}_TxKBps"] = round(float(rng.uniform(0, 12_500)), 1)
-
-
-def _fill_users(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_LoggedIn"] = int(rng.integers(0, 12))
-
-
-def _fill_processes(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_Total"] = int(rng.integers(40, 300))
-    ad[f"{name}_Running"] = int(rng.integers(1, 10))
-
-
-def _fill_uptime(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_Days"] = int(rng.integers(0, 365))
-
-
-def _fill_swap(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_TotalMB"] = 1024
-    ad[f"{name}_FreeMB"] = int(rng.integers(100, 1000))
-
-
-def _fill_os(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_OpSys"] = "LINUX"
-    ad[f"{name}_KernelVersion"] = "2.4.10"
-
-
-def _fill_filesystem(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_Mounts"] = int(rng.integers(2, 12))
-
-
-def _fill_condor_view(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_JobsRunning"] = int(rng.integers(0, 4))
-    ad[f"{name}_JobsIdle"] = int(rng.integers(0, 50))
-
-
-def _fill_generic(ad: ClassAd, name: str, machine: str, rng: np.random.Generator) -> None:
-    ad[f"{name}_Value"] = int(rng.integers(0, 10_000))
-
-
-_FILLERS = {
-    "vmstat": _fill_vmstat,
-    "df": _fill_df,
-    "memory": _fill_memory,
-    "network": _fill_network,
-    "users": _fill_users,
-    "processes": _fill_processes,
-    "uptime": _fill_uptime,
-    "swap": _fill_swap,
-    "os": _fill_os,
-    "filesystem": _fill_filesystem,
-    "condor_view": _fill_condor_view,
-}
+        sensor = _SENSORS.get(name.split("#")[0], _GENERIC)  # replicas are "vmstat#3"
+        attrs = [("LastUpdate", NOW), *sensor]
+        attrs += [(f"extra{i}", _EXTRA) for i in range(nattrs - len(attrs))]
+        self.plan: tuple[tuple[str, str, _t.Any], ...] = tuple(
+            (f"{name}_{suffix}", f"{name}_{suffix}".lower(), spec) for suffix, spec in attrs
+        )
 
 
 def make_default_modules(exec_cost: float = DEFAULT_EXEC_COST) -> list[Module]:

@@ -52,7 +52,7 @@ from repro.core.kernels.ops import (
 from repro.core.params import StudyParams, default_params
 from repro.core.stablehash import stable_hash
 from repro.core.topology.plan import DeploymentPlan, EdgeKind, PlanError, ServerSpec
-from repro.errors import ServiceCrashError, ServiceUnavailableError
+from repro.errors import ReproError, ServiceCrashError, ServiceUnavailableError
 
 __all__ = [
     "LiveClock",
@@ -385,7 +385,7 @@ class LiveDeployment:
                     ad = synthesize_startd_ad(machine, rng, now=clock.now())
                     try:
                         await ingest.request({"ad": ad})
-                    except Exception:
+                    except (ReproError, OSError, asyncio.IncompleteReadError):
                         pass  # a dropped ad is just a missed update
                     await clock.sleep(interval)
 

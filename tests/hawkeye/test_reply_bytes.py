@@ -55,8 +55,8 @@ def test_agent_reply_serializes_its_ad_once(serializations, wire):
     agent = Agent("lucky4.mcs.anl.gov", make_default_modules(), seed=1)
     kernel = AgentKernel(agent, default_params().agent, startd_lock=object(), wire=wire)
     response = drive(kernel.handle(None))
-    assert len(serializations) == 1
-    (ad,) = serializations
+    assert serializations == []  # the Agent assembled the text while building the ad
+    ad = Agent("lucky4.mcs.anl.gov", make_default_modules(), seed=1).query(now=100.0).ad
     assert response.size == len(ad.serialize()) + 2  # what estimated_size() always was
     assert response.value["attrs"] == len(ad)
     assert response.wire == (ad.serialize().encode() if wire else None)
