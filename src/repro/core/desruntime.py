@@ -1,11 +1,14 @@
 """The DES runtime: kernels interpreted as simulator events.
 
-:func:`kernel_service` wraps a :class:`~repro.core.kernels.ops.KernelSpec`
-in a :class:`~repro.sim.rpc.Service` whose handler *interprets* the
-kernel's op stream — each op maps onto exactly the simulator yields the
-pre-kernel inline handlers performed, so a kernelized service is
-event-for-event identical to its ancestor (the topology equivalence and
-figure-pinning tests enforce this byte-identity).
+:func:`interpret` is the one op interpreter.  :func:`kernel_service`
+wraps a :class:`~repro.core.kernels.ops.KernelSpec` in a
+:class:`~repro.sim.rpc.Service` whose handler *is* that interpreter over
+the kernel's op stream, and the compiler spawns every background loop
+of :func:`~repro.core.kernels.build.activate_plan` through it too.  Each
+op maps onto exactly the simulator yields the pre-kernel inline code
+performed, so a kernelized service or loop is event-for-event identical
+to its ancestor (the topology equivalence and figure-pinning tests
+enforce this byte-identity).
 
 Two properties of the interpreter are load-bearing:
 
@@ -22,6 +25,7 @@ Two properties of the interpreter are load-bearing:
 from __future__ import annotations
 
 import typing as _t
+from functools import partial
 
 from repro.core.costmodel import busy_split, held
 from repro.core.kernels.ops import (
@@ -45,26 +49,30 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.host import Host
     from repro.sim.network import Network
 
-__all__ = ["kernel_service"]
+__all__ = ["interpret", "kernel_service"]
 
 
-def kernel_service(
-    sim: "Simulator", net: "Network", host: "Host", spec: KernelSpec
-) -> Service:
-    """Host ``spec``'s kernel as a simulated network service."""
-    handle = spec.handle
+def interpret(
+    sim: "Simulator",
+    net: "Network",
+    host: "Host",
+    start: _t.Callable[[], _t.Generator],
+    service: Service | None = None,
+) -> _t.Generator:
+    """Run the op generator ``start()`` on ``host`` as simulator yields.
 
-    def sub_call(target: _t.Any, payload: _t.Any, size: int) -> _t.Generator:
-        value = yield from call(sim, net, host, target, payload, size=size)
-        return value
-
-    def handler(service: Service, request: _t.Any) -> _t.Generator:
-        gen = handle(request.payload)
-        try:
-            op = gen.send(None)
-        except StopIteration as stop:
-            kr = stop.value
-            return Response(value=kr.value, size=kr.size)
+    With a ``service`` this is a request handler: ``start`` is a kernel's
+    ``handle`` bound to the payload, and the :class:`KernelResponse`
+    comes back as a :class:`Response`.  Without one it hosts a
+    background loop from :func:`~repro.core.kernels.build.activate_plan`
+    (``start`` is the loop's factory) and returns whatever the loop
+    returns.  The op generator is made here, after this one, so a
+    collected simulation closes this interpreter first and the kernel's
+    cleanup ``Release`` still runs through it.
+    """
+    gen = start()
+    try:
+        op = gen.send(None)
         while True:
             value: _t.Any = None
             try:
@@ -90,7 +98,7 @@ def kernel_service(
                 elif tag == OP_FANOUT:
                     workers = [
                         sim.spawn(
-                            sub_call(target, op.payload, op.size),
+                            call(sim, net, host, target, op.payload, size=op.size),
                             name=f"fan:{target.name}",
                         )
                         for target in op.targets
@@ -106,17 +114,24 @@ def kernel_service(
                 # Run the kernel's finallys; a cleanup op (Release) may
                 # come back, in which case the loop executes it and the
                 # original exception resumes at the next send().
-                try:
-                    op = gen.throw(exc)
-                except StopIteration as stop:
-                    kr = stop.value
-                    return Response(value=kr.value, size=kr.size)
+                op = gen.throw(exc)
                 continue
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                kr = stop.value
-                return Response(value=kr.value, size=kr.size)
+            op = gen.send(value)
+    except StopIteration as stop:
+        if service is None:
+            return stop.value
+        kr = stop.value
+        return Response(value=kr.value, size=kr.size)
+
+
+def kernel_service(
+    sim: "Simulator", net: "Network", host: "Host", spec: KernelSpec
+) -> Service:
+    """Host ``spec``'s kernel as a simulated network service."""
+    handle = spec.handle
+
+    def handler(service: Service, request: _t.Any) -> _t.Generator:
+        return interpret(sim, net, host, partial(handle, request.payload), service)
 
     return Service(
         sim,

@@ -5,7 +5,10 @@ small object whose ``handle(payload)`` generator yields runtime
 operations (:mod:`repro.core.kernels.ops`) and returns a
 :class:`~repro.core.kernels.ops.KernelResponse` computed by the real
 functional machinery (``repro.ldap`` / ``repro.relational`` /
-``repro.classad``).  Runtimes interpret the ops:
+``repro.classad``).  The background loops of a plan (publishers,
+advertisers, soft-state registrars, lease sweepers) are op generators
+too, yielded by :func:`~repro.core.kernels.build.activate_plan`.
+Runtimes interpret the ops:
 
 * :mod:`repro.core.desruntime` maps them onto simulator events — the
   deterministic twin, byte-identical to the pre-kernel DES handlers;
@@ -18,6 +21,7 @@ as injected opaque tokens and never import a runtime.
 """
 
 from repro.core.kernels.build import (
+    activate_plan,
     bank_placements,
     connect_plan,
     expose_plan,
@@ -94,4 +98,5 @@ __all__ = [
     "materialize_plan",
     "connect_plan",
     "expose_plan",
+    "activate_plan",
 ]

@@ -1,7 +1,7 @@
-"""The three shared compile phases of a plan, runtime-free.
+"""The four shared compile phases of a plan, runtime-free.
 
-Compiling a :class:`DeploymentPlan` starts with three phases that
-involve no simulator and no sockets:
+Compiling a :class:`DeploymentPlan` is four phases that involve no
+simulator and no sockets:
 
 1. **materialize** — build the functional objects (GRIS, GIIS, Manager,
    Agent, ProducerServlet, Registry);
@@ -9,22 +9,27 @@ involve no simulator and no sockets:
    attachment, priming);
 3. **expose** — decide which kernel serves every exposed node and side
    door (``<node>:ingest``, ``<node>:registration``), under which name
-   and with which thread/backlog bounds.
+   and with which thread/backlog bounds;
+4. **activate** — the background loops that keep data fresh (R-GMA
+   publishers, Hawkeye advertisers, MDS soft-state registrars and lease
+   sweepers), each an op generator and the testbed node it runs on.
 
-This module is their single home: the DES adapters
+This module is their single home: the DES compiler
 (:mod:`repro.core.topology`) and the live plane (:mod:`repro.live`)
 call the same functions, so both runtimes serve *identical* data
-through identical kernels; each runtime adds only the wrap — a
-:class:`~repro.sim.rpc.Service` or a ``LiveService`` around each
-:class:`~repro.core.kernels.ops.KernelSpec`.
+through identical kernels and loops; each runtime adds only the wrap —
+a :class:`~repro.sim.rpc.Service` or a ``LiveService`` around each
+:class:`~repro.core.kernels.ops.KernelSpec` — and the host that runs
+each loop through the same op interpreter.
 
-Everything here is deterministic in the plan (seeds come from specs),
-mutates only the ``objects``/``extras`` dicts it is handed, and imports
-nothing from :mod:`repro.sim`.
+Everything here is deterministic in the plan (seeds come from specs or
+from the caller's ``stream``), mutates only the ``objects``/``extras``
+dicts it is handed, and imports nothing from :mod:`repro.sim`.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 
 from repro.core.components import System
@@ -43,7 +48,7 @@ from repro.core.kernels.mds import (
     GiisRegistrationKernel,
     GrisKernel,
 )
-from repro.core.kernels.ops import KernelSpec
+from repro.core.kernels.ops import CLOCK, Busy, Call, Compute, KernelSpec
 from repro.core.kernels.rgma import (
     ConsumerServletKernel,
     ProducerServletKernel,
@@ -60,8 +65,15 @@ from repro.core.topology.plan import (
     PlanError,
     ServerSpec,
 )
+from repro.errors import ReproError
 
-__all__ = ["bank_placements", "materialize_plan", "connect_plan", "expose_plan"]
+__all__ = [
+    "bank_placements",
+    "materialize_plan",
+    "connect_plan",
+    "expose_plan",
+    "activate_plan",
+]
 
 
 def bank_placements(spec: NodeSpec) -> list[str]:
@@ -411,6 +423,184 @@ def _hawkeye_expose(x: _Expose) -> _Exposed:
             )
 
 
+# -- activate -----------------------------------------------------------------
+#
+# One generator per system yields ``(loop_name, placement, factory)`` in the
+# order the loops start; ``factory()`` builds a fresh op generator (the ops
+# of :mod:`repro.core.kernels.ops`, with ``Busy(s, 0.0)`` as the sleep).
+# ``x`` is the :class:`_Activate` context.
+
+
+class _Activate(_t.NamedTuple):
+    plan: DeploymentPlan
+    objects: dict[str, _t.Any]
+    extras: dict[str, _t.Any]
+    params: StudyParams
+    services: _t.Mapping[str, _t.Any]
+    stream: _t.Callable[..., _t.Any]
+    registration_retry: _t.Any
+    advertise_retry: _t.Any
+
+
+_Loops = _t.Iterator[tuple[str, str, _t.Callable[[], _t.Generator]]]
+
+
+def _placement(spec: NodeSpec) -> str:
+    if spec.host is None:
+        raise PlanError(f"node {spec.name!r} needs a placement to run a background loop")
+    return spec.host
+
+
+def _lease_sweeper(giis: _t.Any) -> _t.Generator:
+    """Expire the GIIS's lapsed soft-state leases every model second."""
+    while True:
+        yield Busy(1.0, 0.0)
+        now = yield CLOCK
+        giis.sweep(now)
+
+
+def _publisher(servlet: _t.Any, interval: float) -> _t.Generator:
+    """R-GMA measurement rounds: the servlet's producers publish every ``interval``."""
+    while True:
+        yield Busy(interval, 0.0)
+        now = yield CLOCK
+        count = servlet.publish_all(now=now)
+        # Buffer inserts burn a little CPU on the servlet host.
+        yield Compute(0.0008 * count)
+
+
+def _local_advertiser(
+    agent: _t.Any, manager: _t.Any, interval: float, ingest_cpu: float
+) -> _t.Generator:
+    """Experiment 2's in-process ad push (no wire, collector CPU only)."""
+    while True:
+        yield Busy(interval, 0.0)
+        now = yield CLOCK
+        ad, _answer = agent.make_startd_ad(now=now)
+        yield Compute(ingest_cpu)
+        now = yield CLOCK
+        manager.receive_ad(ad, now)
+
+
+def _wire_advertiser(
+    machine: str,
+    stream: _t.Callable[..., _t.Any],
+    manager: _t.Any,
+    ingest: _t.Any,
+    offset: float,
+    interval: float,
+    size: int,
+) -> _t.Generator:
+    """Experiment 4's hawkeye_advertise pushes from one synthetic machine."""
+    from repro.hawkeye.advertise import synthesize_startd_ad
+
+    rng = stream("ad", machine)
+    manager.receive_ad(synthesize_startd_ad(machine, rng, now=0.0), now=0.0)  # warm at t=0
+    yield Busy(offset, 0.0)
+    while True:
+        now = yield CLOCK
+        ad = synthesize_startd_ad(machine, rng, now=now)
+        try:
+            yield Call(ingest, {"ad": ad}, size)
+        except ReproError:
+            pass  # a dropped ad is just a missed update
+        yield Busy(interval, 0.0)
+
+
+def _mds_activate(x: _Activate) -> _Loops:
+    from repro.mds.resilience import RegistrarStats, soft_state_registrar
+
+    # Scenario churn marks nodes down here; registrars consult it
+    # through their gate, so a churned-out GRIS goes silent and its
+    # lease expires server-side like a crashed daemon's.
+    node_down: set[str] = x.extras.setdefault("node_down", set())
+    swept: list[str] = []
+    for edge in x.plan.edges:
+        if edge.kind is not EdgeKind.REGISTRATION or not edge.options.get("soft_state"):
+            continue
+        label = edge.options.get("label", edge.source)
+        st = RegistrarStats(registered=True, last_confirmed=0.0)
+        x.extras.setdefault("registrar_stats", []).append(st)
+        yield f"registrar:{label}", _placement(x.plan.node(edge.source)), functools.partial(
+            soft_state_registrar,
+            x.services[f"{edge.target}:registration"],
+            label,
+            interval=float(edge.options["interval"]),
+            ttl=float(edge.options["ttl"]),
+            retry=x.registration_retry,
+            stats=st,
+            gate=lambda node=edge.source: node not in node_down,
+        )
+        if edge.target not in swept:
+            swept.append(edge.target)
+    for target in swept:
+        yield "giis-sweep", _placement(x.plan.node(target)), functools.partial(
+            _lease_sweeper, x.objects[target]
+        )
+
+
+def _rgma_activate(x: _Activate) -> _Loops:
+    for spec in x.plan.nodes:
+        if (
+            isinstance(spec, ServerSpec)
+            and spec.variant == "default"
+            and spec.options.get("publisher")
+        ):
+            servlet = x.objects[spec.name]
+            interval = float(spec.options.get("publish_interval", 30.0))
+            yield f"publisher:{servlet.name}", _placement(spec), functools.partial(
+                _publisher, servlet, interval
+            )
+
+
+def _hawkeye_activate(x: _Activate) -> _Loops:
+    from repro.hawkeye.resilience import AdvertiserStats, resilient_advertiser
+
+    p = x.params.manager
+    for edge in x.plan.edges:
+        mode = edge.options.get("mode")
+        if edge.kind is EdgeKind.REGISTRATION and mode == "local":
+            agent = x.objects[edge.source]
+            interval = float(edge.options.get("interval", p.advertise_interval))
+            # Runs on the Manager's host: its Compute is the collector's ingest.
+            manager_host = _placement(x.plan.node(edge.target))
+            yield f"advertiser:{agent.machine}", manager_host, functools.partial(
+                _local_advertiser, agent, x.objects[edge.target], interval, p.ad_ingest_cpu
+            )
+        elif edge.kind is EdgeKind.REGISTRATION and mode == "resilient":
+            source = x.plan.node(edge.source)
+            st = AdvertiserStats(last_delivered=0.0)
+            x.extras.setdefault("advertiser_stats", []).append(st)
+            label = edge.options.get("label", source.host or edge.source)
+            yield f"resilient-adv:{label}", _placement(source), functools.partial(
+                resilient_advertiser,
+                x.services[f"{edge.target}:ingest"],
+                x.objects[edge.source],
+                interval=float(edge.options.get("interval", 30.0)),
+                retry=x.advertise_retry,
+                stats=st,
+            )
+        elif edge.kind is EdgeKind.AGGREGATION and mode == "wire":
+            source = x.plan.node(edge.source)
+            placements = bank_placements(source)
+            machine_format = source.options.get("machine_format", source.name + "{i}")
+            interval = float(edge.options.get("interval", p.advertise_interval))
+            offsets = x.stream(*edge.options.get("offset_stream", ("advertisers", source.name)))
+            for i in range(source.replicas):
+                machine = machine_format.format(i=i)
+                offset = float(offsets.uniform(0.0, interval))
+                yield f"adv:{machine}", placements[i % len(placements)], functools.partial(
+                    _wire_advertiser,
+                    machine,
+                    x.stream,
+                    x.objects[edge.target],
+                    x.services[f"{edge.target}:ingest"],
+                    offset,
+                    interval,
+                    p.ad_wire_bytes,
+                )
+
+
 # -- dispatch -----------------------------------------------------------------
 
 _MATERIALIZE = {
@@ -427,6 +617,11 @@ _EXPOSE = {
     System.MDS: _mds_expose,
     System.RGMA: _rgma_expose,
     System.HAWKEYE: _hawkeye_expose,
+}
+_ACTIVATE = {
+    System.MDS: _mds_activate,
+    System.RGMA: _rgma_activate,
+    System.HAWKEYE: _hawkeye_activate,
 }
 
 
@@ -472,3 +667,35 @@ def expose_plan(
     )
     for name, spec, kernel in _EXPOSE[plan.system](context):
         yield name, spec, kernel.spec()
+
+
+def activate_plan(
+    plan: DeploymentPlan,
+    objects: dict[str, _t.Any],
+    extras: dict[str, _t.Any],
+    params: StudyParams,
+    *,
+    services: _t.Mapping[str, _t.Any],
+    stream: _t.Callable[..., _t.Any],
+    registration_retry: _t.Any = None,
+    advertise_retry: _t.Any = None,
+) -> _t.Iterator[tuple[str, str, _t.Callable[[], _t.Generator]]]:
+    """Phase-4 compile: every background loop and the node it runs on.
+
+    Walks the plan once and yields ``(loop_name, placement, factory)`` in
+    start order: MDS registrars in edge order, then one lease sweeper
+    per registration target; Hawkeye advertisers per edge; R-GMA
+    publishers per node.  ``factory()`` returns a fresh op generator
+    that runs forever; the runtime hosts it on ``placement`` through its
+    op interpreter.  What differs per runtime arrives as arguments:
+    ``services`` holds the wrapped services the loops call,
+    ``stream(*names)`` returns the named random stream (wire-advertiser
+    offsets and ads), and the two retry policies ride every registrar
+    and resilient-advertiser ``Call`` (``None``: one attempt per cycle).
+    Stats objects land in ``extras`` (``registrar_stats``,
+    ``advertiser_stats``) as the loops are yielded.
+    """
+    context = _Activate(
+        plan, objects, extras, params, services, stream, registration_retry, advertise_retry
+    )
+    yield from _ACTIVATE[plan.system](context)

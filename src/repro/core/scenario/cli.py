@@ -102,14 +102,8 @@ def _compile_pair(scenario: Scenario, *, runtimes: str) -> None:
     if "des" in runtimes:
         from repro.core.runner import new_run
         from repro.core.topology import compile_plan
-        from repro.sim.rpc import RetryPolicy
 
-        run = new_run(1)
-        compile_plan(
-            plan,
-            run,
-            registration_retry=RetryPolicy(rng=run.rng.stream("check-registrar")),
-        )
+        compile_plan(plan, new_run(1))
     if "live" in runtimes:
         from repro.live.runtime import AsyncioRuntime
 

@@ -3,12 +3,10 @@
 An experiment is a :class:`DeploymentPlan` — typed node specs keyed by
 the paper's four functional roles, explicit registration / aggregation
 / mediation edges, and placement onto the Lucky/UC testbed — compiled
-by a per-system :class:`SystemAdapter` into the repo's functional
-objects and :class:`~repro.sim.rpc.Service` instances.
+by :func:`compile_plan` into the repo's functional objects, simulated
+:class:`~repro.sim.rpc.Service` instances and background processes.
 
-Accessing any adapter-related attribute (``compile_plan``,
-``ADAPTERS``, ...) registers the MDS, R-GMA and Hawkeye adapters.  The
-re-exports resolve lazily (PEP 562) so the pure plan layer —
+The compiler re-exports resolve lazily (PEP 562) so the pure plan layer —
 :mod:`~repro.core.topology.plan`, :mod:`~repro.core.topology.catalog`,
 :mod:`~repro.core.topology.planfile` — stays importable without the
 simulator; the runtime-agnostic kernels and the live plane depend on
@@ -31,29 +29,17 @@ _PLAN_ATTRS = {
     "ServerSpec",
 }
 
-# Names served by the adapter layer (pulls in the DES runtime).
-_ADAPTER_ATTRS = {
-    "ADAPTERS",
-    "CompileHooks",
-    "Deployment",
-    "SystemAdapter",
-    "compile_plan",
-    "register_adapter",
-    "resolve_host",
-}
+# Names served by the DES compiler (pulls in the simulator).
+_COMPILE_ATTRS = {"Deployment", "SystemAdapter", "compile_plan", "resolve_host"}
 
-__all__ = sorted(_PLAN_ATTRS | _ADAPTER_ATTRS)
+__all__ = sorted(_PLAN_ATTRS | _COMPILE_ATTRS)
 
 
 def __getattr__(name: str):
     if name in _PLAN_ATTRS:
         module = importlib.import_module("repro.core.topology.plan")
-    elif name in _ADAPTER_ATTRS:
+    elif name in _COMPILE_ATTRS:
         module = importlib.import_module("repro.core.topology.adapters")
-        # Importing the system modules registers their adapters.
-        importlib.import_module("repro.core.topology.mds")
-        importlib.import_module("repro.core.topology.rgma")
-        importlib.import_module("repro.core.topology.hawkeye")
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(module, name)

@@ -1,25 +1,25 @@
-"""Plan compilation: per-system adapters turn plans into running pieces.
+"""Plan compilation onto the DES: the shared phases, wrapped and hosted.
 
-A :class:`SystemAdapter` compiles a validated
+:class:`SystemAdapter` compiles a validated
 :class:`~repro.core.topology.plan.DeploymentPlan` against a fresh
-:class:`~repro.core.runner.ScenarioRun` in four phases.  The first three
-are runtime-free and shared with the live plane
-(:mod:`repro.core.kernels.build`):
+:class:`~repro.core.runner.ScenarioRun`.  All four phases are
+runtime-free and shared with the live plane
+(:mod:`repro.core.kernels.build`); this runtime owns only the wrap and
+the host:
 
 1. **materialize** — build the functional objects (GRIS, Manager,
    ProducerServlet, ...) for every node spec, in declaration order;
 2. **connect** — apply the plan's edges: registrations (with labels and
    TTLs), producer attachment, agent registration, then cache priming;
-3. **expose** — pick the kernel behind every exposed node and side
-   door; this runtime's whole share is the wrap, one
-   :func:`~repro.core.desruntime.kernel_service` per yielded
-   :class:`~repro.core.kernels.ops.KernelSpec`, with simulator
-   :class:`~repro.sim.resources.Mutex` locks;
-4. **activate** — the only per-system phase: spawn the background
-   processes (publishers, advertisers, soft-state registrars, lease
-   sweepers) in an order that exactly matches the hand-written
-   experiment wiring (``tests/core/legacy_wiring.py``), so a compiled
-   deployment is event-for-event identical to it.
+3. **expose** — the wrap: one :func:`~repro.core.desruntime.kernel_service`
+   per yielded :class:`~repro.core.kernels.ops.KernelSpec`, with
+   simulator :class:`~repro.sim.resources.Mutex` locks;
+4. **activate** — the host: ``sim.spawn`` every background loop
+   (publishers, advertisers, soft-state registrars, lease sweepers) on
+   its testbed node through :func:`~repro.core.desruntime.interpret`,
+   in an order that exactly matches the hand-written experiment wiring
+   (``tests/core/legacy_wiring.py``), so a compiled deployment is
+   event-for-event identical to it.
 
 Retry policies for the plan's attachment points (CS->PS mediation,
 soft-state registration, resilient advertising) are workload-dependent,
@@ -31,26 +31,20 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.core.desruntime import kernel_service
-from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
+from repro.core.desruntime import interpret, kernel_service
+from repro.core.kernels.build import (
+    activate_plan,
+    connect_plan,
+    expose_plan,
+    materialize_plan,
+)
 from repro.core.runner import ScenarioRun
-from repro.core.topology.plan import DeploymentPlan, NodeSpec, PlanError
+from repro.core.topology.plan import DeploymentPlan, NodeSpec, PlanError, ServerSpec
 from repro.sim.host import Host
 from repro.sim.resources import Mutex
 from repro.sim.rpc import RetryPolicy, Service
 
-if _t.TYPE_CHECKING:
-    from repro.core.components import System
-
-__all__ = [
-    "CompileHooks",
-    "Deployment",
-    "SystemAdapter",
-    "ADAPTERS",
-    "register_adapter",
-    "compile_plan",
-    "resolve_host",
-]
+__all__ = ["Deployment", "SystemAdapter", "compile_plan", "resolve_host"]
 
 
 def resolve_host(run: ScenarioRun, placement: str) -> Host:
@@ -60,18 +54,10 @@ def resolve_host(run: ScenarioRun, placement: str) -> Host:
     return run.testbed.lucky[placement]
 
 
-@dataclass(frozen=True)
-class CompileHooks:
-    """Workload-dependent knobs the caller wires into the compile.
-
-    These are the plan's fault/retry attachment points: the retry
-    policies ride RNG streams keyed by (system, users), which only the
-    experiment driver knows.
-    """
-
-    mediation_retry: RetryPolicy | None = None  # R-GMA CS -> PS hop
-    registration_retry: RetryPolicy | None = None  # MDS soft-state registrars
-    advertise_retry: RetryPolicy | None = None  # Hawkeye resilient advertisers
+def _node_host(run: ScenarioRun, spec: NodeSpec) -> Host:
+    if spec.host is None:
+        raise PlanError(f"node {spec.name!r} needs a placement to expose a service")
+    return resolve_host(run, spec.host)
 
 
 @dataclass
@@ -109,35 +95,21 @@ class Deployment:
 
 
 class SystemAdapter:
-    """Base compiler: the shared phases; subclasses add ``activate``."""
-
-    system: _t.ClassVar["System"]
+    """The DES compiler: every system's plan through the four shared phases."""
 
     def compile(
         self,
         plan: DeploymentPlan,
         run: ScenarioRun,
-        hooks: CompileHooks | None = None,
+        *,
+        mediation_retry: RetryPolicy | None = None,
+        registration_retry: RetryPolicy | None = None,
+        advertise_retry: RetryPolicy | None = None,
     ) -> Deployment:
-        if plan.system is not self.system:
-            raise PlanError(
-                f"{type(self).__name__} compiles {self.system.value} plans, "
-                f"got a {plan.system.value} plan"
-            )
         plan.validate()
-        hooks = hooks or CompileHooks()
         dep = Deployment(plan=plan, run=run)
         materialize_plan(plan, dep.objects, dep.extras)
         connect_plan(plan, dep.objects, dep.extras)
-        self.expose(plan, run, dep, hooks)
-        self.activate(plan, run, dep, hooks)
-        self._finalize(plan, run, dep)
-        return dep
-
-    def expose(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        """Wrap every kernel the shared expose phase yields in a Service."""
         for name, spec, kernel_spec in expose_plan(
             plan,
             dep.objects,
@@ -145,21 +117,29 @@ class SystemAdapter:
             run.params,
             make_lock=lambda lock_name: Mutex(run.sim, name=lock_name),
             wire=False,
-            mediation_retry=hooks.mediation_retry,
+            mediation_retry=mediation_retry,
             services=dep.services,
         ):
             dep.services[name] = kernel_service(
-                run.sim, run.net, self.node_host(run, spec), kernel_spec
+                run.sim, run.net, _node_host(run, spec), kernel_spec
             )
+        for name, placement, factory in activate_plan(
+            plan,
+            dep.objects,
+            dep.extras,
+            run.params,
+            services=dep.services,
+            stream=run.rng.stream,
+            registration_retry=registration_retry,
+            advertise_retry=advertise_retry,
+        ):
+            host = resolve_host(run, placement)
+            run.sim.spawn(interpret(run.sim, run.net, host, factory), name=name)
+        self._finalize(plan, run, dep)
+        return dep
 
-    def activate(
-        self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment, hooks: CompileHooks
-    ) -> None:
-        pass  # many plans have no background processes
-
-    # Shared epilogue --------------------------------------------------------
-
-    def _finalize(self, plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
+    @staticmethod
+    def _finalize(plan: DeploymentPlan, run: ScenarioRun, dep: Deployment) -> None:
         if plan.entry not in dep.services:
             raise PlanError(
                 f"plan {plan.name!r}: entry node {plan.entry!r} exposed no service"
@@ -177,23 +157,20 @@ class SystemAdapter:
         for spec in plan.nodes:
             if spec.fault_target:
                 dep.fault_services.extend(dep.node_services(spec.name))
+        # Per-host mediator routing (the rgma-ps-lucky consumer layout):
+        # when the entry is not itself a mediator, clients talk to the
+        # mediator co-located on their own node.
+        mediators = [
+            spec
+            for spec in plan.nodes
+            if isinstance(spec, ServerSpec) and spec.variant == "mediator"
+        ]
+        if mediators and plan.entry not in {spec.name for spec in mediators}:
+            for spec in mediators:
+                dep.routes[_node_host(run, spec)] = dep.services[spec.name]
 
-    # Helpers shared by the system adapters ---------------------------------
 
-    @staticmethod
-    def node_host(run: ScenarioRun, spec: NodeSpec) -> Host:
-        if spec.host is None:
-            raise PlanError(f"node {spec.name!r} needs a placement to expose a service")
-        return resolve_host(run, spec.host)
-
-
-ADAPTERS: dict["System", SystemAdapter] = {}
-
-
-def register_adapter(cls: type[SystemAdapter]) -> type[SystemAdapter]:
-    """Class decorator: register an adapter instance for its system."""
-    ADAPTERS[cls.system] = cls()
-    return cls
+_COMPILER = SystemAdapter()
 
 
 def compile_plan(
@@ -204,17 +181,11 @@ def compile_plan(
     registration_retry: RetryPolicy | None = None,
     advertise_retry: RetryPolicy | None = None,
 ) -> Deployment:
-    """Compile ``plan`` into ``run`` with the system's registered adapter."""
-    try:
-        adapter = ADAPTERS[plan.system]
-    except KeyError:
-        raise PlanError(
-            f"no adapter registered for {plan.system.value}; "
-            "import repro.core.topology to load the built-in adapters"
-        ) from None
-    hooks = CompileHooks(
+    """Compile ``plan`` into ``run``: wrapped services plus hosted loops."""
+    return _COMPILER.compile(
+        plan,
+        run,
         mediation_retry=mediation_retry,
         registration_retry=registration_retry,
         advertise_retry=advertise_retry,
     )
-    return adapter.compile(plan, run, hooks)

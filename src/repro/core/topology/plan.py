@@ -5,10 +5,11 @@ node specs keyed by the paper's four functional roles, explicit edges
 for the relationships the paper names (registration, aggregation,
 mediation) plus collection (collector banks feeding a server), and
 placement onto the Lucky/UC testbed.  It says nothing about *how* a
-system realizes those roles: that is the per-system adapter's job
-(:mod:`repro.core.topology.adapters`), which compiles a validated plan
-into functional objects, :class:`~repro.sim.rpc.Service` instances,
-soft-state registration loops and fault/retry attachment points.
+system realizes those roles: that is the compile phases' job
+(:mod:`repro.core.kernels.build`, hosted on the DES by
+:mod:`repro.core.topology.adapters`), which turn a validated plan into
+functional objects, services, background loops (soft-state
+registration, advertising, publishing) and retry attachment points.
 
 Validation enforces Table 1 itself: asking R-GMA for an aggregate
 information server is a :class:`PlanError`, exactly as the table's
@@ -72,12 +73,12 @@ class NodeSpec:
 
     ``host`` is a testbed placement — a Lucky shortname (``"lucky7"``)
     or ``"uc:<i>"`` for the i-th UC client machine — or None when the
-    adapter places replicas itself (``options["hosts"]``) or the node
+    compiler places replicas itself (``options["hosts"]``) or the node
     never leaves its process (in-process pullers).
 
     ``replicas`` turns a spec into a bank (the paper's "multiple
     instances at each Lucky node"); per-replica names/hosts/seeds come
-    from ``options`` format strings interpreted by the adapter.
+    from ``options`` format strings interpreted by the compiler.
 
     ``expose`` controls whether the node gets a network service of its
     own; ``tracked`` whether that service joins the run's crash
@@ -181,7 +182,7 @@ class Edge:
 
     ``options`` carry the edge's protocol knobs — registration labels
     and TTLs, soft-state renewal intervals, advertise modes — which the
-    system adapter interprets.
+    compile phases interpret.
     """
 
     kind: EdgeKind

@@ -1,11 +1,13 @@
-"""Resilient Hawkeye Agent→Manager advertisement over simulated RPC.
+"""Resilient Hawkeye Agent→Manager advertisement, written once as kernel ops.
 
 The seed's advertiser (``repro.core.experiments.common``) injects ads
 into the Manager by direct callback; a Manager outage is invisible to
-it.  :func:`resilient_advertiser` is the honest version: each 30 s
-cycle pushes the Startd ad through the Manager's ingest *service* with
-a :class:`~repro.sim.rpc.RetryPolicy`, so a collector restart shows up
-as missed ads, stale pool state, and a measurable catch-up burst.
+it.  :func:`resilient_advertiser` is the honest version: each cycle
+pushes the Startd ad through the Manager's ingest *service* with the
+``Call``'s retry policy, so a collector restart shows up as missed ads,
+stale pool state, and a measurable catch-up burst.  Both runtimes host
+it: :func:`repro.core.kernels.build.activate_plan` yields it for every
+``mode="resilient"`` registration edge.
 """
 
 from __future__ import annotations
@@ -13,14 +15,9 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
+from repro.core.kernels.ops import CLOCK, Busy, Call
 from repro.errors import RequestTimeoutError, ServiceUnavailableError
 from repro.hawkeye.agent import Agent
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
-    from repro.sim.host import Host
-    from repro.sim.network import Network
-    from repro.sim.rpc import RetryPolicy, Service
 
 __all__ = ["AdvertiserStats", "resilient_advertiser"]
 
@@ -31,7 +28,7 @@ class AdvertiserStats:
 
     delivered: int = 0
     missed: int = 0  # cycles lost even after the policy's retries
-    last_delivered: float = -1.0  # sim time of the last acked ad
+    last_delivered: float = -1.0  # model time of the last acked ad
     max_gap: float = 0.0  # widest interval the Manager went without an ad
 
     def staleness(self, now: float) -> float:
@@ -40,41 +37,34 @@ class AdvertiserStats:
 
 
 def resilient_advertiser(
-    sim: "Simulator",
-    net: "Network",
-    agent_host: "Host",
-    ingest_service: Service,
+    ingest_service: _t.Any,
     agent: Agent,
     *,
     interval: float = 30.0,
     ad_size: int = 15_000,
-    retry: RetryPolicy | None = None,
+    retry: _t.Any = None,
     stats: AdvertiserStats | None = None,
 ) -> _t.Generator:
-    """One Agent pushing Startd ads every ``interval``; run with ``sim.spawn``.
+    """One Agent pushing Startd ads every ``interval``, as kernel ops.
 
-    A cycle that fails after all retries is *dropped*, not queued — like
-    ``hawkeye_advertise``, the next cycle sends a fresher ad instead, so
-    an outage costs staleness rather than a backlog flood on restart.
+    ``ingest_service`` is the runtime's call target for the Manager's
+    ``:ingest`` door; ``retry`` rides every ``Call`` (``None``: one
+    attempt per cycle).  A cycle that fails after all retries is
+    *dropped*, not queued — like ``hawkeye_advertise``, the next cycle
+    sends a fresher ad instead, so an outage costs staleness rather
+    than a backlog flood on restart.
     """
-    from repro.sim.rpc import call  # runtime-only: keeps the module sim-free at import
-
     st = stats if stats is not None else AdvertiserStats()
     while True:
-        yield sim.timeout(interval)
-        ad, _answer = agent.make_startd_ad(now=sim.now)
+        yield Busy(interval, 0.0)
+        now = yield CLOCK
+        ad, _answer = agent.make_startd_ad(now=now)
         try:
-            yield from call(
-                sim,
-                net,
-                agent_host,
-                ingest_service,
-                {"ad": ad},
-                size=ad_size,
-                retry=retry,
-            )
-            st.delivered += 1
-            st.max_gap = max(st.max_gap, st.staleness(sim.now))
-            st.last_delivered = sim.now
+            yield Call(ingest_service, {"ad": ad}, ad_size, retry)
         except (ServiceUnavailableError, RequestTimeoutError):
             st.missed += 1
+            continue
+        now = yield CLOCK
+        st.delivered += 1
+        st.max_gap = max(st.max_gap, st.staleness(now))
+        st.last_delivered = now

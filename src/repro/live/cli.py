@@ -102,8 +102,6 @@ async def _serve(args: argparse.Namespace) -> int:
         for name, port in sorted(dep.ports.items()):
             marker = " (entry)" if name == dep.entry else ""
             print(f"  {name:<24} port {port}{marker}")
-        for note in dep.skipped:
-            print(f"  [DES-only, skipped] {note}")
         if args.duration > 0:
             await asyncio.sleep(dep.clock.wall(args.duration))
         else:

@@ -29,10 +29,10 @@ import typing as _t
 import numpy as np
 
 from repro.core.admission import Admission
-from repro.core.components import System
 from repro.core.kernels import (
     KernelResponse,
     KernelSpec,
+    activate_plan,
     connect_plan,
     expose_plan,
     materialize_plan,
@@ -51,14 +51,15 @@ from repro.core.kernels.ops import (
 )
 from repro.core.params import StudyParams, default_params
 from repro.core.stablehash import stable_hash
-from repro.core.topology.plan import DeploymentPlan, EdgeKind, PlanError, ServerSpec
-from repro.errors import ReproError, ServiceCrashError, ServiceUnavailableError
+from repro.core.topology.plan import DeploymentPlan, PlanError
+from repro.errors import ServiceCrashError, ServiceUnavailableError
 
 __all__ = [
     "LiveClock",
     "LiveLock",
     "LiveService",
     "LiveDeployment",
+    "interpret",
     "AsyncioRuntime",
 ]
 
@@ -168,7 +169,7 @@ class LiveService:
         ok = False
         try:
             await clock.sleep(admission.overhead())
-            response = await self._drive(payload)
+            response = await interpret(self.spec.handle(payload), clock, self)
             ok = True
             return response
         finally:
@@ -179,25 +180,31 @@ class LiveService:
         if waiter is not None:
             waiter.set_result(None)
 
-    async def _drive(self, payload: _t.Any) -> KernelResponse:
-        """Interpret the kernel's op stream on asyncio (see desruntime)."""
-        gen = self.spec.handle(payload)
-        try:
-            op = gen.send(None)
-        except StopIteration as stop:
-            return stop.value
+
+async def interpret(
+    gen: _t.Generator, clock: LiveClock, service: LiveService | None = None
+) -> _t.Any:
+    """Interpret an op stream on asyncio (see desruntime); return its value.
+
+    With a ``service`` this serves one request of that service's kernel;
+    without one it hosts a background loop from
+    :func:`~repro.core.kernels.build.activate_plan`.  ``Call`` ignores
+    the op's ``retry``: a live call is one attempt.
+    """
+    try:
+        op = gen.send(None)
         while True:
             value: _t.Any = None
             try:
                 tag = op.tag
                 if tag == OP_COMPUTE:
-                    await self.clock.sleep(op.seconds)
+                    await clock.sleep(op.seconds)
                 elif tag == OP_CLOCK:
-                    value = self.clock.now()
+                    value = clock.now()
                 elif tag == OP_HELD:
                     await op.lock.acquire()
                     try:
-                        await self.clock.sleep(op.hold)
+                        await clock.sleep(op.hold)
                     finally:
                         op.lock.release()
                 elif tag == OP_QUEUE_DEPTH:
@@ -207,7 +214,7 @@ class LiveService:
                 elif tag == OP_RELEASE:
                     op.lock.release()
                 elif tag == OP_BUSY:
-                    await self.clock.sleep(op.hold)
+                    await clock.sleep(op.hold)
                 elif tag == OP_CALL:
                     value = (await op.target.request(op.payload)).value
                 elif tag == OP_FANOUT:
@@ -222,33 +229,32 @@ class LiveService:
                         for a in answers
                     ]
                 elif tag == OP_CRASH:
-                    self.crashed = True
-                    self.crash_reason = op.reason
+                    service.crashed = True
+                    service.crash_reason = op.reason
                     raise ServiceCrashError(op.message)
                 else:  # pragma: no cover - kernels only yield known ops
                     raise TypeError(f"unknown kernel op {op!r}")
             except BaseException as exc:
                 # Run the kernel's finallys (they may hand back a Release,
                 # which the next loop iteration executes synchronously).
-                try:
-                    op = gen.throw(exc)
-                except StopIteration as stop:
-                    return stop.value
+                op = gen.throw(exc)
                 continue
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
+            op = gen.send(value)
+    except StopIteration as stop:
+        return stop.value
 
 
 class LiveDeployment:
-    """A compiled plan's live services, listeners and background tasks.
+    """A compiled plan's live services, listeners and background loops.
 
     ``services`` maps node names (plus ``"<node>:ingest"`` side doors)
     to :class:`LiveService`; after :meth:`start`, ``ports`` maps every
     listening service to its bound TCP port (port 0 at bind time — the
-    OS picks, the handle reports).  :meth:`stop` cancels background
-    tasks and closes listeners; start/stop may be repeated.
+    OS picks, the handle reports).  ``loops`` is what
+    :func:`~repro.core.kernels.build.activate_plan` yielded:
+    :meth:`start` runs each as a task through :func:`interpret`, and
+    :meth:`stop` cancels them and closes listeners; start/stop may be
+    repeated.
     """
 
     def __init__(
@@ -261,7 +267,7 @@ class LiveDeployment:
         *,
         entry: str | None,
         host: str = "127.0.0.1",
-        skipped: tuple[str, ...] = (),
+        loops: tuple[tuple[str, str, _t.Callable[[], _t.Generator]], ...] = (),
     ) -> None:
         self.plan = plan
         self.objects = objects
@@ -270,7 +276,7 @@ class LiveDeployment:
         self.clock = clock
         self.entry = entry
         self.host = host
-        self.skipped = skipped
+        self.loops = loops
         self.ports: dict[str, int] = {}
         self._servers: list[asyncio.base_events.Server] = []
         self._tasks: list[asyncio.Task] = []
@@ -283,7 +289,7 @@ class LiveDeployment:
         return self.services[self.entry]
 
     async def start(self) -> "LiveDeployment":
-        """Bind one listener per exposed service and spawn feeders."""
+        """Bind one listener per exposed service and start every loop."""
         if self.running:
             raise RuntimeError(f"deployment {self.plan.name!r} already running")
         from repro.live.protocols import server_for  # cycle-free at runtime
@@ -292,20 +298,21 @@ class LiveDeployment:
             server = await server_for(self.plan.system, service, self.host)
             self._servers.append(server)
             self.ports[name] = server.sockets[0].getsockname()[1]
-        for factory in self._background_factories():
-            self._tasks.append(asyncio.ensure_future(factory()))
+        for _name, _placement, factory in self.loops:
+            self._tasks.append(asyncio.ensure_future(interpret(factory(), self.clock)))
         self.running = True
         return self
 
     async def stop(self) -> None:
-        """Cancel feeders, close listeners, leave the deployment reusable."""
+        """Cancel the loops, close listeners, leave the deployment reusable.
+
+        A loop that died of anything but its cancellation is a bug in
+        it: the first such error is re-raised once every listener is
+        closed.
+        """
         for task in self._tasks:
             task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        outcomes = await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
         for server in self._servers:
             server.close()
@@ -313,6 +320,11 @@ class LiveDeployment:
         self._servers.clear()
         self.ports.clear()
         self.running = False
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException) and not isinstance(
+                outcome, asyncio.CancelledError
+            ):
+                raise outcome
 
     async def __aenter__(self) -> "LiveDeployment":
         return await self.start()
@@ -320,97 +332,24 @@ class LiveDeployment:
     async def __aexit__(self, *exc: _t.Any) -> None:
         await self.stop()
 
-    # -- background data planes (the live analogue of phase 4) --------------
 
-    def _background_factories(self) -> list[_t.Callable[[], _t.Coroutine]]:
-        out: list[_t.Callable[[], _t.Coroutine]] = []
-        plan, clock = self.plan, self.clock
-        if plan.system is System.RGMA:
-            for spec in plan.nodes:
-                if (
-                    isinstance(spec, ServerSpec)
-                    and spec.variant == "default"
-                    and spec.options.get("publisher")
-                ):
-                    servlet = self.objects[spec.name]
-                    interval = float(spec.options.get("publish_interval", 30.0))
-
-                    async def publisher(servlet=servlet, interval=interval) -> None:
-                        while True:
-                            await clock.sleep(interval)
-                            servlet.publish_all(now=clock.now())
-
-                    out.append(publisher)
-        if plan.system is System.HAWKEYE:
-            for edge in plan.edges:
-                mode = edge.options.get("mode")
-                if edge.kind is EdgeKind.REGISTRATION and mode == "local":
-                    agent = self.objects[edge.source]
-                    manager = self.objects[edge.target]
-                    interval = float(edge.options.get("interval", 30.0))
-
-                    async def advertiser(
-                        agent=agent, manager=manager, interval=interval
-                    ) -> None:
-                        while True:
-                            await clock.sleep(interval)
-                            ad, _answer = agent.make_startd_ad(now=clock.now())
-                            manager.receive_ad(ad, clock.now())
-
-                    out.append(advertiser)
-                elif edge.kind is EdgeKind.AGGREGATION and mode == "wire":
-                    out.extend(self._wire_advertisers(edge))
-        return out
-
-    def _wire_advertisers(self, edge: _t.Any) -> list[_t.Callable[[], _t.Coroutine]]:
-        """Synthetic machine banks pushing ads through the ingest port."""
-        from repro.hawkeye.advertise import synthesize_startd_ad
-
-        source = self.plan.node(edge.source)
-        ingest = self.services[f"{edge.target}:ingest"]
-        machine_format = source.options.get("machine_format", source.name + "{i}")
-        interval = float(edge.options.get("interval", 30.0))
-        clock = self.clock
-        offsets = np.random.default_rng(source.seed or 1).uniform(
-            0.0, interval, size=source.replicas
-        )
-
-        def make(machine: str, offset: float) -> _t.Callable[[], _t.Coroutine]:
-            async def advertiser() -> None:
-                rng = np.random.default_rng(stable_hash(machine))
-                ad = synthesize_startd_ad(machine, rng, now=0.0)
-                self.objects[edge.target].receive_ad(ad, now=0.0)  # warm pool
-                await clock.sleep(offset)
-                while True:
-                    ad = synthesize_startd_ad(machine, rng, now=clock.now())
-                    try:
-                        await ingest.request({"ad": ad})
-                    except (ReproError, OSError, asyncio.IncompleteReadError):
-                        pass  # a dropped ad is just a missed update
-                    await clock.sleep(interval)
-
-            return advertiser
-
-        return [
-            make(machine_format.format(i=i), float(offsets[i]))
-            for i in range(source.replicas)
-        ]
+def _stream(*names: str) -> np.random.Generator:
+    """The live plane's named random stream: sim-free, hash-seed independent."""
+    return np.random.default_rng(stable_hash(*names))
 
 
 class AsyncioRuntime:
     """Compile a :class:`DeploymentPlan` to live asyncio services.
 
-    The materialize, connect and expose phases are *shared* with the DES
+    All four compile phases are *shared* with the DES
     (:mod:`repro.core.kernels.build`), so both runtimes serve the same
-    domain objects through the same kernels; this runtime's share of
-    expose is the wrap — :class:`LiveLock` tokens, ``wire=True`` (real
-    bytes go on real sockets) and a :class:`LiveService` per kernel.
-
-    DES-only control planes (soft-state registrars, resilient
-    advertisers) are skipped and reported on ``deployment.skipped`` —
-    they model client-side behavior the live load generator owns; the
-    server-side doors they talk to (``:registration``, ``:ingest``) are
-    served.
+    domain objects through the same kernels and run the same background
+    loops.  This runtime's share is the wrap — :class:`LiveLock` tokens,
+    ``wire=True`` (real bytes go on real sockets) and a
+    :class:`LiveService` per kernel — and the host: each loop runs as a
+    task at every :meth:`LiveDeployment.start`.  Loops draw from
+    sim-free streams seeded by :func:`~repro.core.stablehash.stable_hash`
+    of their names, and carry no retry policy.
     """
 
     def __init__(
@@ -441,12 +380,9 @@ class AsyncioRuntime:
             services=services,
         ):
             services[name] = LiveService(kernel_spec, clock)
-        skipped: list[str] = []
-        for edge in plan.edges:
-            if edge.options.get("soft_state"):
-                skipped.append(f"soft-state registrar {edge.source}->{edge.target}")
-            if edge.options.get("mode") == "resilient":
-                skipped.append(f"resilient advertiser {edge.source}->{edge.target}")
+        loops = activate_plan(
+            plan, objects, extras, self.params, services=services, stream=_stream
+        )
         return LiveDeployment(
             plan,
             objects,
@@ -455,5 +391,5 @@ class AsyncioRuntime:
             clock,
             entry=plan.entry,
             host=self.host,
-            skipped=tuple(skipped),
+            loops=tuple(loops),
         )

@@ -11,7 +11,6 @@ from repro.rgma.consumer_servlet import Consumer, ConsumerServlet, MediatedAnswe
 from repro.rgma.producer import Producer, make_default_producers
 from repro.rgma.producer_servlet import ProducerServlet, ServletAnswer
 from repro.rgma.registry import ProducerRegistration, Registry
-from repro.rgma.resilience import MediatorStats, mediated_query, resilient_lookup
 from repro.rgma.schema import GLOBAL_SCHEMA, STREAM_TABLES, table_ddl
 from repro.rgma.streams import ContinuousQuery, StreamBroker
 
@@ -27,9 +26,6 @@ __all__ = [
     "MediatedAnswer",
     "StreamBroker",
     "ContinuousQuery",
-    "MediatorStats",
-    "mediated_query",
-    "resilient_lookup",
     "GLOBAL_SCHEMA",
     "STREAM_TABLES",
     "table_ddl",

@@ -2,24 +2,13 @@
 
 Short windows keep the module fast; the assertions target the
 qualitative resilience story — outages dent goodput, retries recover
-it, soft state re-registers, stale mediation plans bridge registry
-outages — plus exact determinism from the seed.
+it, soft state re-registers — plus exact determinism from the seed.
 """
 
 import pytest
 
-from repro.core.desruntime import kernel_service
 from repro.core.experiments import exp1, faults
-from repro.core.kernels import ProducerServletKernel, RegistryKernel
-from repro.core.params import default_params
-from repro.core.runner import new_run
-from repro.errors import ServiceUnavailableError
-from repro.rgma.producer import make_default_producers
-from repro.rgma.producer_servlet import ProducerServlet
-from repro.rgma.registry import Registry
-from repro.rgma.resilience import MediatorStats, mediated_query
-from repro.sim.faults import CrashRestartSchedule, FaultPlan, install_faults
-from repro.sim.resources import Mutex
+from repro.sim.faults import CrashRestartSchedule, FaultPlan
 from repro.sim.rpc import RetryPolicy
 
 FAST = dict(warmup=5.0, window=20.0)
@@ -99,89 +88,3 @@ class TestExp1FaultWiring:
     def test_baseline_run_has_no_resilience_summary(self):
         r = exp1.run_point("mds-gris-cache", 10, seed=1, **FAST)
         assert r.resilience is None
-
-
-class TestMediatedQuery:
-    """Registry lookups fall back to cached plans during an outage."""
-
-    def _scenario(self):
-        run = new_run(3, default_params(), monitored=("lucky1",))
-        p = run.params
-        registry = Registry("lucky1")
-        servlet = ProducerServlet("lucky3-ps")
-        for producer in make_default_producers("lucky3.mcs.anl.gov", 5, seed=3):
-            servlet.attach(producer, registry, now=0.0, lease=1e9)
-        servlet.publish_all(now=0.0)
-        reg_svc = kernel_service(
-            run.sim,
-            run.net,
-            run.testbed.lucky["lucky1"],
-            RegistryKernel(registry, p.registry).spec(),
-        )
-        ps_kernel = ProducerServletKernel(
-            servlet, p.producer_servlet, db_lock=Mutex(run.sim, name="ps:db")
-        )
-        ps_svc = kernel_service(
-            run.sim, run.net, run.testbed.lucky["lucky3"], ps_kernel.spec()
-        )
-        return run, reg_svc, ps_svc
-
-    def test_stale_plan_bridges_registry_outage(self):
-        run, reg_svc, ps_svc = self._scenario()
-        install_faults(
-            run.sim, [reg_svc], FaultPlan(schedule=CrashRestartSchedule.single(5.0, 10.0))
-        )
-        stats = MediatorStats()
-        answers = []
-
-        def consumer(sim):
-            for _ in range(3):  # t=0 fresh, t=8 stale, t=16 fresh again
-                answer = yield from mediated_query(
-                    sim,
-                    run.net,
-                    run.testbed.uc[0],
-                    reg_svc,
-                    ps_svc,
-                    "SELECT * FROM cpuLoad",
-                    "cpuLoad",
-                    lookup_retry=RetryPolicy(max_attempts=2, base_backoff=0.5, jitter=0.0),
-                    stats=stats,
-                )
-                answers.append(answer)
-                yield sim.timeout(8.0)
-
-        run.sim.spawn(consumer(run.sim))
-        run.sim.run(until=20.0)
-        assert len(answers) == 3
-        assert all(a["rows"] > 0 for a in answers)
-        assert stats.lookups == 2
-        assert stats.stale_plans_used == 1
-        assert stats.lookup_failures == 0
-        assert stats.queries == 3
-
-    def test_no_cached_plan_means_failure(self):
-        run, reg_svc, ps_svc = self._scenario()
-        reg_svc.fail("down from the start")
-        stats = MediatorStats()
-        outcomes = []
-
-        def consumer(sim):
-            try:
-                yield from mediated_query(
-                    sim,
-                    run.net,
-                    run.testbed.uc[0],
-                    reg_svc,
-                    ps_svc,
-                    "SELECT * FROM cpuLoad",
-                    "cpuLoad",
-                    stats=stats,
-                )
-            except ServiceUnavailableError:
-                outcomes.append("failed")
-
-        run.sim.spawn(consumer(run.sim))
-        run.sim.run(until=5.0)
-        assert outcomes == ["failed"]
-        assert stats.lookup_failures == 1
-        assert stats.queries == 0

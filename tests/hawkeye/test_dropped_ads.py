@@ -2,7 +2,9 @@
 
 A refused or failed push is a missed update and the advertiser carries
 on; a bug in the request path (here a ``TypeError``) must surface, on
-the DES and on the asyncio runtime alike.
+the DES and on the asyncio runtime alike.  Both runtimes host the same
+advertiser loop, so the failure is injected where the push lands: the
+Manager's ingest service.
 """
 
 import asyncio
@@ -10,8 +12,7 @@ import asyncio
 import pytest
 
 from repro.core.runner import new_run
-from repro.core.topology import hawkeye as des_hawkeye
-from repro.core.topology.adapters import compile_plan
+from repro.core.topology import compile_plan
 from repro.core.topology.catalog import exp4_plan
 from repro.errors import ServiceUnavailableError
 from repro.live.runtime import AsyncioRuntime
@@ -25,11 +26,10 @@ ERRORS = {
 def des_advertisers(monkeypatch, error):
     """Run three DES advertisers whose every push raises ``error``."""
 
-    def failing_call(*args, **kwargs):
+    def failing_handler(service, request):
         raise error
-        yield  # a generator, like rpc.call
+        yield  # a generator, like every service handler
 
-    monkeypatch.setattr(des_hawkeye, "call", failing_call)
     run = new_run(1)
     spawn, advertisers = run.sim.spawn, []
 
@@ -40,7 +40,8 @@ def des_advertisers(monkeypatch, error):
         return process
 
     monkeypatch.setattr(run.sim, "spawn", recording_spawn)
-    compile_plan(exp4_plan("hawkeye-manager", 3), run)
+    dep = compile_plan(exp4_plan("hawkeye-manager", 3), run)
+    dep.services["manager:ingest"].handler = failing_handler
     run.sim.run(until=100.0)  # three 30 s intervals
     assert len(advertisers) == 3
     return advertisers
@@ -57,19 +58,34 @@ def test_des_advertiser_does_not_swallow_a_type_error(monkeypatch):
 
 
 async def live_advertisers(error):
-    """Run three live advertisers whose every push raises ``error``; the finished ones."""
+    """Run three live advertisers whose every push raises ``error``.
+
+    Returns how many pushes reached the ingest door and what ``stop()``
+    raised (None when it returned cleanly).
+    """
     dep = AsyncioRuntime(time_scale=0.002).compile(exp4_plan("hawkeye-manager", 3))
+    pushes = []
 
     async def failing_request(payload):
+        pushes.append(payload)
         raise error
 
     dep.services["manager:ingest"].request = failing_request
-    async with dep:
-        done, _pending = await asyncio.wait(dep._tasks, timeout=0.5)  # ~8 intervals
-        return [task.exception() for task in done]
+    await dep.start()
+    await asyncio.sleep(0.5)  # ~8 intervals
+    try:
+        await dep.stop()
+    except Exception as exc:  # noqa: BLE001 - the test inspects what surfaced
+        return len(pushes), exc
+    return len(pushes), None
 
 
 @pytest.mark.parametrize("error", ["refused", "bug"])
 def test_live_advertiser_drops_only_refused_ads(error):
-    finished = asyncio.run(live_advertisers(ERRORS[error]))
-    assert finished == ([] if error == "refused" else [ERRORS["bug"]] * 3)
+    pushes, raised = asyncio.run(live_advertisers(ERRORS[error]))
+    if error == "refused":
+        assert raised is None
+        assert pushes > 3  # every advertiser kept pushing after its refusal
+    else:
+        assert raised is ERRORS["bug"]
+        assert pushes == 3  # each advertiser died on its first push

@@ -30,13 +30,14 @@ import repro.core.kernels
 import repro.core.workload
 import repro.core.metrics
 import repro.mds.resilience
-import repro.rgma.resilience
 import repro.hawkeye.resilience
 import repro.live
-from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
+from repro.core.kernels.build import (
+    activate_plan, connect_plan, expose_plan, materialize_plan,
+)
 from repro.core.params import default_params
 from repro.core.topology.plan import DeploymentPlan
-from repro.core.topology.catalog import exp1_plan
+from repro.core.topology.catalog import exp1_plan, registration_fault_plan
 
 # Compiling a plan to live services exercises materialize/connect/expose
 # and every kernel constructor -- still no simulator.
@@ -56,6 +57,25 @@ for name, _node, spec in expose_plan(
 ):
     services[name] = spec
 assert list(services) == ["ps", "cs"], services
+
+# The shared activate phase, called directly: registrars and the sweeper
+# as op generators, stepped to their first op.
+plan, objects, extras, services = registration_fault_plan(), {}, {}, {}
+materialize_plan(plan, objects, extras)
+connect_plan(plan, objects, extras)
+for name, _node, spec in expose_plan(
+    plan, objects, extras, default_params(),
+    make_lock=LiveLock, wire=True, services=services,
+):
+    services[name] = spec
+loops = list(activate_plan(
+    plan, objects, extras, default_params(), services=services,
+    stream=lambda *names: None,
+))
+assert [name for name, _p, _f in loops][-1] == "giis-sweep", loops
+assert len(extras["registrar_stats"]) == len(loops) - 1
+for _name, _placement, factory in loops:
+    assert type(next(factory())).__name__ in ("Call", "Busy")
 admission = repro.core.admission.Admission(max_threads=1, backlog=0)
 admission.arrive()
 assert admission.enter("w") and admission.full()

@@ -17,10 +17,15 @@ import pytest
 from repro.classad.ads import ClassAd
 from repro.core.kernels.ops import Compute, KernelResponse, KernelSpec
 from repro.core.params import default_params
+from repro.core.runner import new_run
+from repro.core.topology import compile_plan
 from repro.core.topology.catalog import (
+    GRIS_NODES,
+    advertise_fault_plan,
     catalog_entries,
     exp1_plan,
     exp2_plan,
+    registration_fault_plan,
     two_level_plan,
 )
 from repro.errors import ServiceUnavailableError
@@ -209,10 +214,130 @@ def test_run_load_with_refusals_conserves_every_arrival():
     assert len(stats.refusal_log) == stats.refused
 
 
-def test_des_only_edges_are_skipped_with_notes():
-    plan = catalog_entries()["faults-mds-registration"]()
-    dep = AsyncioRuntime(time_scale=TS).compile(plan)
-    assert any("soft-state registrar" in note for note in dep.skipped)
+# -- background loops: the activate phase, hosted live -----------------------
+
+TS_LOOPS = 0.05  # slower than TS: 6 s leases must outlive event-loop jitter
+
+
+def test_live_registrars_renew_through_the_registration_door():
+    plan = registration_fault_plan(ttl=60.0)
+
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS_LOOPS).compile(plan)
+        async with dep:
+            await asyncio.sleep(dep.clock.wall(3 * 2.5))  # three renew cycles
+        return dep
+
+    dep = in_loop(main())
+    stats = dep.extras["registrar_stats"]
+    assert len(stats) == len(GRIS_NODES)
+    assert dep.services["giis:registration"].stats.completed >= len(stats)
+    assert all(st.renewals > 0 for st in stats)
+
+
+def test_live_registrar_re_registers_a_lost_lease():
+    plan = registration_fault_plan(ttl=60.0)
+
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS_LOOPS).compile(plan)
+        giis = dep.objects["giis"]
+        async with dep:
+            await asyncio.sleep(dep.clock.wall(1.0))
+            before = giis.registrant_count
+            giis.unregister("lucky3")
+            assert giis.registrant_count == before - 1
+            await asyncio.sleep(dep.clock.wall(2 * 2.5))
+            after = giis.registrant_count
+        return dep, before, after
+
+    dep, before, after = in_loop(main())
+    lucky3 = dep.extras["registrar_stats"][GRIS_NODES.index("lucky3")]
+    assert lucky3.re_registrations >= 1
+    assert after == before
+
+
+def test_live_sweeper_drops_a_silent_registrant_after_its_ttl():
+    plan = registration_fault_plan()  # 6 s leases renewed every 2.5 s
+
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS_LOOPS).compile(plan)
+        dep.extras["node_down"].add("lucky3")  # its registrar stays silent
+        giis = dep.objects["giis"]
+        async with dep:
+            await asyncio.sleep(dep.clock.wall(2.0))
+            early = "lucky3" in giis.registrations
+            await asyncio.sleep(dep.clock.wall(6.0 + 2.0))
+            late = {name for name in GRIS_NODES if name in giis.registrations}
+        return early, late
+
+    early, late = in_loop(main())
+    assert early
+    assert late == set(GRIS_NODES) - {"lucky3"}
+
+
+def test_live_resilient_advertisers_deliver():
+    plan = advertise_fault_plan(interval=2.0)
+
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS_LOOPS).compile(plan)
+        async with dep:
+            await asyncio.sleep(dep.clock.wall(3 * 2.0))
+        return dep
+
+    dep = in_loop(main())
+    stats = dep.extras["advertiser_stats"]
+    assert len(stats) == 6
+    assert all(st.delivered > 0 for st in stats)
+    agents = [dep.objects[spec.name] for spec in plan.nodes if spec.name != "manager"]
+    machines = {ad.get_scalar("Machine") for ad in dep.objects["manager"].collector.ads()}
+    assert machines == {agent.machine for agent in agents}
+
+
+def test_both_runtimes_host_exactly_the_activated_loops():
+    """One activate list: DES spawns == live tasks == activate_plan, in order."""
+    for name, thunk in catalog_entries().items():
+        run = new_run(1)
+        spawn, spawned = run.sim.spawn, []
+
+        def recording_spawn(generator, name=None, spawn=spawn, spawned=spawned):
+            spawned.append(name)
+            return spawn(generator, name=name)
+
+        run.sim.spawn = recording_spawn
+        compile_plan(thunk(), run)
+        dep = AsyncioRuntime(time_scale=TS).compile(thunk())
+        assert spawned == [loop for loop, _placement, _factory in dep.loops], name
+
+        async def started(dep=dep):
+            before = asyncio.all_tasks()
+            async with dep:
+                return len(asyncio.all_tasks() - before)
+
+        assert in_loop(started()) == len(dep.loops), name
+
+
+def test_stop_closes_listeners_then_surfaces_a_loop_error():
+    def broken_loop():
+        raise TypeError("a bug in a loop")
+        yield
+
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("mds-gris-cache"))
+        dep.loops = (("broken", "lucky7", broken_loop),)
+        await dep.start()
+        port = dep.ports[dep.entry]
+        await asyncio.sleep(0)  # the loop runs and dies
+        with pytest.raises(TypeError, match="a bug in a loop"):
+            await dep.stop()
+        assert not dep.running and dep.ports == {}
+        with pytest.raises(OSError):
+            await asyncio.open_connection(dep.host, port)
+        dep.loops = ()
+        async with dep:  # still reusable
+            value, _body = await query_once(dep)
+        assert value["entries"] > 0
+
+    in_loop(main())
 
 
 def test_registration_door_answers_register_and_renew_over_a_socket():
@@ -220,6 +345,7 @@ def test_registration_door_answers_register_and_renew_over_a_socket():
 
     async def main():
         dep = AsyncioRuntime(time_scale=TS).compile(plan)
+        dep.extras["node_down"].update(GRIS_NODES)  # silence the registrars
         giis = dep.objects["giis"]
         async with dep:
             port = dep.ports["giis:registration"]
