@@ -23,17 +23,18 @@ FAST = dict(warmup=5.0, window=20.0)
 
 def test_ablation_gris_cachettl():
     """Sweep the GRIS cachettl between the paper's two extremes."""
-    from repro.core.experiments.common import build_gris, uc_clients
+    from repro.core.experiments.common import uc_clients
     from repro.core.desruntime import kernel_service
     from repro.core.kernels import GrisKernel
     from repro.core.runner import drive, new_run
+    from repro.mds.gris import GRIS
+    from repro.mds.providers import replicated_providers
     from repro.sim.resources import Mutex
 
     rows = []
     for ttl in (0.0, 5.0, 30.0, float("inf")):
         run = new_run(seed=11, monitored=("lucky7",))
-        gris = build_gris(run, collectors=10, cached=False, seed=11)
-        gris.cache.ttl = ttl
+        gris = GRIS("lucky7.mcs.anl.gov", replicated_providers(10), cachettl=ttl, seed=11)
         if ttl > 0:
             gris.search(now=0.0)
         host = run.testbed.lucky["lucky7"]

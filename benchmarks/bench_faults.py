@@ -6,6 +6,8 @@ resilience claims: retries recover most of the no-fault goodput after
 the outage, and the circuit breaker caps retry amplification.
 """
 
+import dataclasses
+
 import pytest
 
 from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, emit
@@ -29,10 +31,20 @@ AMPLIFICATION_BOUND = 2.0
 RECOVERY_FLOOR = 0.8
 
 
+def fault_point(system, schedule, **knobs):
+    """The baseline/faulted pair at 100 users; ``knobs`` tune the FaultModel."""
+    scenario = faults.fault_scenario(schedule, BENCH_WARMUP, BENCH_WINDOW)
+    scenario = dataclasses.replace(
+        scenario, faults=dataclasses.replace(scenario.faults, **knobs)
+    )
+    (point,) = faults.sweep(system, scenario, x_values=(100,), seed=1, **FAST)
+    return point
+
+
 @pytest.mark.parametrize("system", FAULT_SYSTEMS)
 def test_point_outage_100_users(system):
     """One mid-window outage at 100 users: recovery and amplification."""
-    result = faults.run_fault_point(system, 100, seed=1, schedule="outage", **FAST)
+    result = fault_point(system, "outage")
     res = result.faulted.resilience
     assert res is not None and res.downtime > 0
     # Retries claw back most of the clean-run goodput after the restart.
@@ -43,12 +55,8 @@ def test_point_outage_100_users(system):
 
 def test_breaker_caps_amplification():
     """Same outage with and without the breaker: rejections replace tries."""
-    guarded = faults.run_fault_point(
-        "mds-gris-cache", 100, seed=1, schedule="flapping", **FAST
-    )
-    naked = faults.run_fault_point(
-        "mds-gris-cache", 100, seed=1, schedule="flapping", breaker=False, **FAST
-    )
+    guarded = fault_point("mds-gris-cache", "flapping")
+    naked = fault_point("mds-gris-cache", "flapping", breaker=False)
     g, n = guarded.faulted.resilience, naked.faulted.resilience
     assert g is not None and n is not None
     assert g.breaker_rejections > 0
@@ -61,10 +69,7 @@ def test_breaker_caps_amplification():
 def test_fault_tables():
     """Emit the resilience tables for both fault schedules."""
     rows = {
-        schedule: [
-            faults.run_fault_point(system, 100, seed=1, schedule=schedule, **FAST)
-            for system in FAULT_SYSTEMS
-        ]
+        schedule: [fault_point(system, schedule) for system in FAULT_SYSTEMS]
         for schedule in faults.SCHEDULES
     }
     for schedule, results in rows.items():

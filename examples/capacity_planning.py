@@ -12,6 +12,7 @@ Run:  python examples/capacity_planning.py          (about a minute)
 """
 
 from repro.core.experiments import exp1
+from repro.core.experiments.common import within_cap
 
 SLO_SECONDS = 5.0
 USER_STEPS = (10, 50, 100, 200, 400, 600)
@@ -22,9 +23,7 @@ def capacity_of(system: str) -> tuple[int | None, list[tuple[int, float, float]]
     """Largest tested user count meeting the SLO, plus the whole curve."""
     curve = []
     supported = None
-    for users in USER_STEPS:
-        if system == "rgma-ps-uc" and users > exp1.UC_VARIANT_MAX_USERS:
-            break
+    for users in within_cap(system, USER_STEPS):
         point = exp1.run_point(system, users, seed=7, **FAST)
         curve.append((users, point.throughput, point.response_time))
         if point.response_time <= SLO_SECONDS and point.throughput > 0:

@@ -8,13 +8,13 @@
   with information collectors (Figures 13-16);
 * :mod:`repro.core.experiments.exp4` — aggregate-information-server
   scalability with information servers (Figures 17-20);
-* :mod:`repro.core.experiments.faults` — the Exp-1/2 scenarios re-run
+* :mod:`repro.core.experiments.faults` — the Exp-1/2 points re-run
   under injected crash/restart faults with client-side retry.
 
 Each figure module exposes ``SYSTEMS`` (the figure legends),
 ``X_VALUES`` (sweep coordinates), ``run_point(system, x, seed, ...)``
 and ``sweep(...)``; the fault module exposes
-``run_fault_point(system, users, seed, schedule=...)``.
+``sweep(system, fault_scenario(kind, warmup, window), ...)``.
 """
 
 from repro.core.experiments import exp1, exp2, exp3, exp4, faults

@@ -1,8 +1,10 @@
-"""Shared scenario-construction and sweep-execution helpers.
+"""Shared point wiring and sweep-execution helpers.
 
-Scenario builders (clients, GRIS/Agent/servlet banks) are used by the
-four experiment sets; :func:`sweep_points` is the one sweep loop they
-all share — it fans independent points out through
+:data:`WIRING` is the one table that turns a system name into a driven
+point (plan, payload, request size, client placement, user cap) for the
+Exp-1/2 series and the two control planes; client placement helpers
+serve every experiment set.  :func:`sweep_points` is the one sweep loop
+they all share — it fans independent points out through
 :mod:`repro.core.parallel` (process pool + point cache) and merges the
 results in submission order, byte-identical to a serial loop.
 
@@ -17,8 +19,9 @@ CI half-widths on :attr:`~repro.core.runner.PointResult.ci`.
 
 from __future__ import annotations
 
+import math
 import typing as _t
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from repro.core.parallel import PointSpec, run_specs
 from repro.core.runner import PointResult, ScenarioRun
@@ -29,27 +32,93 @@ from repro.core.stats import (
     summarize_replications,
 )
 from repro.core.testbed import assign_users_to_clients
-from repro.hawkeye.agent import Agent
-from repro.hawkeye.modules import replicated_modules
-from repro.mds.gris import GRIS
-from repro.mds.providers import replicated_providers
-from repro.rgma.producer import make_default_producers
-from repro.rgma.producer_servlet import ProducerServlet
-from repro.rgma.registry import Registry
+from repro.core.topology.catalog import (
+    advertise_fault_plan,
+    exp1_plan,
+    exp2_plan,
+    registration_fault_plan,
+)
+from repro.core.topology.plan import DeploymentPlan
 from repro.sim.host import Host
 
 __all__ = [
+    "UC_VARIANT_MAX_USERS",
+    "WIRING",
+    "Wiring",
+    "wiring",
+    "server_node",
+    "within_cap",
     "sweep_points",
     "adaptive_sweep_points",
     "adaptive_point",
     "uc_clients",
     "lucky_clients",
-    "build_gris",
-    "build_agent",
-    "build_rgma_producer_side",
-    "spawn_publisher",
-    "spawn_agent_advertiser",
 ]
+
+# The paper could only drive ~100 UC consumers through one ConsumerServlet.
+UC_VARIANT_MAX_USERS = 100
+
+
+@dataclass(frozen=True)
+class Wiring:
+    """How one system name becomes a driven point.
+
+    The server under study (the monitored host) is not listed: it is
+    the host of the plan's single ``fault_target`` node
+    (:func:`server_node`).
+    """
+
+    plan: _t.Callable[[str, int], DeploymentPlan]  # (system, seed) -> plan
+    payload: dict[str, str]  # every user's request
+    request_size: str  # the StudyParams section whose request_size users send
+    clients: str = "uc"  # "uc", or "lucky": every Lucky node but the server's
+    max_users: float = math.inf
+
+
+_ALL = {"filter": "(objectclass=*)"}
+_HOSTS = {"filter": "(objectclass=MdsHost)"}
+_SQL = {"sql": "SELECT * FROM cpuLoad"}
+_TABLE = {"table": "cpuLoad"}
+_MACHINE = {"machine": "lucky4.mcs.anl.gov"}
+
+WIRING: dict[str, Wiring] = {
+    # Experiment 1 (Figures 5-8): information servers.
+    "mds-gris-cache": Wiring(exp1_plan, _ALL, "gris"),
+    "mds-gris-nocache": Wiring(exp1_plan, _ALL, "gris"),
+    "hawkeye-agent": Wiring(exp1_plan, {"query": "status"}, "agent"),
+    "rgma-ps-lucky": Wiring(exp1_plan, _SQL, "consumer_servlet", clients="lucky"),
+    "rgma-ps-uc": Wiring(exp1_plan, _SQL, "consumer_servlet", max_users=UC_VARIANT_MAX_USERS),
+    # Experiment 2 (Figures 9-12): directory servers.
+    "mds-giis": Wiring(exp2_plan, _HOSTS, "giis"),
+    "hawkeye-manager": Wiring(exp2_plan, _MACHINE, "manager"),
+    "rgma-registry-lucky": Wiring(exp2_plan, _TABLE, "registry", clients="lucky"),
+    "rgma-registry-uc": Wiring(exp2_plan, _TABLE, "registry", max_users=UC_VARIANT_MAX_USERS),
+    # The control planes: directory queries while registrants keep
+    # soft-state leases (MDS) or push ads over the wire (Hawkeye).
+    "mds-registration": Wiring(lambda _, seed: registration_fault_plan(seed), _HOSTS, "giis"),
+    "hawkeye-advertise": Wiring(lambda _, seed: advertise_fault_plan(seed), _MACHINE, "manager"),
+}
+
+
+def wiring(system: str) -> Wiring:
+    """The :data:`WIRING` entry for ``system`` (ValueError naming the set)."""
+    try:
+        return WIRING[system]
+    except KeyError:
+        raise ValueError(f"unknown system {system!r}; pick from {tuple(WIRING)}") from None
+
+
+def server_node(plan: DeploymentPlan) -> str:
+    """The host of the plan's single ``fault_target`` node."""
+    (target,) = [spec for spec in plan.nodes if spec.fault_target]
+    assert target.host is not None
+    return target.host
+
+
+def within_cap(system: str, x_values: _t.Iterable[int]) -> list[int]:
+    """The user counts ``system`` supports (the UC variants stop at 100)."""
+    cap = wiring(system).max_users
+    return [users for users in x_values if users <= cap]
 
 
 def sweep_points(
@@ -176,70 +245,3 @@ def lucky_clients(run: ScenarioRun, n_users: int, exclude: _t.Sequence[str] = ()
     """Spread users over Lucky nodes (the R-GMA local-consumer variant)."""
     nodes = [h for name, h in run.testbed.lucky.items() if name not in set(exclude)]
     return [nodes[i % len(nodes)] for i in range(n_users)]
-
-
-def build_gris(run: ScenarioRun, *, collectors: int, cached: bool, seed: int = 0) -> GRIS:
-    """A GRIS on lucky7 with ``collectors`` information providers."""
-    ttl = float("inf") if cached else 0.0
-    gris = GRIS(
-        "lucky7.mcs.anl.gov",
-        replicated_providers(collectors),
-        cachettl=ttl,
-        seed=seed,
-    )
-    if cached:
-        gris.search(now=0.0)  # prime the cache before measurement
-    return gris
-
-
-def build_agent(run: ScenarioRun, *, modules: int, seed: int = 0) -> Agent:
-    """A Hawkeye Agent on lucky4 with ``modules`` sensor modules."""
-    return Agent("lucky4.mcs.anl.gov", replicated_modules(modules), seed=seed)
-
-
-def build_rgma_producer_side(
-    run: ScenarioRun, *, producers: int, seed: int = 0
-) -> tuple[Registry, ProducerServlet]:
-    """Registry on lucky1 plus a ProducerServlet on lucky3 with producers."""
-    registry = Registry("lucky1")
-    servlet = ProducerServlet("lucky3-ps")
-    for producer in make_default_producers("lucky3.mcs.anl.gov", producers, seed=seed):
-        servlet.attach(producer, registry, now=0.0, lease=1e9)
-    servlet.publish_all(now=0.0)  # initial tuples so queries return rows
-    return registry, servlet
-
-
-def spawn_publisher(
-    run: ScenarioRun, servlet: ProducerServlet, host: Host, interval: float = 30.0
-) -> None:
-    """Background measurement rounds: producers publish every ``interval``."""
-
-    def publisher() -> _t.Generator:
-        while True:
-            yield run.sim.timeout(interval)
-            count = servlet.publish_all(now=run.sim.now)
-            # Buffer inserts burn a little CPU on the servlet host.
-            yield host.compute(0.0008 * count)
-
-    run.sim.spawn(publisher(), name=f"publisher:{servlet.name}")
-
-
-def spawn_agent_advertiser(
-    run: ScenarioRun,
-    agent: Agent,
-    manager_host: Host,
-    ingest_cpu: float,
-    interval: float = 30.0,
-    receive: _t.Callable[[_t.Any, float], None] | None = None,
-) -> None:
-    """Background Startd-ad pushes from an Agent to its Manager host."""
-
-    def advertiser() -> _t.Generator:
-        while True:
-            yield run.sim.timeout(interval)
-            ad, _answer = agent.make_startd_ad(now=run.sim.now)
-            yield manager_host.compute(ingest_cpu)
-            if receive is not None:
-                receive(ad, run.sim.now)
-
-    run.sim.spawn(advertiser(), name=f"advertiser:{agent.machine}")

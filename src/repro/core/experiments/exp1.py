@@ -14,23 +14,22 @@ The five series of the figures:
 * ``rgma-ps-lucky``    — same servlet, consumers on the Lucky nodes with a
   ConsumerServlet per node (up to 600 users).
 
-Each scenario is a :func:`repro.core.topology.catalog.exp1_plan`
-compiled onto a fresh run; only the workload (clients, payloads,
-retry policies) lives here.
+Each point is :func:`repro.core.experiments.scenarios.run_wired` under
+the empty scenario: the system's catalog plan compiled onto a fresh run
+and driven by the clients its
+:data:`~repro.core.experiments.common.WIRING` entry names.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import lucky_clients, sweep_points, uc_clients
+from repro.core.experiments.common import sweep_points, within_cap
+from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
-from repro.core.runner import PointResult, drive, new_run
+from repro.core.runner import PointResult
+from repro.core.scenario.model import PLAIN
 from repro.core.stats import AdaptiveConfig
-from repro.core.topology import compile_plan
-from repro.core.topology.catalog import exp1_plan
-from repro.sim.faults import FaultPlan
-from repro.sim.rpc import RetryPolicy
 
 __all__ = ["SYSTEMS", "X_VALUES", "run_point", "sweep"]
 
@@ -45,9 +44,6 @@ SYSTEMS = (
 # The user counts of Figures 5-8.
 X_VALUES = (1, 10, 50, 100, 200, 300, 400, 500, 600)
 
-# The paper could only drive ~100 UC consumers through one ConsumerServlet.
-UC_VARIANT_MAX_USERS = 100
-
 
 def run_point(
     system: str,
@@ -58,103 +54,31 @@ def run_point(
     warmup: float | None = None,
     window: float | None = None,
     adaptive: AdaptiveConfig | bool | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
     fidelity: str | None = None,
 ) -> PointResult:
     """Measure one (system, users) coordinate of Figures 5-8.
-
-    ``retry``/``faults`` re-run the same scenario as a fault experiment
-    (see :mod:`repro.core.experiments.faults`): the plan's fault-target
-    node is the information server under study — for the R-GMA variants
-    that is the ProducerServlet, and the ConsumerServlets get their own
-    small retry policy for the CS->PS mediation hop.
 
     ``fidelity`` selects the simulation tier (``docs/FIDELITY.md``):
     ``None``/``"exact"`` run the per-client DES unchanged; ``"cohort"``
     and ``"meanfield"`` route the same deployment plan through
     :func:`repro.core.fidelity.fast_point`.  Fast tiers model the
-    steady-state query path only, so they reject retry/fault/adaptive
-    runs.
+    steady-state query path only, so they reject adaptive runs.  The
+    same point under a scenario (faults, churn, ...) is
+    :func:`repro.core.experiments.scenarios.run_scenario_point`.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown exp1 system {system!r}; pick from {SYSTEMS}")
-    if system == "rgma-ps-uc" and users > UC_VARIANT_MAX_USERS:
-        raise ValueError(
-            f"the UC variant supports at most {UC_VARIANT_MAX_USERS} users "
-            "(the paper's ConsumerServlet limit)"
-        )
-    if fidelity is not None and fidelity != "exact":
-        from repro.core.fidelity import fast_point, require_plain_run
-
-        require_plain_run(fidelity, adaptive=adaptive, retry=retry, faults=faults)
-        return fast_point(
-            exp1_plan(system, seed),
-            system=system,
-            x=users,
-            users=users,
-            tier=fidelity,
-            params=params,
-            seed=seed,
-            warmup=warmup,
-            window=window,
-        )
-
-    if system.startswith("mds-gris"):
-        monitored: tuple[str, ...] = ("lucky7",)
-        server_node = "lucky7"
-        payload_fn = lambda uid: {"filter": "(objectclass=*)"}  # noqa: E731
-    elif system == "hawkeye-agent":
-        monitored = ("lucky4",)
-        server_node = "lucky4"
-        payload_fn = lambda uid: {"query": "status"}  # noqa: E731
-    else:
-        monitored = ("lucky3",)
-        server_node = "lucky3"
-        payload_fn = lambda uid: {"sql": "SELECT * FROM cpuLoad"}  # noqa: E731
-    run = new_run(seed, params, monitored=monitored)
-    p = run.params
-
-    # The CS->PS hop rides through faults on its own small policy.
-    cs_retry = None
-    if system.startswith("rgma") and (retry is not None or faults is not None):
-        cs_retry = RetryPolicy(
-            max_attempts=2,
-            base_backoff=0.25,
-            max_backoff=2.0,
-            rng=run.rng.stream("cs-retry", system, str(users)),
-        )
-    dep = compile_plan(exp1_plan(system, seed), run, mediation_retry=cs_retry)
-
-    if system.startswith("mds-gris"):
-        request_size = p.gris.request_size
-    elif system == "hawkeye-agent":
-        request_size = p.agent.request_size
-    else:
-        request_size = p.consumer_servlet.request_size
-
-    if system == "rgma-ps-lucky":
-        clients = lucky_clients(run, users, exclude=("lucky3",))
-    else:
-        clients = uc_clients(run, users)
-    assert dep.entry is not None
-    return drive(
-        run,
-        system=system,
-        x=users,
-        service=dep.entry,
-        clients=clients,
-        server_host=run.testbed.lucky[server_node],
-        payload_fn=payload_fn,
-        request_size=request_size,
-        services_by_user=[dep.route(c) for c in clients] if dep.routed else None,
+    return run_wired(
+        system,
+        PLAIN,
+        users,
+        seed,
+        params=params,
         warmup=warmup,
         window=window,
         adaptive=adaptive,
-        retry=retry,
-        faults=faults,
-        fault_services=dep.fault_services if faults is not None else None,
-    )
+        fidelity=fidelity,
+    ).result
 
 
 def sweep(
@@ -163,7 +87,7 @@ def sweep(
     seed: int = 1,
     **kwargs: _t.Any,
 ) -> list[PointResult]:
-    """Full series for one figure legend entry."""
-    limit = UC_VARIANT_MAX_USERS if system == "rgma-ps-uc" else None
-    xs = [users for users in x_values if limit is None or users <= limit]
-    return sweep_points(run_point, [(system, users, seed) for users in xs], **kwargs)
+    """Full series for one figure legend entry (the UC variant stops at 100)."""
+    return sweep_points(
+        run_point, [(system, users, seed) for users in within_cap(system, x_values)], **kwargs
+    )

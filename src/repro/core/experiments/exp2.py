@@ -12,22 +12,20 @@ Series:
 * ``rgma-registry-lucky``— Registry on lucky1, consumers on Lucky nodes;
 * ``rgma-registry-uc``   — Registry on lucky1, consumers at UC (<=100).
 
-Each scenario is a :func:`repro.core.topology.catalog.exp2_plan`
-compiled onto a fresh run.
+Each point is :func:`repro.core.experiments.scenarios.run_wired` under
+the empty scenario, exactly as in :mod:`~repro.core.experiments.exp1`.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import lucky_clients, sweep_points, uc_clients
+from repro.core.experiments.common import sweep_points, within_cap
+from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
-from repro.core.runner import PointResult, drive, new_run
+from repro.core.runner import PointResult
+from repro.core.scenario.model import PLAIN
 from repro.core.stats import AdaptiveConfig
-from repro.core.topology import compile_plan
-from repro.core.topology.catalog import exp2_plan
-from repro.sim.faults import FaultPlan
-from repro.sim.rpc import RetryPolicy
 
 __all__ = ["SYSTEMS", "X_VALUES", "run_point", "sweep"]
 
@@ -41,8 +39,6 @@ SYSTEMS = (
 # The user counts of Figures 9-12 (the paper's x-axis tick labels).
 X_VALUES = (1, 10, 50, 100, 200, 300, 400, 500, 600)
 
-UC_VARIANT_MAX_USERS = 100
-
 
 def run_point(
     system: str,
@@ -53,81 +49,26 @@ def run_point(
     warmup: float | None = None,
     window: float | None = None,
     adaptive: AdaptiveConfig | bool | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
     fidelity: str | None = None,
 ) -> PointResult:
     """Measure one (system, users) coordinate of Figures 9-12.
 
-    ``retry``/``faults`` re-run the same scenario as a fault experiment;
-    the plan's fault target is the directory server under study.
     ``fidelity`` selects the simulation tier exactly as in
     :func:`repro.core.experiments.exp1.run_point`.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown exp2 system {system!r}; pick from {SYSTEMS}")
-    if system == "rgma-registry-uc" and users > UC_VARIANT_MAX_USERS:
-        raise ValueError(f"the UC variant supports at most {UC_VARIANT_MAX_USERS} users")
-    if fidelity is not None and fidelity != "exact":
-        from repro.core.fidelity import fast_point, require_plain_run
-
-        require_plain_run(fidelity, adaptive=adaptive, retry=retry, faults=faults)
-        return fast_point(
-            exp2_plan(system, seed),
-            system=system,
-            x=users,
-            users=users,
-            tier=fidelity,
-            params=params,
-            seed=seed,
-            warmup=warmup,
-            window=window,
-        )
-
-    if system == "mds-giis":
-        monitored: tuple[str, ...] = ("lucky0",)
-        server_node = "lucky0"
-        payload_fn = lambda uid: {"filter": "(objectclass=MdsHost)"}  # noqa: E731
-    elif system == "hawkeye-manager":
-        monitored = ("lucky3",)
-        server_node = "lucky3"
-        payload_fn = lambda uid: {"machine": "lucky4.mcs.anl.gov"}  # noqa: E731
-    else:
-        monitored = ("lucky1",)
-        server_node = "lucky1"
-        payload_fn = lambda uid: {"table": "cpuLoad"}  # noqa: E731
-    run = new_run(seed, params, monitored=monitored)
-    p = run.params
-    dep = compile_plan(exp2_plan(system, seed), run)
-
-    if system == "mds-giis":
-        request_size = p.giis.request_size
-    elif system == "hawkeye-manager":
-        request_size = p.manager.request_size
-    else:
-        request_size = p.registry.request_size
-
-    if system == "rgma-registry-lucky":
-        clients = lucky_clients(run, users, exclude=("lucky1",))
-    else:
-        clients = uc_clients(run, users)
-    assert dep.entry is not None
-    return drive(
-        run,
-        system=system,
-        x=users,
-        service=dep.entry,
-        clients=clients,
-        server_host=run.testbed.lucky[server_node],
-        payload_fn=payload_fn,
-        request_size=request_size,
+    return run_wired(
+        system,
+        PLAIN,
+        users,
+        seed,
+        params=params,
         warmup=warmup,
         window=window,
         adaptive=adaptive,
-        retry=retry,
-        faults=faults,
-        fault_services=dep.fault_services if faults is not None else None,
-    )
+        fidelity=fidelity,
+    ).result
 
 
 def sweep(
@@ -136,7 +77,7 @@ def sweep(
     seed: int = 1,
     **kwargs: _t.Any,
 ) -> list[PointResult]:
-    """Full series for one figure legend entry."""
-    limit = UC_VARIANT_MAX_USERS if system == "rgma-registry-uc" else None
-    xs = [users for users in x_values if limit is None or users <= limit]
-    return sweep_points(run_point, [(system, users, seed) for users in xs], **kwargs)
+    """Full series for one figure legend entry (the UC variant stops at 100)."""
+    return sweep_points(
+        run_point, [(system, users, seed) for users in within_cap(system, x_values)], **kwargs
+    )

@@ -3,117 +3,69 @@
 The paper measures how the three systems *saturate*; operational
 reports from the same era (R-GMA deployment notes, MDS production
 experience) say the dominant field problem was services *failing* —
-registry restarts, hung servlets, dropped connections.  This module
-re-runs the Experiment 1/2 scenarios under a
-:class:`~repro.sim.faults.CrashRestartSchedule` with client-side
-:class:`~repro.sim.rpc.RetryPolicy` resilience, and reports goodput,
-retry amplification and time-to-recover alongside the paper's four
-metrics.
+registry restarts, hung servlets, dropped connections.  A fault
+experiment is a scenario sweep: :func:`fault_scenario` builds the
+canonical crash/restart schedule as a
+:class:`~repro.core.scenario.model.Scenario` with a
+:class:`~repro.core.scenario.model.FaultModel`, and :func:`sweep` runs
+each user count twice through
+:func:`~repro.core.experiments.scenarios.run_scenario_point` — once
+with retries armed but nothing injected, once faulted — and pairs the
+results into goodput, retry amplification and time-to-recover.
 
-Two native scenarios exercise the control planes the figure sweeps
-don't touch:
+Any system of :data:`~repro.core.experiments.common.WIRING` works; the
+outages land on its plan's ``fault_target`` node (for the R-GMA
+variants, the ProducerServlet).  Two entries exist for this purpose:
 
-* ``mds-registration``    — GIIS on lucky0 with five GRIS keeping their
-  soft-state registrations alive over the wire
-  (:func:`repro.mds.resilience.soft_state_registrar`) while users query
-  the directory; a GIIS outage expires leases and forces
-  re-registration on restart;
-* ``hawkeye-advertise``   — Manager on lucky3 with six Agents pushing
-  Startd ads through the ingest service
-  (:func:`repro.hawkeye.resilience.resilient_advertiser`); a collector
-  outage costs dropped ads and pool staleness.
-
-Any system name from :mod:`~repro.core.experiments.exp1` or
-:mod:`~repro.core.experiments.exp2` also works — the fault plan then
-lands on that scenario's information/directory server (for the R-GMA
-variants, the ProducerServlet).
+* ``mds-registration``  — GIIS on lucky0 with five GRIS keeping their
+  soft-state registrations alive over the wire; a GIIS outage expires
+  leases and forces re-registration on restart;
+* ``hawkeye-advertise`` — Manager on lucky3 with six Agents pushing
+  Startd ads through the ingest service; a collector outage costs
+  dropped ads and pool staleness.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.experiments import exp1, exp2
-from repro.core.experiments.common import sweep_points, uc_clients
+from repro.core.experiments.common import sweep_points, within_cap
+from repro.core.experiments.scenarios import X_VALUES, resolve_scenario, run_scenario_point
 from repro.core.parallel import register_codec
-from repro.core.params import StudyParams, measurement_window
-from repro.core.runner import PointResult, drive, new_run
-from repro.core.topology import compile_plan
-from repro.core.topology.catalog import advertise_fault_plan, registration_fault_plan
-from repro.hawkeye.resilience import AdvertiserStats
-from repro.mds.resilience import RegistrarStats
-from repro.sim.faults import CrashRestartSchedule, DropInjector, FaultPlan, StallInjector
-from repro.sim.randomness import RngHub
-from repro.sim.rpc import CircuitBreaker, RetryPolicy
+from repro.core.runner import PointResult
+from repro.core.scenario.model import FaultModel, Outage, Scenario, ScenarioError
 
 __all__ = [
     "SCHEDULES",
-    "SYSTEMS",
-    "X_VALUES",
     "FaultPointResult",
-    "build_schedule",
-    "default_retry_policy",
+    "fault_scenario",
     "format_fault_table",
-    "run_fault_point",
     "sweep",
 ]
 
-# Native fault scenarios; every exp1/exp2 system name is also accepted.
-SYSTEMS = ("mds-registration", "hawkeye-advertise")
-
-# Default user counts for fault sweeps (below, at and past saturation).
-X_VALUES = (10, 100, 300)
-
 SCHEDULES = ("outage", "flapping")
 
-# Soft-state lease geometry for the registration scenario: renew well
-# inside the ttl, so only an outage longer than ``ttl - interval`` can
-# expire a lease — which the default "outage" schedule (20 % of the
-# window) does, forcing the full re-register path on restart.
-REG_INTERVAL = 2.5
-REG_TTL = 6.0
 
-ADVERTISE_INTERVAL = 10.0
-
-
-def build_schedule(kind: str, warmup: float, window: float) -> CrashRestartSchedule:
+def fault_scenario(kind: str, warmup: float, window: float) -> Scenario:
     """The two canonical fault shapes, scaled to the measurement window.
 
     * ``outage``   — one crash a quarter into the window, down for 20 %
       of it (a service restart mid-measurement);
     * ``flapping`` — three short outages a quarter-window apart (a
       service caught in a crash loop).
+
+    The scenario is named after ``kind``; tune drops, stalls or the
+    breaker with ``dataclasses.replace`` on its ``faults``.
     """
     if kind == "outage":
-        return CrashRestartSchedule.single(warmup + 0.25 * window, 0.2 * window)
-    if kind == "flapping":
-        return CrashRestartSchedule.periodic(
-            warmup + 0.15 * window, 0.06 * window, 0.25 * window, 3
-        )
-    raise ValueError(f"unknown fault schedule {kind!r}; pick from {SCHEDULES}")
-
-
-def default_retry_policy(
-    rng: _t.Any, *, breaker: bool = True, max_attempts: int = 4
-) -> RetryPolicy:
-    """The client policy the fault experiments use.
-
-    Capped exponential backoff with ±25 % jitter; the breaker trips
-    after 5 consecutive failures and probes again 2 s later, which caps
-    retry amplification during an outage at roughly one wire probe per
-    breaker reset instead of ``max_attempts`` per logical call.
-    """
-    cb = CircuitBreaker(failure_threshold=5, reset_timeout=2.0) if breaker else None
-    return RetryPolicy(
-        max_attempts=max_attempts,
-        base_backoff=0.5,
-        multiplier=2.0,
-        max_backoff=8.0,
-        jitter=0.25,
-        breaker=cb,
-        rng=rng,
-    )
+        outages = (Outage(warmup + 0.25 * window, 0.2 * window),)
+    elif kind == "flapping":
+        first, duration, period = warmup + 0.15 * window, 0.06 * window, 0.25 * window
+        outages = tuple(Outage(first + i * period, duration) for i in range(3))
+    else:
+        raise ValueError(f"unknown fault schedule {kind!r}; pick from {SCHEDULES}")
+    return Scenario(name=kind, faults=FaultModel(outages=outages)).validate()
 
 
 @register_codec
@@ -124,7 +76,7 @@ class FaultPointResult:
     system: str
     x: float
     schedule: str
-    baseline: PointResult  # same scenario, retry policy on, no faults
+    baseline: PointResult  # same scenario, retry policy on, nothing injected
     faulted: PointResult
     extras: dict[str, float] = field(default_factory=dict)
 
@@ -151,217 +103,45 @@ class FaultPointResult:
         return self.faulted.resilience.recovery_time
 
 
-def run_fault_point(
-    system: str,
-    users: int,
-    seed: int = 1,
-    *,
-    schedule: str = "outage",
-    drop: float = 0.0,
-    stall: float = 0.0,
-    stall_seconds: float = 1.0,
-    breaker: bool = True,
-    params: StudyParams | None = None,
-    warmup: float | None = None,
-    window: float | None = None,
-) -> FaultPointResult:
-    """Run one scenario twice — clean and faulted — and pair the results.
-
-    Both runs carry the same retry policy shape (fresh instances, seeded
-    from independent :class:`~repro.sim.randomness.RngHub` streams), so
-    the baseline's goodput is the recovery yardstick.  ``drop``/``stall``
-    layer transient connection resets and thread-holding stalls on top
-    of the crash/restart ``schedule``.
-    """
-    default_warmup, default_window = measurement_window()
-    warmup = default_warmup if warmup is None else warmup
-    window = default_window if window is None else window
-    hub = RngHub(seed)
-    key = (system, str(users), schedule)
-
-    baseline, _ = _run_one(
-        system,
-        users,
-        seed,
-        retry=default_retry_policy(hub.stream("retry", *key, "baseline"), breaker=breaker),
-        faults=None,
-        params=params,
-        warmup=warmup,
-        window=window,
-    )
-    plan = FaultPlan(
-        schedule=build_schedule(schedule, warmup, window),
-        drop=DropInjector(drop, hub.stream("drop", *key)) if drop > 0 else None,
-        stall=(
-            StallInjector(stall, stall_seconds, hub.stream("stall", *key))
-            if stall > 0
-            else None
-        ),
-        reason=f"injected {schedule}",
-    )
-    faulted, extras = _run_one(
-        system,
-        users,
-        seed,
-        retry=default_retry_policy(hub.stream("retry", *key, "faulted"), breaker=breaker),
-        faults=plan,
-        params=params,
-        warmup=warmup,
-        window=window,
-    )
-    return FaultPointResult(
-        system=system,
-        x=users,
-        schedule=schedule,
-        baseline=baseline,
-        faulted=faulted,
-        extras=extras,
-    )
-
-
 def sweep(
     system: str,
+    scenario: "Scenario | str",
     x_values: _t.Sequence[int] = X_VALUES,
     seed: int = 1,
     **kwargs: _t.Any,
 ) -> list[FaultPointResult]:
-    """Fault points for one system across user counts.
+    """Baseline/faulted pairs for one system across user counts.
 
-    Each point is a self-contained baseline/faulted pair seeded from
-    its own :class:`~repro.sim.randomness.RngHub`, so the sweep fans
-    out and caches like any figure sweep.
+    The baseline is ``scenario`` with its faults reduced to the bare
+    retry policy (same breaker setting), so its goodput is the recovery
+    yardstick.  Both halves of every pair are ordinary scenario points,
+    so the sweep fans out and caches like any figure sweep; ``extras``
+    carries the faulted run's control-plane counters.
     """
-    return sweep_points(run_fault_point, [(system, users, seed) for users in x_values], **kwargs)
-
-
-def _run_one(
-    system: str,
-    users: int,
-    seed: int,
-    *,
-    retry: RetryPolicy,
-    faults: FaultPlan | None,
-    params: StudyParams | None,
-    warmup: float,
-    window: float,
-) -> tuple[PointResult, dict[str, float]]:
-    common = dict(params=params, warmup=warmup, window=window, retry=retry, faults=faults)
-    if system in exp1.SYSTEMS:
-        return exp1.run_point(system, users, seed, **common), {}
-    if system in exp2.SYSTEMS:
-        return exp2.run_point(system, users, seed, **common), {}
-    if system == "mds-registration":
-        return _registration_point(users, seed, **common)
-    if system == "hawkeye-advertise":
-        return _advertise_point(users, seed, **common)
-    raise ValueError(
-        f"unknown fault system {system!r}; pick from {SYSTEMS}, "
-        f"{exp1.SYSTEMS} or {exp2.SYSTEMS}"
+    faulted = resolve_scenario(scenario)
+    if faulted.faults is None:
+        raise ScenarioError(f"scenario {faulted.name!r} injects no faults")
+    baseline = replace(faulted, faults=FaultModel(breaker=faulted.faults.breaker))
+    xs = within_cap(system, x_values)
+    points = sweep_points(
+        run_scenario_point,
+        [(system, sc, users, seed) for users in xs for sc in (baseline, faulted)],
+        **kwargs,
     )
-
-
-def _registration_point(
-    users: int,
-    seed: int,
-    *,
-    params: StudyParams | None,
-    warmup: float,
-    window: float,
-    retry: RetryPolicy,
-    faults: FaultPlan | None,
-) -> tuple[PointResult, dict[str, float]]:
-    """GIIS directory queries while GRIS keep soft-state leases alive."""
-    run = new_run(seed, params, monitored=("lucky0",))
-    p = run.params
-    reg_retry = RetryPolicy(
-        max_attempts=3,
-        base_backoff=0.5,
-        max_backoff=4.0,
-        rng=run.rng.stream("registrar-retry", str(users)),
-    )
-    dep = compile_plan(
-        registration_fault_plan(seed, interval=REG_INTERVAL, ttl=REG_TTL),
-        run,
-        registration_retry=reg_retry,
-    )
-    reg_stats: list[RegistrarStats] = dep.extras["registrar_stats"]
-
-    assert dep.entry is not None
-    result = drive(
-        run,
-        system="mds-registration",
-        x=users,
-        service=dep.entry,
-        clients=uc_clients(run, users),
-        server_host=run.testbed.lucky["lucky0"],
-        payload_fn=lambda uid: {"filter": "(objectclass=MdsHost)"},
-        request_size=p.giis.request_size,
-        warmup=warmup,
-        window=window,
-        retry=retry,
-        faults=faults,
-        fault_services=dep.fault_services if faults is not None else None,
-    )
-    extras = {
-        "renewals": float(sum(st.renewals for st in reg_stats)),
-        "re_registrations": float(sum(st.re_registrations for st in reg_stats)),
-        "missed_cycles": float(sum(st.missed_cycles for st in reg_stats)),
-        "registered_at_end": float(sum(st.registered for st in reg_stats)),
-        "registrar_attempts": float(reg_retry.stats.attempts),
-    }
-    return result, extras
-
-
-def _advertise_point(
-    users: int,
-    seed: int,
-    *,
-    params: StudyParams | None,
-    warmup: float,
-    window: float,
-    retry: RetryPolicy,
-    faults: FaultPlan | None,
-) -> tuple[PointResult, dict[str, float]]:
-    """Manager directory queries while Agents advertise over the wire."""
-    run = new_run(seed, params, monitored=("lucky3",))
-    p = run.params
-    adv_retry = RetryPolicy(
-        max_attempts=3,
-        base_backoff=0.5,
-        max_backoff=4.0,
-        rng=run.rng.stream("advertiser-retry", str(users)),
-    )
-    dep = compile_plan(
-        advertise_fault_plan(seed, interval=ADVERTISE_INTERVAL),
-        run,
-        advertise_retry=adv_retry,
-    )
-    adv_stats: list[AdvertiserStats] = dep.extras["advertiser_stats"]
-
-    assert dep.entry is not None
-    result = drive(
-        run,
-        system="hawkeye-advertise",
-        x=users,
-        service=dep.entry,
-        clients=uc_clients(run, users),
-        server_host=run.testbed.lucky["lucky3"],
-        payload_fn=lambda uid: {"machine": "lucky4.mcs.anl.gov"},
-        request_size=p.manager.request_size,
-        warmup=warmup,
-        window=window,
-        retry=retry,
-        faults=faults,
-        fault_services=dep.fault_services if faults is not None else None,
-    )
-    end = warmup + window
-    extras = {
-        "ads_delivered": float(sum(st.delivered for st in adv_stats)),
-        "ads_missed": float(sum(st.missed for st in adv_stats)),
-        "max_staleness": max(max(st.max_gap, st.staleness(end)) for st in adv_stats),
-        "advertiser_attempts": float(adv_retry.stats.attempts),
-    }
-    return result, extras
+    pairs = []
+    for users, clean, hit in zip(xs, points[::2], points[1::2]):
+        assert hit.audit is not None
+        pairs.append(
+            FaultPointResult(
+                system=system,
+                x=users,
+                schedule=faulted.name,
+                baseline=clean.result,
+                faulted=hit.result,
+                extras=dict(hit.audit.control),
+            )
+        )
+    return pairs
 
 
 def format_fault_table(rows: _t.Sequence[FaultPointResult]) -> str:

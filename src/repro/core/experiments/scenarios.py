@@ -1,20 +1,25 @@
-"""Scenario experiments: the paper's sweeps under generative dynamics.
+"""Scenario experiments: the one point body every wired system runs through.
 
-:func:`run_scenario_point` reruns any Experiment 1/2 coordinate (plus
-the ``mds-registration`` soft-state scenario) with a
-:class:`~repro.core.scenario.model.Scenario` attached: arrival
-modulation and client mixes ride into :func:`~repro.core.runner.drive`,
-churn and WAN weather are installed on the compiled deployment by
-:func:`~repro.core.scenario.apply.apply_scenario`.  Every point also
-returns a :class:`RunAudit` — the full server-side request accounting
-the fuzzer's metamorphic invariants check
+:func:`run_wired` runs any :data:`~repro.core.experiments.common.WIRING`
+system (the Exp-1/2 series plus the ``mds-registration`` and
+``hawkeye-advertise`` control planes) under a
+:class:`~repro.core.scenario.model.Scenario`: it compiles the system's
+plan, installs the scenario's environment — churn, WAN weather, faults —
+with :func:`~repro.core.scenario.apply.apply_scenario`, drives the
+clients (arrival modulation and client mixes ride into
+:func:`~repro.core.runner.drive`) and audits the run.  Figure points
+(:func:`repro.core.experiments.exp1.run_point`, ``exp2.run_point``) are
+the same body under :data:`~repro.core.scenario.model.PLAIN`; every
+point returns a :class:`RunAudit` — the full server-side request
+accounting the fuzzer's metamorphic invariants check
 (:mod:`repro.core.scenario.fuzz`).
 
 Scenarios are passed by registry name (:data:`NAMED_SCENARIOS`), by
 ``examples/*.scenario.json`` path, or as :class:`Scenario` objects
 (the fuzzer's random draws).  All three forms are deterministic and
 cache-friendly: a Scenario is a frozen dataclass, so the point cache
-canonicalizes it field by field.
+canonicalizes it field by field, and every retry policy a point uses is
+built inside the point from it.
 """
 
 from __future__ import annotations
@@ -22,9 +27,15 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field, replace
 
-from repro.core.experiments import exp1, exp2
-from repro.core.experiments.common import lucky_clients, sweep_points, uc_clients
-from repro.core.experiments.faults import REG_INTERVAL, REG_TTL
+from repro.core.experiments.common import (
+    WIRING,
+    lucky_clients,
+    server_node,
+    sweep_points,
+    uc_clients,
+    wiring,
+    within_cap,
+)
 from repro.core.parallel import register_codec
 from repro.core.params import StudyParams, default_params, measurement_window
 from repro.core.runner import PointResult, ScenarioRun, drive, new_run
@@ -38,13 +49,12 @@ from repro.core.scenario.model import (
     ScenarioError,
     WanWeather,
 )
+from repro.core.stats import AdaptiveConfig
 from repro.core.topology import compile_plan
 from repro.core.topology.adapters import Deployment
-from repro.core.topology.catalog import exp1_plan, exp2_plan, registration_fault_plan
 from repro.mds.giis import GIIS
 from repro.mds.gris import GRIS
-from repro.sim.faults import FaultPlan
-from repro.sim.rpc import RetryPolicy
+from repro.sim.rpc import CircuitBreaker, RetryPolicy
 
 __all__ = [
     "NAMED_SCENARIOS",
@@ -53,19 +63,21 @@ __all__ = [
     "RunAudit",
     "ServiceAudit",
     "ScenarioPointResult",
+    "default_retry_policy",
     "resolve_scenario",
     "run_scenario_point",
+    "run_wired",
     "sweep",
     "format_scenario_table",
 ]
 
-# Every figure-sweep coordinate plus the soft-state control plane.
-SYSTEMS = exp1.SYSTEMS + exp2.SYSTEMS + ("mds-registration",)
+SYSTEMS = tuple(WIRING)
 
 X_VALUES = (10, 100, 300)
 
-# Slack after the last churn rejoin before the recovery invariant looks
-# for resumed completions (lease renew interval + one think time).
+# Slack after the last churn rejoin or outage restart before the
+# recovery invariant looks for resumed completions (lease renew
+# interval + one think time).
 RECOVERY_SLACK = 4.0
 
 
@@ -173,9 +185,18 @@ class RunAudit:
     wan_episodes: int = 0
     messages_lost: int = 0
     last_churn_end: float = 0.0
-    # OK completions that *started* after the recovery point
-    # (last_churn_end + RECOVERY_SLACK); -1 when churn never fired.
-    ok_after_churn: int = -1
+    last_outage_end: float = 0.0
+    # OK completions that *started* after the recovery point plus
+    # RECOVERY_SLACK; -1 when neither churn nor an outage was scheduled.
+    ok_after_recovery: int = -1
+    # Control-plane counters (soft-state registrars, resilient
+    # advertisers) for the plans that run those loops.
+    control: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def recovery_point(self) -> float:
+        """When the last churn rejoin or injected restart happened."""
+        return max(self.last_churn_end, self.last_outage_end)
 
 
 @register_codec
@@ -201,11 +222,11 @@ class ScenarioPointResult:
 def _audit_run(
     run: ScenarioRun,
     dep: Deployment,
-    ops: ScenarioOps | None,
+    ops: ScenarioOps,
     *,
     horizon: float,
     window_start: float,
-    window_end: float,
+    control: dict[str, float],
 ) -> RunAudit:
     services = {}
     for name, svc in dep.services.items():
@@ -227,18 +248,16 @@ def _audit_run(
                 hits += piece.cache.stats.hits
                 lookups += piece.cache.stats.lookups
     outcomes = {"ok": 0, "refused": 0, "timeout": 0, "error": 0}
-    ok_after = -1
-    last_end = ops.last_churn_end if ops is not None else 0.0
-    if ops is not None and ops.churn_leaves:
-        ok_after = 0
+    recovered = max(ops.last_churn_end, ops.last_outage_end) + RECOVERY_SLACK
+    ok_after = 0 if ops.churn_leaves or ops.outages else -1
     for record in run.log.records:
         outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
-        if ok_after >= 0 and record.outcome == "ok" and record.started > last_end + RECOVERY_SLACK:
+        if ok_after >= 0 and record.outcome == "ok" and record.started > recovered:
             ok_after += 1
     return RunAudit(
         horizon=horizon,
         window_start=window_start,
-        window_end=window_end,
+        window_end=horizon,
         services=services,
         client_ok=outcomes["ok"],
         client_refused=outcomes["refused"],
@@ -246,91 +265,185 @@ def _audit_run(
         client_error=outcomes["error"],
         cache_hits=hits,
         cache_lookups=lookups,
-        churn_leaves=ops.churn_leaves if ops else 0,
-        churn_rejoins=ops.churn_rejoins if ops else 0,
-        directory_unregisters=ops.directory_unregisters if ops else 0,
-        directory_registers=ops.directory_registers if ops else 0,
-        wan_episodes=ops.wan_episodes if ops else 0,
-        messages_lost=ops.messages_lost if ops else 0,
-        last_churn_end=last_end,
-        ok_after_churn=ok_after,
+        churn_leaves=ops.churn_leaves,
+        churn_rejoins=ops.churn_rejoins,
+        directory_unregisters=ops.directory_unregisters,
+        directory_registers=ops.directory_registers,
+        wan_episodes=ops.wan_episodes,
+        messages_lost=ops.messages_lost,
+        last_churn_end=ops.last_churn_end,
+        last_outage_end=ops.last_outage_end,
+        ok_after_recovery=ok_after,
+        control=control,
     )
 
 
-def _wiring(system: str, run: ScenarioRun, users: int, seed: int):
-    """(plan, server_node, payload_fn, request_size, clients) for a system."""
-    p = run.params
-    if system in exp1.SYSTEMS:
-        plan = exp1_plan(system, seed)
-        if system.startswith("mds-gris"):
-            node, payload, size = (
-                "lucky7",
-                lambda uid: {"filter": "(objectclass=*)"},
-                p.gris.request_size,
-            )
-        elif system == "hawkeye-agent":
-            node, payload, size = (
-                "lucky4",
-                lambda uid: {"query": "status"},
-                p.agent.request_size,
-            )
-        else:
-            node, payload, size = (
-                "lucky3",
-                lambda uid: {"sql": "SELECT * FROM cpuLoad"},
-                p.consumer_servlet.request_size,
-            )
-        if system == "rgma-ps-lucky":
-            clients = lucky_clients(run, users, exclude=("lucky3",))
-        else:
-            clients = uc_clients(run, users)
-        return plan, node, payload, size, clients
-    if system in exp2.SYSTEMS:
-        plan = exp2_plan(system, seed)
-        if system == "mds-giis":
-            node, payload, size = (
-                "lucky0",
-                lambda uid: {"filter": "(objectclass=MdsHost)"},
-                p.giis.request_size,
-            )
-        elif system == "hawkeye-manager":
-            node, payload, size = (
-                "lucky3",
-                lambda uid: {"machine": "lucky4.mcs.anl.gov"},
-                p.manager.request_size,
-            )
-        else:
-            node, payload, size = (
-                "lucky1",
-                lambda uid: {"table": "cpuLoad"},
-                p.registry.request_size,
-            )
-        if system == "rgma-registry-lucky":
-            clients = lucky_clients(run, users, exclude=("lucky1",))
-        else:
-            clients = uc_clients(run, users)
-        return plan, node, payload, size, clients
-    # mds-registration: the soft-state control plane under churn.
-    plan = registration_fault_plan(seed, interval=REG_INTERVAL, ttl=REG_TTL)
-    return (
+def default_retry_policy(rng: _t.Any, *, breaker: bool = True) -> RetryPolicy:
+    """The client policy a scenario with faults arms.
+
+    Capped exponential backoff with ±25 % jitter; the breaker trips
+    after 5 consecutive failures and probes again 2 s later, which caps
+    retry amplification during an outage at roughly one wire probe per
+    breaker reset instead of 4 attempts per logical call.
+    """
+    cb = CircuitBreaker(failure_threshold=5, reset_timeout=2.0) if breaker else None
+    return RetryPolicy(
+        max_attempts=4,
+        base_backoff=0.5,
+        multiplier=2.0,
+        max_backoff=8.0,
+        jitter=0.25,
+        breaker=cb,
+        rng=rng,
+    )
+
+
+def _loop_retry(run: ScenarioRun, stream: str, users: int) -> RetryPolicy:
+    """The small policy a control-plane loop (registrar, advertiser) retries with."""
+    return RetryPolicy(
+        max_attempts=3, base_backoff=0.5, max_backoff=4.0, rng=run.rng.stream(stream, str(users))
+    )
+
+
+def _control_counters(
+    dep: Deployment, registrar: RetryPolicy, advertiser: RetryPolicy, horizon: float
+) -> dict[str, float]:
+    """What the plan's soft-state registrars and resilient advertisers did."""
+    control: dict[str, float] = {}
+    reg = dep.extras.get("registrar_stats", [])
+    if reg:
+        control.update(
+            renewals=float(sum(st.renewals for st in reg)),
+            re_registrations=float(sum(st.re_registrations for st in reg)),
+            missed_cycles=float(sum(st.missed_cycles for st in reg)),
+            registered_at_end=float(sum(st.registered for st in reg)),
+            registrar_attempts=float(registrar.stats.attempts),
+        )
+    adv = dep.extras.get("advertiser_stats", [])
+    if adv:
+        control.update(
+            ads_delivered=float(sum(st.delivered for st in adv)),
+            ads_missed=float(sum(st.missed for st in adv)),
+            max_staleness=max(max(st.max_gap, st.staleness(horizon)) for st in adv),
+            advertiser_attempts=float(advertiser.stats.attempts),
+        )
+    return control
+
+
+def run_wired(
+    system: str,
+    scenario: Scenario,
+    users: int,
+    seed: int = 1,
+    *,
+    params: StudyParams | None = None,
+    warmup: float | None = None,
+    window: float | None = None,
+    adaptive: AdaptiveConfig | bool | None = None,
+    fidelity: str | None = None,
+) -> ScenarioPointResult:
+    """One (system, scenario, users) coordinate: the one point body.
+
+    Compiles the :data:`~repro.core.experiments.common.WIRING` plan for
+    ``system``, applies ``scenario``, drives the clients and audits the
+    run.  A scenario with faults arms the clients with
+    :func:`default_retry_policy` and R-GMA's CS->PS hop with a small
+    policy of its own; the control-plane loops always retry on theirs
+    (plans without those loops never consult them).
+
+    ``fidelity`` routes environment-free scenarios through the fast
+    tiers: the scenario collapses to an *effective workload*
+    (:meth:`Scenario.effective_workload`, which rejects churn, WAN and
+    faults), and the audit is ``None`` because fast tiers model no
+    per-request accounting.
+    """
+    wired = wiring(system)
+    if users > wired.max_users:
+        raise ValueError(f"{system} supports at most {wired.max_users} users")
+    default_warmup, default_window = measurement_window()
+    warmup = default_warmup if warmup is None else warmup
+    window = default_window if window is None else window
+    horizon = warmup + window
+    plan = wired.plan(system, seed)
+
+    if fidelity is not None and fidelity != "exact":
+        from repro.core.fidelity import fast_point, require_plain_run
+
+        require_plain_run(fidelity, adaptive=adaptive)
+        base = params or default_params()
+        eff = scenario.effective_workload(base.workload, warmup, horizon, tier=fidelity)
+        result = fast_point(
+            plan,
+            system=system,
+            x=users,
+            users=users,
+            tier=fidelity,
+            params=replace(base, workload=eff),
+            seed=seed,
+            warmup=warmup,
+            window=window,
+        )
+        return ScenarioPointResult(
+            system=system, scenario=scenario.name, x=users, result=result, audit=None
+        )
+
+    node = server_node(plan)
+    run = new_run(seed, params, monitored=(node,))
+    key = (system, str(users))
+    retry = mediation = None
+    if scenario.faults is not None:
+        # Every run under faults, faulted or its retry-only baseline,
+        # draws backoff jitter from the stream the fault tables pin.
+        retry = default_retry_policy(
+            run.rng.stream("retry", *key, scenario.name, "faulted"),
+            breaker=scenario.faults.breaker,
+        )
+        mediation = RetryPolicy(
+            max_attempts=2, base_backoff=0.25, max_backoff=2.0, rng=run.rng.stream("cs-retry", *key)
+        )
+    registrar = _loop_retry(run, "registrar-retry", users)
+    advertiser = _loop_retry(run, "advertiser-retry", users)
+    dep = compile_plan(
         plan,
-        "lucky0",
-        lambda uid: {"filter": "(objectclass=MdsHost)"},
-        p.giis.request_size,
-        uc_clients(run, users),
+        run,
+        mediation_retry=mediation,
+        registration_retry=registrar,
+        advertise_retry=advertiser,
     )
+    ops = apply_scenario(scenario, run, dep, horizon=horizon, key=key)
 
-
-_MONITORED = {
-    "hawkeye-agent": ("lucky4",),
-    "rgma-ps-lucky": ("lucky3",),
-    "rgma-ps-uc": ("lucky3",),
-    "mds-giis": ("lucky0",),
-    "hawkeye-manager": ("lucky3",),
-    "rgma-registry-lucky": ("lucky1",),
-    "rgma-registry-uc": ("lucky1",),
-    "mds-registration": ("lucky0",),
-}
+    if wired.clients == "lucky":
+        clients = lucky_clients(run, users, exclude=(node,))
+    else:
+        clients = uc_clients(run, users)
+    assert dep.entry is not None
+    result = drive(
+        run,
+        system=system,
+        x=users,
+        service=dep.entry,
+        clients=clients,
+        server_host=run.testbed.lucky[node],
+        payload_fn=lambda uid: dict(wired.payload),
+        request_size=getattr(run.params, wired.request_size).request_size,
+        services_by_user=[dep.route(c) for c in clients] if dep.routed else None,
+        warmup=warmup,
+        window=window,
+        retry=retry,
+        adaptive=adaptive,
+        scenario=scenario,
+    )
+    audit = _audit_run(
+        run,
+        dep,
+        ops,
+        horizon=horizon,
+        window_start=warmup,
+        control=_control_counters(dep, registrar, advertiser, horizon),
+    )
+    return ScenarioPointResult(
+        system=system, scenario=scenario.name, x=users, result=result, audit=audit
+    )
 
 
 def run_scenario_point(
@@ -342,113 +455,22 @@ def run_scenario_point(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
     fidelity: str | None = None,
 ) -> ScenarioPointResult:
-    """One (system, scenario, users) coordinate on the exact DES.
+    """One (system, scenario, users) coordinate (see :func:`run_wired`).
 
-    ``fidelity`` routes environment-free scenarios (no churn, no WAN)
-    through the fast tiers: the scenario collapses to an *effective
-    workload* (window-mean arrival factor, population-mean think time)
-    via :meth:`Scenario.effective_workload`, and the audit is ``None``
-    because fast tiers model no per-request accounting.
-
-    ``faults`` composes an ordinary :class:`~repro.sim.faults.FaultPlan`
-    with the scenario — outages are depth-counted, so a crash window
-    overlapping a churn-out never double-frees a server.
+    ``scenario`` is a registry name, a ``*.scenario.json`` path or a
+    :class:`Scenario`.
     """
-    sc = resolve_scenario(scenario)
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown scenario system {system!r}; pick from {SYSTEMS}")
-    limit_systems = {"rgma-ps-uc": exp1.UC_VARIANT_MAX_USERS, "rgma-registry-uc": exp2.UC_VARIANT_MAX_USERS}
-    if users > limit_systems.get(system, users):
-        raise ValueError(f"{system} supports at most {limit_systems[system]} users")
-
-    default_warmup, default_window = measurement_window()
-    warmup = default_warmup if warmup is None else warmup
-    window = default_window if window is None else window
-    horizon = warmup + window
-
-    if fidelity is not None and fidelity != "exact":
-        blocked = sc.requires_exact()
-        if blocked:
-            raise ScenarioError(
-                f"scenario {sc.name!r} uses {', '.join(blocked)}; fast tiers "
-                "model steady state only — run the exact DES"
-            )
-        if system == "mds-registration":
-            raise ScenarioError("mds-registration has no fast-tier projection")
-        base = params or default_params()
-        eff = sc.effective_workload(base.workload, warmup, horizon, tier=fidelity)
-        run_point = exp1.run_point if system in exp1.SYSTEMS else exp2.run_point
-        result = run_point(
-            system,
-            users,
-            seed,
-            params=replace(base, workload=eff),
-            warmup=warmup,
-            window=window,
-            fidelity=fidelity,
-        )
-        return ScenarioPointResult(
-            system=system, scenario=sc.name, x=users, result=result, audit=None
-        )
-
-    monitored = _MONITORED.get(system, ("lucky7",))
-    run = new_run(seed, params, monitored=monitored)
-    plan, server_node, payload_fn, request_size, clients = _wiring(
-        system, run, users, seed
-    )
-    reg_retry = None
-    if system == "mds-registration":
-        reg_retry = RetryPolicy(
-            max_attempts=3,
-            base_backoff=0.5,
-            max_backoff=4.0,
-            rng=run.rng.stream("registrar-retry", str(users)),
-        )
-    cs_retry = None
-    if system.startswith("rgma") and (retry is not None or faults is not None):
-        cs_retry = RetryPolicy(
-            max_attempts=2,
-            base_backoff=0.25,
-            max_backoff=2.0,
-            rng=run.rng.stream("cs-retry", system, str(users)),
-        )
-    dep = compile_plan(
-        plan, run, mediation_retry=cs_retry, registration_retry=reg_retry
-    )
-    ops = apply_scenario(sc, run, dep, horizon=horizon)
-
-    assert dep.entry is not None
-    result = drive(
-        run,
-        system=system,
-        x=users,
-        service=dep.entry,
-        clients=clients,
-        server_host=run.testbed.lucky[server_node],
-        payload_fn=payload_fn,
-        request_size=request_size,
-        services_by_user=[dep.route(c) for c in clients] if dep.routed else None,
+    return run_wired(
+        system,
+        resolve_scenario(scenario),
+        users,
+        seed,
+        params=params,
         warmup=warmup,
         window=window,
-        retry=retry,
-        faults=faults,
-        fault_services=dep.fault_services if faults is not None else None,
-        scenario=sc,
-    )
-    audit = _audit_run(
-        run,
-        dep,
-        ops,
-        horizon=horizon,
-        window_start=warmup,
-        window_end=horizon,
-    )
-    return ScenarioPointResult(
-        system=system, scenario=sc.name, x=users, result=result, audit=audit
+        fidelity=fidelity,
     )
 
 
@@ -459,10 +481,16 @@ def sweep(
     seed: int = 1,
     **kwargs: _t.Any,
 ) -> list[ScenarioPointResult]:
-    """One scenario across user counts (cached/fanned like any sweep)."""
+    """One scenario across the user counts ``system`` supports.
+
+    Cached and fanned out like any sweep; the UC variants skip user
+    counts past their cap, as the figure sweeps do.
+    """
     sc = resolve_scenario(scenario)
     return sweep_points(
-        run_scenario_point, [(system, sc, users, seed) for users in x_values], **kwargs
+        run_scenario_point,
+        [(system, sc, users, seed) for users in within_cap(system, x_values)],
+        **kwargs,
     )
 
 

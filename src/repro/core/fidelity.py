@@ -78,20 +78,19 @@ class FidelityError(ValueError):
     """A scenario a fast tier cannot model faithfully."""
 
 
-def require_plain_run(tier: str, **features: object) -> None:
-    """Reject experiment features the fast tiers do not model.
+def require_plain_run(tier: str, *, adaptive: object = None) -> None:
+    """Reject a tier name the repo does not know, or an adaptive run.
 
-    The fast tiers compute steady-state query-path metrics only; any
-    truthy keyword (``retry=``, ``faults=``, ``adaptive=`` ...) names a
-    feature that needs the exact per-client DES.
+    The fast tiers compute steady-state query-path metrics only, so the
+    adaptive (detected steady-state window) mode needs the exact
+    per-client DES.  Scenario models that need it — churn, WAN weather,
+    faults — are named by :meth:`~repro.core.scenario.model.Scenario.requires_exact`.
     """
     if tier not in TIERS:
         raise FidelityError(f"unknown fidelity tier {tier!r}; pick from {TIERS}")
-    on = sorted(name for name, value in features.items() if value)
-    if on:
+    if adaptive:
         raise FidelityError(
-            f"fidelity tier {tier!r} cannot model {', '.join(on)}; "
-            "use the exact tier for those runs"
+            f"fidelity tier {tier!r} cannot model adaptive; use the exact tier for those runs"
         )
 
 
@@ -577,14 +576,19 @@ def model_for_plan(plan: DeploymentPlan, params: StudyParams | None = None) -> S
 
     Covers every exp1/exp2/exp3 scenario and the hierarchy trees.
     Experiment-4 aggregate scenarios (serialized query-all with crash
-    limits, wire advertising banks) raise :class:`FidelityError` — they
-    need the exact tier.
+    limits, wire advertising banks) and the fault-experiment control
+    planes (soft-state registrars, resilient advertisers) raise
+    :class:`FidelityError` — they need the exact tier.
     """
     p = params or default_params()
     entry = plan.node(plan.entry)
-    if any(e.options.get("mode") == "wire" for e in plan.edges):
+    if any(
+        e.options.get("mode") in ("wire", "resilient") or e.options.get("soft_state")
+        for e in plan.edges
+    ):
         raise FidelityError(
-            f"plan {plan.name!r}: wire-advertising banks need the exact tier"
+            f"plan {plan.name!r}: wire control-plane loops (advertising banks, "
+            "soft-state registrars) need the exact tier"
         )
     if plan.system is System.MDS:
         if entry.role is Role.INFORMATION_SERVER:

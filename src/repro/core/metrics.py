@@ -20,7 +20,7 @@ import typing as _t
 from dataclasses import dataclass, field
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.faults import Outage
+    from repro.core.scenario.model import Outage
     from repro.sim.host import Host
     from repro.sim.monitor import Ganglia
     from repro.sim.rpc import RetryStats

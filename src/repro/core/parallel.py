@@ -17,9 +17,8 @@ exploits that twice:
   bench runs skip already-computed points entirely.
 
 Specs whose arguments cannot be canonicalized (shared mutable objects
-like :class:`~repro.sim.rpc.RetryPolicy` or
-:class:`~repro.sim.faults.FaultPlan`) are executed inline, serially, in
-submission order — exactly as the serial path would — because farming
+like :class:`~repro.sim.rpc.RetryPolicy`) are executed inline, serially,
+in submission order — exactly as the serial path would — because farming
 them out would silently fork their state.
 
 Cache invalidation: the key embeds ``source_stamp()``, a digest of

@@ -38,17 +38,14 @@ from repro.core.stats import (
     detect_steady_state,
 )
 from repro.core.params import StudyParams, WorkloadParams, default_params, measurement_window
+from repro.core.scenario.model import PLAIN, Scenario
 from repro.core.testbed import Testbed, build_testbed
 from repro.core.workload import spawn_users
 from repro.sim.engine import Simulator
-from repro.sim.faults import FaultPlan, install_faults
 from repro.sim.host import Host
 from repro.sim.network import Network
 from repro.sim.randomness import RngHub
 from repro.sim.rpc import RetryPolicy, Service
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.core.scenario.model import Scenario
 
 __all__ = ["ScenarioRun", "PointResult", "new_run", "drive"]
 
@@ -79,7 +76,7 @@ class PointResult:
     crashed: bool = False
     crash_reason: str | None = None
     sim_events: int = 0
-    # Populated only for runs driven with a RetryPolicy or FaultPlan.
+    # Populated only for runs whose clients retry (scenarios with faults).
     resilience: ResilienceSummary | None = None
     # Populated only by the adaptive measurement mode: the detected
     # steady-state window of this run, and — once replications have
@@ -138,25 +135,22 @@ def drive(
     warmup: float | None = None,
     window: float | None = None,
     retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    fault_services: _t.Sequence[Service] | None = None,
     adaptive: AdaptiveConfig | bool | None = None,
-    scenario: "Scenario | None" = None,
+    scenario: Scenario = PLAIN,
 ) -> PointResult:
     """Run the workload and reduce the window to one figure point.
-
-    ``retry`` gives every user process client-side resilience;
-    ``faults`` installs a :class:`FaultPlan` on ``fault_services``
-    (defaulting to the anchor ``service``) before the run.  When either
-    is present the result carries a :class:`ResilienceSummary`.
 
     ``scenario`` applies the workload-side generative models: arrival
     modulation scales every user's think time over simulated time, and a
     client mix splits the population across think patterns (group 0
-    draws from the exact stream a scenario-free run uses, so an empty
-    scenario reproduces it byte-for-byte).  Churn and WAN weather are
-    environment models — install them with
+    draws from the stream ``("workload", system, x)``, so a mix-free
+    scenario draws exactly what :data:`PLAIN` does).  Churn, WAN weather
+    and faults are environment models — install them with
     :func:`repro.core.scenario.apply.apply_scenario` before calling.
+
+    ``retry`` gives every user process client-side resilience; the
+    result then carries a :class:`ResilienceSummary` measured against
+    the scenario's outages.
 
     A truthy ``adaptive`` (``True`` or an
     :class:`~repro.core.stats.AdaptiveConfig`) switches this run to the
@@ -167,54 +161,32 @@ def drive(
     warmup = default_warmup if warmup is None else warmup
     window = default_window if window is None else window
     wp = workload or run.params.workload
-    if faults is not None:
-        install_faults(run.sim, list(fault_services or [service]), faults)
-    if scenario is None:
+    think_scale = scenario.think_scale if scenario.arrivals else None
+    first = 0
+    for index, (count, group_wp) in enumerate(scenario.component_workloads(wp, len(clients))):
+        # Only extra mix groups get their own streams, so a scenario
+        # without a mix perturbs nothing.
+        parts = ("workload", system, str(x)) + ((f"mix{index}",) if index else ())
         spawn_users(
             run.sim,
             run.net,
-            clients,
+            clients[first : first + count],
             service,
             log=run.log,
-            wp=wp,
-            rng=run.rng.stream("workload", system, str(x)),
+            wp=group_wp,
+            rng=run.rng.stream(*parts),
             payload_fn=payload_fn,
             request_size=request_size,
-            services_by_user=services_by_user,
+            services_by_user=(
+                services_by_user[first : first + count]
+                if services_by_user is not None
+                else None
+            ),
             retry=retry,
+            think_scale=think_scale,
+            first_id=first,
         )
-    else:
-        think_scale = scenario.think_scale if scenario.arrivals else None
-        first = 0
-        for index, (count, group_wp) in enumerate(
-            scenario.component_workloads(wp, len(clients))
-        ):
-            # Group 0 draws from the exact stream a scenario-free run
-            # uses; only extra mix groups get their own streams, so a
-            # scenario without a mix perturbs nothing.
-            parts = ("workload", system, str(x)) + (
-                (f"mix{index}",) if index else ()
-            )
-            spawn_users(
-                run.sim,
-                run.net,
-                clients[first : first + count],
-                service,
-                log=run.log,
-                wp=group_wp,
-                rng=run.rng.stream(*parts),
-                payload_fn=payload_fn,
-                request_size=request_size,
-                services_by_user=(
-                    services_by_user[first : first + count]
-                    if services_by_user is not None
-                    else None
-                ),
-                retry=retry,
-                think_scale=think_scale,
-                first_id=first,
-            )
-            first += count
+        first += count
     horizon = warmup + window
     run.sim.run(until=horizon)
 
@@ -240,13 +212,14 @@ def drive(
         (s.crash_reason for s in run.services.values() if s.crash_reason), None
     )
     resilience = None
-    if retry is not None or faults is not None:
+    if retry is not None:
+        outages = scenario.faults.outages if scenario.faults is not None else ()
         resilience = resilience_summary(
             run.log,
             window_start=start,
             window_end=end,
-            outages=faults.outages_within(start, end) if faults else (),
-            retry_stats=retry.stats if retry is not None else None,
+            outages=[o for o in outages if o.end > start and o.start < end],
+            retry_stats=retry.stats,
         )
     return PointResult(
         system=system,

@@ -2,8 +2,8 @@
 
 ``repro.core.scenario`` turns the paper's static measurement points
 into *scenarios*: seeded, declarative JSON bundles of diurnal/flash
-arrival modulation, registrant churn, correlated WAN weather and
-heterogeneous client mixes (:mod:`~repro.core.scenario.model`), with a
+arrival modulation, registrant churn, correlated WAN weather,
+heterogeneous client mixes and injected faults (:mod:`~repro.core.scenario.model`), with a
 strict codec (:mod:`~repro.core.scenario.codec`), DES installation
 (:mod:`~repro.core.scenario.apply`), a metamorphic fuzzer
 (:mod:`~repro.core.scenario.fuzz`) and the ``repro-scenario`` CLI
@@ -17,7 +17,10 @@ from repro.core.scenario.model import (
     ArrivalModel,
     ChurnEvent,
     ChurnModel,
+    FaultModel,
     MixComponent,
+    Outage,
+    PLAIN,
     Scenario,
     ScenarioError,
     WanEpisode,
@@ -49,7 +52,10 @@ __all__ = [
     "ArrivalModel",
     "ChurnEvent",
     "ChurnModel",
+    "FaultModel",
     "MixComponent",
+    "Outage",
+    "PLAIN",
     "Scenario",
     "ScenarioError",
     "ScenarioOps",

@@ -1,7 +1,7 @@
 """Applying a :class:`Scenario`'s environment models to the exact DES.
 
 :func:`apply_scenario` installs the *environment* half of a scenario —
-registrant churn and WAN weather — onto a compiled
+registrant churn, WAN weather and injected faults — onto a compiled
 :class:`~repro.core.topology.adapters.Deployment` before the workload
 runs.  (The workload half — arrival modulation and client mixes — rides
 into :func:`repro.core.runner.drive` via its ``scenario`` parameter.)
@@ -21,9 +21,14 @@ Churn is real register/unregister traffic, per system:
   only (connections refused while the node is out).
 
 In every system the churned node's :class:`~repro.sim.rpc.Service`
-objects are :meth:`~repro.sim.rpc.Service.fail`-ed for the outage;
-outages are depth-counted, so churn composes with an overlapping
-:class:`~repro.sim.faults.FaultPlan` without double-frees.
+objects are :meth:`~repro.sim.rpc.Service.fail`-ed for the outage.
+
+Faults land on the plan's ``fault_target`` nodes: one controller crashes
+and restarts their services on the :class:`~repro.core.scenario.model.
+FaultModel`'s outage windows, and a :class:`~repro.sim.faults.
+FaultInjector` drops or stalls requests when the model asks for it.
+Outages are depth-counted, so a crash window overlapping a churn-out
+never double-frees a server.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ import typing as _t
 from dataclasses import dataclass, field
 
 from repro.core.runner import ScenarioRun
-from repro.core.scenario.model import ChurnEvent, Scenario
+from repro.core.scenario.model import ChurnEvent, Outage, Scenario, ScenarioError
 from repro.core.topology.adapters import Deployment
 from repro.core.topology.plan import CollectorSpec, EdgeKind
 from repro.errors import ServiceCrashError
 from repro.mds.giis import GIIS
+from repro.sim.faults import DropInjector, FaultInjector, StallInjector
 from repro.sim.network import WanConditions
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -59,10 +65,15 @@ class ScenarioOps:
     directory_errors: int = 0  # register/unregister refused (crashed directory)
     wan_episodes: int = 0
     messages_lost: int = 0
+    outages: tuple[Outage, ...] = ()
 
     @property
     def last_churn_end(self) -> float:
         return max((e.rejoin for e in self.churn_events), default=0.0)
+
+    @property
+    def last_outage_end(self) -> float:
+        return self.outages[-1].end if self.outages else 0.0
 
 
 def churn_candidates(dep: Deployment) -> list[str]:
@@ -171,13 +182,17 @@ def apply_scenario(
     dep: Deployment,
     *,
     horizon: float,
+    key: tuple[str, ...] = (),
 ) -> ScenarioOps:
-    """Install a scenario's churn and WAN controllers on a deployment.
+    """Install a scenario's churn, WAN and fault controllers on a deployment.
 
-    Everything is drawn up front from streams keyed by the scenario's
-    own seed (independent of the run seed and of worker count), then
-    replayed by simulation processes.  A scenario with neither churn nor
-    WAN weather spawns nothing and leaves the run untouched.
+    Churn and WAN weather are drawn up front from streams keyed by the
+    scenario's own seed (independent of the run seed and of worker
+    count), then replayed by simulation processes.  The drop and stall
+    injectors draw per request from ``("drop"|"stall", *key,
+    scenario.name)``; ``key`` names the point (system, users).  A
+    scenario with none of the three spawns nothing and leaves the run
+    untouched.
     """
     ops = ScenarioOps()
     sim = run.sim
@@ -240,5 +255,39 @@ def apply_scenario(
 
         if episodes:
             sim.spawn(weather_controller(), name="wan-weather")
+
+    faults = scenario.faults
+    if faults is not None:
+        targets = dep.fault_targets
+        if not targets:
+            raise ScenarioError(
+                f"scenario {scenario.name!r} injects faults but plan "
+                f"{dep.plan.name!r} marks no fault_target node"
+            )
+        drop = stall = None
+        if faults.drop > 0:
+            drop = DropInjector(faults.drop, run.rng.stream("drop", *key, scenario.name))
+        if faults.stall > 0:
+            stream = run.rng.stream("stall", *key, scenario.name)
+            stall = StallInjector(faults.stall, faults.stall_seconds, stream)
+        if drop is not None or stall is not None:
+            injector = FaultInjector(drop, stall)
+            for svc in targets:
+                svc.faults = injector
+        ops.outages = faults.outages
+        reason = f"injected {scenario.name}"
+
+        def outage_controller() -> _t.Generator:
+            for outage in faults.outages:
+                if outage.start > sim.now:
+                    yield sim.timeout(outage.start - sim.now)
+                for svc in targets:
+                    svc.fail(reason)
+                yield sim.timeout(outage.end - sim.now)
+                for svc in targets:
+                    svc.restore()
+
+        if faults.outages:
+            sim.spawn(outage_controller(), name=f"faults:{targets[0].name}")
 
     return ops

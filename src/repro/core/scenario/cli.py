@@ -62,6 +62,12 @@ def _describe(scenario: Scenario) -> str:
         parts.append(
             "mix(" + ", ".join(f"{c.fraction:.0%} {c.pattern}" for c in scenario.mix) + ")"
         )
+    if scenario.faults is not None:
+        faults = scenario.faults
+        parts.append(
+            f"faults(outages={len(faults.outages)}, drop={faults.drop:g}, "
+            f"stall={faults.stall:g}, breaker={'on' if faults.breaker else 'off'})"
+        )
     return "; ".join(parts) if parts else "empty (changes nothing)"
 
 
@@ -155,6 +161,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "wan_episodes": result.audit.wan_episodes,
                 "messages_lost": result.audit.messages_lost,
             }
+            if result.audit.control:
+                doc["control"] = result.audit.control
         print(json.dumps(doc, indent=2))
     else:
         print(format_scenario_table([result]))
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fidelity",
         choices=("exact", "cohort", "meanfield"),
         default=None,
-        help="fast tiers accept environment-free scenarios only",
+        help="fast tiers accept scenarios without churn, WAN weather or faults only",
     )
     p_run.add_argument("--json", action="store_true")
 

@@ -1,6 +1,6 @@
 """Scenario files: JSON persistence for :class:`Scenario`.
 
-A ``.scenario.json`` file is plain JSON — the four generative model
+A ``.scenario.json`` file is plain JSON — the five generative model
 sections keyed by name — so scenarios live next to the plans they pair
 with (``examples/*.scenario.json``) and are validated in CI with
 ``repro-scenario check``.  The codec is strict the way the plan codec
@@ -18,7 +18,9 @@ from pathlib import Path
 from repro.core.scenario.model import (
     ArrivalModel,
     ChurnModel,
+    FaultModel,
     MixComponent,
+    Outage,
     Scenario,
     ScenarioError,
     WanEpisode,
@@ -111,6 +113,12 @@ def dumps(scenario: Scenario) -> str:
         doc["wan"] = wan
     if scenario.mix:
         doc["mix"] = [_to_dict(c) for c in scenario.mix]
+    if scenario.faults is not None:
+        faults: dict[str, _t.Any] = {}
+        if scenario.faults.outages:
+            faults["outages"] = [_to_dict(o) for o in scenario.faults.outages]
+        faults.update(_to_dict(scenario.faults, skip=("outages",)))
+        doc["faults"] = faults
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -122,7 +130,7 @@ def loads(text: str) -> Scenario:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("a scenario file must hold a JSON object")
-    known = {"name", "description", "seed", "plan", "arrivals", "churn", "wan", "mix"}
+    known = {"name", "description", "seed", "plan", "arrivals", "churn", "wan", "mix", "faults"}
     unknown = set(doc) - known
     if unknown:
         raise ScenarioError(f"unknown top-level fields {sorted(unknown)}")
@@ -158,6 +166,14 @@ def loads(text: str) -> Scenario:
         _from_dict(MixComponent, raw, where=f"mix[{i}]")
         for i, raw in enumerate(_seq(doc, "mix"))
     )
+    faults = None
+    if "faults" in doc:
+        raw = dict(_obj(doc, "faults"))
+        raw["outages"] = tuple(
+            _from_dict(Outage, o, where=f"faults.outages[{i}]")
+            for i, o in enumerate(_seq(raw, "outages"))
+        )
+        faults = _from_dict(FaultModel, raw, where="faults")
     return Scenario(
         name=doc["name"],
         description=doc.get("description", ""),
@@ -167,6 +183,7 @@ def loads(text: str) -> Scenario:
         churn=churn,
         wan=wan,
         mix=mix,
+        faults=faults,
     ).validate()
 
 

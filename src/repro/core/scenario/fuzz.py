@@ -14,23 +14,28 @@ crowd.  What we *do* know are properties that must hold for every
 * **cache bounds** — ``0 <= hits <= lookups`` on every directory cache;
 * **churn bookkeeping** — rejoins never outnumber leaves,
   re-registrations never outnumber unregistrations, and no service is
-  still down at the horizon once every churned node has rejoined;
-* **recovery** — if churn ended comfortably before the horizon, OK
-  completions resumed afterwards;
+  still down at the horizon once every churned node has rejoined and
+  every injected outage has ended (the churn x crash no-double-free
+  check);
+* **recovery** — if churn and outages ended comfortably before the
+  horizon, OK completions resumed afterwards;
 
 plus two *metamorphic* relations between deliberately-related runs:
 
 * **monotone load** — doubling the closed-loop population must not
   collapse throughput unless contention signals (refusals, timeouts,
-  errors) rise with it;
+  errors) rise with it (fault-free scenarios; under faults the doubled
+  run is held to the single-run invariants);
 * **time extension** — lengthening the measurement window of an
-  environment-free scenario (no churn/WAN, whose event draws depend on
-  the horizon) only appends events: every monotone counter is ``>=``
-  its shorter-run value.
+  environment-free scenario (no churn/WAN/faults, whose events depend on
+  the horizon or the clients' retries) only appends events: every
+  monotone counter is ``>=`` its shorter-run value.
 
 :func:`run_fuzz` draws ``count`` cases from streams keyed only by
 ``(seed, index)`` — fully deterministic, independent of worker count —
-and checks each.  :func:`minimize` shrinks a failing case model by
+and checks each.  Faults (outages, drops, stalls, the breaker) come
+from a stream of their own, so adding them left every other draw
+unchanged.  :func:`minimize` shrinks a failing case model by
 model for the committed repro corpus (``tests/fuzz_corpus/``), which
 :func:`load_case` replays.
 """
@@ -44,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.experiments import exp1, exp2
+from repro.core.experiments.common import wiring
 from repro.core.experiments.scenarios import (
     RECOVERY_SLACK,
     SYSTEMS,
@@ -56,7 +61,9 @@ from repro.core.scenario import codec
 from repro.core.scenario.model import (
     ArrivalModel,
     ChurnModel,
+    FaultModel,
     MixComponent,
+    Outage,
     Scenario,
     ScenarioError,
     WanWeather,
@@ -86,10 +93,10 @@ MONOTONE_TOLERANCE = 0.10
 #: Window stretch factor for the time-extension relation.
 EXTENSION_FACTOR = 1.5
 
-_USER_CAPS = {
-    "rgma-ps-uc": exp1.UC_VARIANT_MAX_USERS,
-    "rgma-registry-uc": exp2.UC_VARIANT_MAX_USERS,
-}
+#: The systems cases are drawn from: every wired system but
+#: hawkeye-advertise, which joined the table after the corpus was
+#: drawn; leaving it out keeps every seed mapped to the case it drew.
+_DRAWN = tuple(s for s in SYSTEMS if s != "hawkeye-advertise")
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,31 @@ def _round(x: float, places: int = 3) -> float:
     return round(float(x), places)
 
 
-def _draw_scenario(rng: np.random.Generator, name: str, warmup: float, window: float) -> Scenario:
+def _draw_faults(rng: np.random.Generator, warmup: float, window: float) -> FaultModel | None:
+    if rng.random() >= 0.45:
+        return None
+    outages = []
+    t = warmup
+    for _ in range(int(rng.integers(1, 3)) if rng.random() < 0.8 else 0):
+        start = _round(t + rng.uniform(0.5, 0.3 * window))
+        outages.append(Outage(start=start, duration=_round(rng.uniform(1.0, 0.2 * window))))
+        t = outages[-1].end
+    return FaultModel(
+        outages=tuple(outages),
+        drop=_round(rng.uniform(0.0, 0.2)) if rng.random() < 0.3 else 0.0,
+        stall=_round(rng.uniform(0.0, 0.3)) if rng.random() < 0.3 else 0.0,
+        stall_seconds=_round(rng.uniform(0.2, 2.0)),
+        breaker=bool(rng.random() < 0.8),
+    )
+
+
+def _draw_scenario(
+    rng: np.random.Generator,
+    name: str,
+    warmup: float,
+    window: float,
+    faults_rng: np.random.Generator,
+) -> Scenario:
     horizon = warmup + window
     arrivals: list[ArrivalModel] = []
     for _ in range(int(rng.integers(0, 3))):
@@ -207,20 +238,21 @@ def _draw_scenario(rng: np.random.Generator, name: str, warmup: float, window: f
         churn=churn,
         wan=wan,
         mix=mix,
+        faults=_draw_faults(faults_rng, warmup, window),
     ).validate()
 
 
 def draw_case(seed: int, index: int) -> FuzzCase:
     """The ``index``-th case of fuzz run ``seed`` — a pure function.
 
-    Every draw comes from the stream ``("fuzz", seed, index)``, so case
-    *i* is identical however many workers run and whatever order cases
-    execute in.
+    Every draw comes from the streams ``("fuzz", seed, index)`` and
+    ``("fuzz", seed, index, "faults")``, so case *i* is identical however
+    many workers run and whatever order cases execute in.
     """
-    rng = RngHub(seed).stream("fuzz", str(seed), str(index))
-    system = SYSTEMS[int(rng.integers(0, len(SYSTEMS)))]
-    users = int(rng.integers(4, 25))
-    users = min(users, _USER_CAPS.get(system, users))
+    hub = RngHub(seed)
+    rng = hub.stream("fuzz", str(seed), str(index))
+    system = _DRAWN[int(rng.integers(0, len(_DRAWN)))]
+    users = min(int(rng.integers(4, 25)), wiring(system).max_users)
     warmup = 4.0
     window = _round(rng.uniform(12.0, 20.0), 1)
     return FuzzCase(
@@ -229,7 +261,13 @@ def draw_case(seed: int, index: int) -> FuzzCase:
         seed=int(rng.integers(1, 7)),
         warmup=warmup,
         window=window,
-        scenario=_draw_scenario(rng, f"fuzz-{seed}-{index}", warmup, window),
+        scenario=_draw_scenario(
+            rng,
+            f"fuzz-{seed}-{index}",
+            warmup,
+            window,
+            hub.stream("fuzz", str(seed), str(index), "faults"),
+        ),
     )
 
 
@@ -281,36 +319,39 @@ def audit_violations(audit: RunAudit, *, min_tail: float = 0.0) -> list[str]:
             f"churn-bookkeeping: {audit.directory_registers} re-registers "
             f"> {audit.directory_unregisters} unregisters"
         )
-    if audit.churn_leaves and audit.churn_rejoins == audit.churn_leaves:
+    released = (
+        audit.churn_rejoins == audit.churn_leaves and audit.last_outage_end < audit.horizon
+    )
+    if (audit.churn_leaves or audit.last_outage_end) and released:
         stuck = [n for n, s in audit.services.items() if s.down_at_end]
         if stuck:
             v.append(
-                f"stuck-down: every churned node rejoined but {stuck} "
-                "still down at the horizon (unbalanced fail/restore?)"
+                f"stuck-down: every churned node rejoined and every outage ended "
+                f"but {stuck} still down at the horizon (unbalanced fail/restore?)"
             )
     if (
-        audit.ok_after_churn == 0
-        and audit.churn_rejoins == audit.churn_leaves
-        and audit.last_churn_end + RECOVERY_SLACK + min_tail < audit.horizon
+        audit.ok_after_recovery == 0
+        and released
+        and audit.recovery_point + RECOVERY_SLACK + min_tail < audit.horizon
     ):
         v.append(
-            f"recovery: churn ended at t={audit.last_churn_end:.1f} "
+            f"recovery: churn and outages ended at t={audit.recovery_point:.1f} "
             f"(horizon {audit.horizon:.1f}) but no OK completion started after "
-            f"t={audit.last_churn_end + RECOVERY_SLACK:.1f}"
+            f"t={audit.recovery_point + RECOVERY_SLACK:.1f}"
         )
     return v
 
 
 def _recovery_tail(case: FuzzCase, audit: RunAudit, response_time: float) -> float:
-    """The churn-free tail a run needs before recovery is *expected*.
+    """The disruption-free tail a run needs before recovery is *expected*.
 
     A closed-loop user must first drain whatever request was in flight
-    when churn ended (~one response time), wait one (modulated) think
-    time, then start AND finish a new request before the horizon — on a
-    saturated system (the uncached GRIS serves in >10 s) that is two
-    more response times than an idle one.
+    when churn or the last outage ended (~one response time), wait one
+    (modulated) think time, then start AND finish a new request before
+    the horizon — on a saturated system (the uncached GRIS serves in
+    >10 s) that is two more response times than an idle one.
     """
-    start = audit.last_churn_end + RECOVERY_SLACK
+    start = audit.recovery_point + RECOVERY_SLACK
     if start >= audit.horizon:
         return 0.0
     span = audit.horizon - start
@@ -337,7 +378,7 @@ def check_case(case: FuzzCase, *, metamorphic: bool = True) -> CaseReport:
 
     if metamorphic:
         # Monotone load: double the population (respecting validity caps).
-        doubled_users = min(2 * case.users, _USER_CAPS.get(case.system, 2 * case.users))
+        doubled_users = min(2 * case.users, wiring(case.system).max_users)
         if doubled_users > case.users:
             doubled = run_scenario_point(
                 case.system,
@@ -353,8 +394,13 @@ def check_case(case: FuzzCase, *, metamorphic: bool = True) -> CaseReport:
                 min_tail=_recovery_tail(case, doubled.audit, doubled.result.response_time),
             )
             contention = lambda a: a.client_refused + a.client_timeout + a.client_error  # noqa: E731
+            # Under faults the outage windows and the users' one shared
+            # circuit breaker, not the population, gate what is offered
+            # (and retries hide refusals), so only the doubled run's own
+            # invariants apply there.
             if (
-                doubled.result.throughput
+                case.scenario.faults is None
+                and doubled.result.throughput
                 < base.result.throughput * (1.0 - MONOTONE_TOLERANCE)
                 and contention(doubled.audit) <= contention(base.audit)
             ):
@@ -366,7 +412,8 @@ def check_case(case: FuzzCase, *, metamorphic: bool = True) -> CaseReport:
                 )
 
         # Time extension: only environment-free scenarios have the prefix
-        # property (churn/WAN event draws depend on the horizon).
+        # property (churn/WAN event draws depend on the horizon, and
+        # retries under faults change what clients send).
         if not case.scenario.requires_exact():
             longer = run_scenario_point(
                 case.system,
@@ -431,6 +478,8 @@ def run_fuzz(
 def _shrink_candidates(case: FuzzCase) -> _t.Iterator[FuzzCase]:
     """Simpler variants of ``case``, most aggressive first."""
     sc = case.scenario
+    if sc.faults is not None:
+        yield replace(case, scenario=replace(sc, faults=None))
     if sc.wan is not None:
         yield replace(case, scenario=replace(sc, wan=None))
     if sc.churn is not None:

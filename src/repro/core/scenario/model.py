@@ -1,9 +1,9 @@
-"""Generative scenario models: churn, diurnal load, flash crowds, WAN weather.
+"""Generative scenario models: churn, diurnal load, flash crowds, WAN weather, faults.
 
 The paper measures steady state under fixed user counts; the deployments
 it studied were dominated by *dynamics* — R-GMA's "first results after
 deployment" reports registrant churn and correlated degradation as the
-operational killers.  A :class:`Scenario` bundles four generative models
+operational killers.  A :class:`Scenario` bundles five generative models
 into one declarative, seeded description of those dynamics:
 
 * **arrival modulation** — diurnal sinusoids and flash-crowd spikes that
@@ -16,7 +16,10 @@ into one declarative, seeded description of those dynamics:
   onto :class:`~repro.sim.network.Network` (:class:`WanWeather`);
 * **client mixes** — heterogeneous user populations split across the
   think-time patterns of :data:`~repro.core.workload.THINK_PATTERNS`
-  (:class:`MixComponent`).
+  (:class:`MixComponent`);
+* **faults** — crash/restart outages, connection drops and handler
+  stalls on the plan's fault targets, with clients that retry through
+  them (:class:`FaultModel`).
 
 Everything here is deliberately simulator-free: the same models drive
 the exact DES (:mod:`repro.core.scenario.apply`), the fast fidelity
@@ -45,7 +48,10 @@ __all__ = [
     "WanEpisode",
     "WanWeather",
     "MixComponent",
+    "Outage",
+    "FaultModel",
     "Scenario",
+    "PLAIN",
 ]
 
 # The modulation floor: a rate factor never drops below this, so think
@@ -330,14 +336,65 @@ class MixComponent:
 
 
 @dataclass(frozen=True)
+class Outage:
+    """One crash/restart window: down at ``start``, back at ``end``."""
+
+    start: float
+    duration: float
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+
+@dataclass(frozen=True)
+class FaultModel:
+    """Injected failures on the plan's ``fault_target`` nodes.
+
+    ``outages`` crash every target service at each window's start and
+    restart it at its end; ``drop`` resets that fraction of arriving
+    connections; ``stall`` holds that fraction of admitted requests on
+    their handler thread for ``stall_seconds`` (a hung provider).
+
+    A fault model also arms the clients: users retry with capped
+    exponential backoff behind a circuit breaker (``breaker=False``
+    leaves the breaker out), R-GMA's ConsumerServlet retries its hop to
+    the ProducerServlet, and every point reports a resilience summary.
+    ``FaultModel()`` — retries on, nothing injected — is the clean
+    baseline a faulted run is measured against.
+    """
+
+    outages: tuple[Outage, ...] = ()
+    drop: float = 0.0
+    stall: float = 0.0
+    stall_seconds: float = 1.0
+    breaker: bool = True
+
+    def validate(self) -> "FaultModel":
+        for outage in self.outages:
+            if outage.duration <= 0:
+                raise ScenarioError(f"outage duration must be positive: {outage}")
+        for a, b in zip(self.outages, self.outages[1:]):
+            if b.start < a.end:
+                raise ScenarioError(f"outages must be in time order and disjoint: {a} and {b}")
+        if not 0.0 <= self.drop <= 1.0:
+            raise ScenarioError(f"drop probability out of range: {self.drop}")
+        if not 0.0 <= self.stall <= 1.0:
+            raise ScenarioError(f"stall probability out of range: {self.stall}")
+        if self.stall_seconds < 0:
+            raise ScenarioError(f"stall_seconds must be non-negative: {self.stall_seconds}")
+        return self
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """A declarative, seeded bundle of the four generative models.
+    """A declarative, seeded bundle of the five generative models.
 
     ``plan`` optionally names the deployment this scenario is written
     against — a catalog entry or an ``examples/*.plan`` path — which the
     CI ``scenario-check`` job compiles the pair against.  An empty model
-    (no arrivals, churn, wan or mix) is valid and changes nothing: runs
-    stay byte-identical to scenario-free ones.
+    (no arrivals, churn, wan, mix or faults) is valid and changes
+    nothing: :data:`PLAIN` is the one every figure point runs under.
     """
 
     name: str
@@ -348,6 +405,7 @@ class Scenario:
     churn: ChurnModel | None = None
     wan: WanWeather | None = None
     mix: tuple[MixComponent, ...] = ()
+    faults: FaultModel | None = None
 
     # -- validation --------------------------------------------------------
 
@@ -366,6 +424,8 @@ class Scenario:
             total = sum(c.fraction for c in self.mix)
             if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
                 raise ScenarioError(f"mix fractions must sum to 1, got {total:g}")
+        if self.faults is not None:
+            self.faults.validate()
         return self
 
     # -- arrival modulation ------------------------------------------------
@@ -428,6 +488,8 @@ class Scenario:
             features.append("churn")
         if self.wan is not None:
             features.append("wan")
+        if self.faults is not None:
+            features.append("faults")
         return features
 
     def effective_workload(
@@ -439,15 +501,16 @@ class Scenario:
         client mix becomes its population-weighted mean think time.  The
         cohort tier additionally needs one shared think *pattern* (its
         vectorized sampler runs one pattern per engine); heterogeneous-
-        pattern mixes raise :class:`ScenarioError` there.  Churn and WAN
-        weather are event-level models with no steady-state equivalent —
-        :meth:`requires_exact` names them and callers must reject first.
+        pattern mixes raise :class:`ScenarioError` there.  Churn, WAN
+        weather and faults are event-level models with no steady-state
+        equivalent: :meth:`requires_exact` names them, and this raises
+        :class:`ScenarioError` for any scenario that uses one.
         """
         blocked = self.requires_exact()
         if blocked:
             raise ScenarioError(
-                f"scenario {self.name!r} uses {', '.join(blocked)}; "
-                "those models need the exact DES tier"
+                f"scenario {self.name!r} uses {', '.join(blocked)}; fast tiers "
+                "model steady state only — those models need the exact DES tier"
             )
         think = base.think_time
         pattern = base.pattern
@@ -466,3 +529,7 @@ class Scenario:
                 )
         scale = self.mean_rate_factor(start, end)
         return replace(base, think_time=think / scale, pattern=pattern)
+
+
+#: The scenario that changes nothing: every plain figure point runs under it.
+PLAIN = Scenario(name="plain")

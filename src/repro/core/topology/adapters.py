@@ -17,9 +17,9 @@ the host:
 4. **activate** — the host: ``sim.spawn`` every background loop
    (publishers, advertisers, soft-state registrars, lease sweepers) on
    its testbed node through :func:`~repro.core.desruntime.interpret`,
-   in an order that exactly matches the hand-written experiment wiring
-   (``tests/core/legacy_wiring.py``), so a compiled deployment is
-   event-for-event identical to it.
+   in an order that exactly matches the hand-written experiment oracle
+   in ``tests/core/``, so a compiled deployment is event-for-event
+   identical to it.
 
 Retry policies for the plan's attachment points (CS->PS mediation,
 soft-state registration, resilient advertising) are workload-dependent,
@@ -69,7 +69,6 @@ class Deployment:
     objects: dict[str, _t.Any] = field(default_factory=dict)
     services: dict[str, Service] = field(default_factory=dict)
     entry: Service | None = None
-    fault_services: list[Service] = field(default_factory=list)
     routes: dict[Host, Service] = field(default_factory=dict)
     extras: dict[str, _t.Any] = field(default_factory=dict)
 
@@ -92,6 +91,17 @@ class Deployment:
         prefix = f"{name}:"
         out.extend(svc for key, svc in self.services.items() if key.startswith(prefix))
         return out
+
+    @property
+    def fault_targets(self) -> list[Service]:
+        """The services of the plan's ``fault_target`` nodes: where a
+        scenario's injected faults land."""
+        return [
+            svc
+            for spec in self.plan.nodes
+            if spec.fault_target
+            for svc in self.node_services(spec.name)
+        ]
 
 
 class SystemAdapter:
@@ -154,9 +164,6 @@ class SystemAdapter:
             for key, svc in dep.services.items():
                 if key.startswith(prefix):
                     run.services[key] = svc
-        for spec in plan.nodes:
-            if spec.fault_target:
-                dep.fault_services.extend(dep.node_services(spec.name))
         # Per-host mediator routing (the rgma-ps-lucky consumer layout):
         # when the entry is not itself a mediator, clients talk to the
         # mediator co-located on their own node.

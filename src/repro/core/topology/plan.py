@@ -82,8 +82,9 @@ class NodeSpec:
 
     ``expose`` controls whether the node gets a network service of its
     own; ``tracked`` whether that service joins the run's crash
-    accounting; ``fault_target`` marks where an injected
-    :class:`~repro.sim.faults.FaultPlan` lands.
+    accounting; ``fault_target`` marks where a scenario's
+    :class:`~repro.core.scenario.model.FaultModel` lands (and, for the
+    wired Exp-1/2 points, which host is the server under study).
 
     ``fidelity`` selects the simulation tier used when this node is the
     plan's entry (one of :data:`FIDELITY_TIERS`); ``"exact"`` — the

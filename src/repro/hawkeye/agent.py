@@ -36,8 +36,6 @@ __all__ = ["Agent", "AgentAnswer", "MAX_MODULES"]
 
 MAX_MODULES = 98  # the paper's observed Startd crash threshold
 
-DEFAULT_ADVERTISE_INTERVAL = 30.0  # seconds between Startd ads (paper §3.6)
-
 
 @dataclass
 class AgentAnswer:
@@ -140,12 +138,10 @@ class Agent:
         machine: str,
         modules: _t.Sequence[Module] = (),
         *,
-        advertise_interval: float = DEFAULT_ADVERTISE_INTERVAL,
         seed: int = 0,
     ) -> None:
         self.machine = machine
         self.modules: list[Module] = []
-        self.advertise_interval = advertise_interval
         self._rng = np.random.default_rng(seed)
         self._startd = _Skeleton(_startd_plan(machine))
         self._exec_cost = 0.0

@@ -9,22 +9,14 @@ Public surface:
 * :class:`Host`, :class:`Network` — the testbed fabric;
 * :class:`Service`, :func:`call` — RPC with thread pools and backlogs;
 * :class:`RetryPolicy`, :class:`CircuitBreaker` — client-side resilience;
-* :class:`CrashRestartSchedule`, :class:`FaultPlan` — fault injection;
+* :class:`DropInjector`, :class:`StallInjector` — per-request fault injection;
 * :class:`Ganglia` — the monitoring pipeline of the paper;
 * :class:`RngHub` — named reproducible random streams.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.faults import (
-    CrashRestartSchedule,
-    DropInjector,
-    FaultInjector,
-    FaultPlan,
-    Outage,
-    StallInjector,
-    install_faults,
-)
+from repro.sim.faults import DropInjector, FaultInjector, StallInjector
 from repro.sim.host import Host
 from repro.sim.loadavg import LoadAverage
 from repro.sim.monitor import Ganglia, HostSample
@@ -67,13 +59,9 @@ __all__ = [
     "RetryPolicy",
     "RetryStats",
     "call",
-    "Outage",
-    "CrashRestartSchedule",
     "DropInjector",
     "StallInjector",
     "FaultInjector",
-    "FaultPlan",
-    "install_faults",
     "Ganglia",
     "HostSample",
     "RngHub",

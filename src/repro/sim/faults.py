@@ -1,110 +1,33 @@
-"""Fault injection for simulated services.
+"""Per-request fault injectors for simulated services.
 
 The paper measures saturation but never outright failure — yet its
 successor deployment reports (R-GMA's "first results after deployment")
 found registry/servlet *crashes* dominating early operational
-experience.  This module supplies the missing failure regime:
+experience.  A scenario's :class:`~repro.core.scenario.model.FaultModel`
+supplies that regime; crash/restart outages are
+:meth:`~repro.sim.rpc.Service.fail`/:meth:`~repro.sim.rpc.Service.restore`
+windows (:func:`repro.core.scenario.apply.apply_scenario`), and this
+module holds the per-request half :mod:`repro.sim.rpc` consults:
 
-* :class:`CrashRestartSchedule` — timed outage windows during which a
-  service refuses every new connection (crash) and after which it
-  accepts again (restart);
 * :class:`DropInjector` — transient connection drops (a fraction of
   arriving requests see an immediate connection reset);
 * :class:`StallInjector` — a fraction of admitted requests stall for a
   fixed extra dwell while *holding a handler thread*, modelling the
   provider/cache-miss stalls MDS deployments reported;
-* :class:`FaultPlan` — a bundle of the three, installable on one or
-  more :class:`~repro.sim.rpc.Service` objects.
+* :class:`FaultInjector` — the pair, attached as ``service.faults``.
 
 All randomness is drawn from generators handed in by the caller
-(normally :class:`~repro.sim.randomness.RngHub` streams), so fault
-schedules are exactly reproducible from the experiment seed.
+(:class:`~repro.sim.randomness.RngHub` streams), so injected faults are
+exactly reproducible from the experiment seed.
 """
 
 from __future__ import annotations
-
-import typing as _t
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
-    from repro.sim.rpc import Service
-
-__all__ = [
-    "Outage",
-    "CrashRestartSchedule",
-    "DropInjector",
-    "StallInjector",
-    "FaultInjector",
-    "FaultPlan",
-    "install_faults",
-]
-
-
-@dataclass(frozen=True)
-class Outage:
-    """One crash/restart window: down at ``start``, back at ``end``."""
-
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-
-class CrashRestartSchedule:
-    """A deterministic sequence of service outages.
-
-    Either pass explicit ``outages`` or use :meth:`periodic` for a
-    crash-every-N-seconds flapping pattern.
-    """
-
-    def __init__(self, outages: _t.Iterable[Outage]) -> None:
-        self.outages: tuple[Outage, ...] = tuple(
-            sorted(outages, key=lambda o: o.start)
-        )
-        for outage in self.outages:
-            if outage.duration <= 0:
-                raise SimulationError(f"outage duration must be positive: {outage}")
-        for a, b in zip(self.outages, self.outages[1:]):
-            if b.start < a.end:
-                raise SimulationError(f"overlapping outages: {a} and {b}")
-
-    @classmethod
-    def single(cls, start: float, duration: float) -> "CrashRestartSchedule":
-        """One crash at ``start``, restart ``duration`` seconds later."""
-        return cls([Outage(start, duration)])
-
-    @classmethod
-    def periodic(
-        cls, first: float, duration: float, period: float, count: int
-    ) -> "CrashRestartSchedule":
-        """``count`` outages of ``duration`` seconds, ``period`` apart."""
-        if period <= duration:
-            raise SimulationError(
-                f"period ({period}) must exceed outage duration ({duration})"
-            )
-        return cls([Outage(first + i * period, duration) for i in range(count)])
-
-    def is_down(self, now: float) -> bool:
-        """Whether a service following this schedule is down at ``now``."""
-        return any(o.start <= now < o.end for o in self.outages)
-
-    def within(self, start: float, end: float) -> tuple[Outage, ...]:
-        """Outages overlapping the window ``[start, end]``."""
-        return tuple(o for o in self.outages if o.end > start and o.start < end)
-
-    def total_downtime(self) -> float:
-        return sum(o.duration for o in self.outages)
-
-    def last_end(self) -> float:
-        """Restart time of the final outage (0.0 for an empty schedule)."""
-        return max((o.end for o in self.outages), default=0.0)
+__all__ = ["DropInjector", "StallInjector", "FaultInjector"]
 
 
 class DropInjector:
@@ -153,8 +76,8 @@ class StallInjector:
 
 
 class FaultInjector:
-    """The per-service hook :mod:`repro.sim.rpc` consults; one is
-    attached as ``service.faults`` by :func:`install_faults`."""
+    """The per-service hook :mod:`repro.sim.rpc` consults, attached as
+    ``service.faults``."""
 
     def __init__(
         self,
@@ -169,53 +92,3 @@ class FaultInjector:
 
     def stall_delay(self) -> float:
         return self.stall.sample() if self.stall is not None else 0.0
-
-
-@dataclass
-class FaultPlan:
-    """Everything to inject into one scenario's service(s)."""
-
-    schedule: CrashRestartSchedule | None = None
-    drop: DropInjector | None = None
-    stall: StallInjector | None = None
-    reason: str = "injected fault"
-    installed_on: list["Service"] = field(default_factory=list)
-
-    def outages_within(self, start: float, end: float) -> tuple[Outage, ...]:
-        if self.schedule is None:
-            return ()
-        return self.schedule.within(start, end)
-
-
-def _outage_controller(
-    sim: "Simulator", services: _t.Sequence["Service"], plan: FaultPlan
-) -> _t.Generator:
-    """Crash and restart every target service on the plan's schedule."""
-    assert plan.schedule is not None
-    for outage in plan.schedule.outages:
-        if outage.start > sim.now:
-            yield sim.timeout(outage.start - sim.now)
-        for service in services:
-            service.fail(plan.reason)
-        yield sim.timeout(outage.end - sim.now)
-        for service in services:
-            service.restore()
-
-
-def install_faults(
-    sim: "Simulator", services: _t.Sequence["Service"], plan: FaultPlan
-) -> FaultPlan:
-    """Attach ``plan`` to ``services``: drop/stall injectors take effect
-    immediately; a controller process runs the crash/restart schedule."""
-    if not services:
-        raise SimulationError("install_faults needs at least one service")
-    injector = FaultInjector(drop=plan.drop, stall=plan.stall)
-    for service in services:
-        service.faults = injector
-        plan.installed_on.append(service)
-    if plan.schedule is not None and plan.schedule.outages:
-        sim.spawn(
-            _outage_controller(sim, list(services), plan),
-            name=f"faults:{services[0].name}",
-        )
-    return plan

@@ -15,17 +15,9 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import (
-    build_agent,
-    build_gris,
-    build_rgma_producer_side,
-    lucky_clients,
-    spawn_agent_advertiser,
-    spawn_publisher,
-    uc_clients,
-)
+from repro.core.experiments.common import lucky_clients, uc_clients
 from repro.core.params import StudyParams
-from repro.core.runner import PointResult, drive, new_run
+from repro.core.runner import PointResult, ScenarioRun, drive, new_run
 from repro.core.desruntime import kernel_service
 from repro.core.kernels import (
     AgentKernel,
@@ -43,18 +35,87 @@ from repro.core.testbed import LUCKY_NAMES
 from repro.hawkeye.advertise import synthesize_startd_ad
 from repro.hawkeye.agent import Agent
 from repro.hawkeye.manager import Manager
-from repro.hawkeye.modules import make_default_modules
+from repro.hawkeye.modules import make_default_modules, replicated_modules
 from repro.mds.giis import GIIS
 from repro.mds.gris import GRIS
 from repro.mds.providers import replicated_providers
 from repro.rgma.producer import make_default_producers
 from repro.rgma.producer_servlet import ProducerServlet
 from repro.rgma.registry import Registry
-from repro.sim.faults import FaultPlan
+from repro.sim.host import Host
 from repro.sim.resources import Mutex
-from repro.sim.rpc import RetryPolicy, Service, call
+from repro.sim.rpc import Service, call
 
 __all__ = ["exp1_point", "exp2_point", "exp3_point", "exp4_point"]
+
+
+def build_gris(run: ScenarioRun, *, collectors: int, cached: bool, seed: int = 0) -> GRIS:
+    """A GRIS on lucky7 with ``collectors`` information providers."""
+    ttl = float("inf") if cached else 0.0
+    gris = GRIS("lucky7.mcs.anl.gov", replicated_providers(collectors), cachettl=ttl, seed=seed)
+    if cached:
+        gris.search(now=0.0)  # prime the cache before measurement
+    return gris
+
+
+def build_agent(run: ScenarioRun, *, modules: int, seed: int = 0) -> Agent:
+    """A Hawkeye Agent on lucky4 with ``modules`` sensor modules."""
+    return Agent("lucky4.mcs.anl.gov", replicated_modules(modules), seed=seed)
+
+
+def build_rgma_producer_side(
+    run: ScenarioRun, *, producers: int, seed: int = 0
+) -> tuple[Registry, ProducerServlet]:
+    """Registry on lucky1 plus a ProducerServlet on lucky3 with producers."""
+    registry = Registry("lucky1")
+    servlet = ProducerServlet("lucky3-ps")
+    for producer in make_default_producers("lucky3.mcs.anl.gov", producers, seed=seed):
+        servlet.attach(producer, registry, now=0.0, lease=1e9)
+    servlet.publish_all(now=0.0)  # initial tuples so queries return rows
+    return registry, servlet
+
+
+def spawn_publisher(
+    run: ScenarioRun, servlet: ProducerServlet, host: Host, interval: float = 30.0
+) -> None:
+    """Background measurement rounds: producers publish every ``interval``.
+
+    A DES process written by hand, the oracle for the kernel-op
+    publisher loop that ``activate_plan`` yields.
+    """
+
+    def publisher() -> _t.Generator:
+        while True:
+            yield run.sim.timeout(interval)
+            count = servlet.publish_all(now=run.sim.now)
+            # Buffer inserts burn a little CPU on the servlet host.
+            yield host.compute(0.0008 * count)
+
+    run.sim.spawn(publisher(), name=f"publisher:{servlet.name}")
+
+
+def spawn_agent_advertiser(
+    run: ScenarioRun,
+    agent: Agent,
+    manager_host: Host,
+    ingest_cpu: float,
+    interval: float = 30.0,
+    receive: _t.Callable[[_t.Any, float], None] | None = None,
+) -> None:
+    """Background Startd-ad pushes from an Agent to its Manager host.
+
+    The hand-written oracle for ``activate_plan``'s local advertiser.
+    """
+
+    def advertiser() -> _t.Generator:
+        while True:
+            yield run.sim.timeout(interval)
+            ad, _answer = agent.make_startd_ad(now=run.sim.now)
+            yield manager_host.compute(ingest_cpu)
+            if receive is not None:
+                receive(ad, run.sim.now)
+
+    run.sim.spawn(advertiser(), name=f"advertiser:{agent.machine}")
 
 
 def _gris_service(run, host, gris: GRIS) -> Service:
@@ -75,13 +136,12 @@ def _ps_service(run, host, servlet: ProducerServlet) -> Service:
     return kernel_service(run.sim, run.net, host, kernel.spec())
 
 
-def _cs_service(run, host, name: str, ps_service: Service, retry) -> Service:
+def _cs_service(run, host, name: str, ps_service: Service) -> Service:
     kernel = ConsumerServletKernel(
         name,
         ps_service,
         run.params.consumer_servlet,
         mediation_lock=Mutex(run.sim, name=f"cs:{name}:mediation"),
-        retry=retry,
     )
     return kernel_service(run.sim, run.net, host, kernel.spec())
 
@@ -94,8 +154,6 @@ def exp1_point(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
 ) -> PointResult:
     """The pre-topology Experiment 1 wiring, verbatim."""
     if system.startswith("mds-gris"):
@@ -124,8 +182,6 @@ def exp1_point(
             request_size=p.gris.request_size,
             warmup=warmup,
             window=window,
-            retry=retry,
-            faults=faults,
         )
 
     if system == "hawkeye-agent":
@@ -144,8 +200,6 @@ def exp1_point(
             request_size=p.agent.request_size,
             warmup=warmup,
             window=window,
-            retry=retry,
-            faults=faults,
         )
 
     _registry, servlet = build_rgma_producer_side(run, producers=10, seed=seed)
@@ -154,18 +208,10 @@ def exp1_point(
     run.services["ps"] = ps_service
     spawn_publisher(run, servlet, server_host)
     payload_fn = lambda uid: {"sql": "SELECT * FROM cpuLoad"}  # noqa: E731
-    cs_retry = None
-    if retry is not None or faults is not None:
-        cs_retry = RetryPolicy(
-            max_attempts=2,
-            base_backoff=0.25,
-            max_backoff=2.0,
-            rng=run.rng.stream("cs-retry", system, str(users)),
-        )
 
     if system == "rgma-ps-uc":
         cs_host = run.testbed.uc[0]
-        cs_service = _cs_service(run, cs_host, "uc-cs", ps_service, cs_retry)
+        cs_service = _cs_service(run, cs_host, "uc-cs", ps_service)
         run.services["cs"] = cs_service
         return drive(
             run,
@@ -178,16 +224,13 @@ def exp1_point(
             request_size=p.consumer_servlet.request_size,
             warmup=warmup,
             window=window,
-            retry=retry,
-            faults=faults,
-            fault_services=[ps_service] if faults is not None else None,
         )
 
     cs_nodes = [name for name in run.testbed.lucky if name != "lucky3"]
     cs_services: dict[str, Service] = {}
     for name in cs_nodes:
         cs_services[name] = _cs_service(
-            run, run.testbed.lucky[name], f"{name}-cs", ps_service, cs_retry
+            run, run.testbed.lucky[name], f"{name}-cs", ps_service
         )
     clients = lucky_clients(run, users, exclude=("lucky3",))
     services_by_user = [cs_services[c.name.split(".")[0]] for c in clients]
@@ -203,9 +246,6 @@ def exp1_point(
         services_by_user=services_by_user,
         warmup=warmup,
         window=window,
-        retry=retry,
-        faults=faults,
-        fault_services=[ps_service] if faults is not None else None,
     )
 
 
@@ -236,8 +276,6 @@ def exp2_point(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
 ) -> PointResult:
     """The pre-topology Experiment 2 wiring, verbatim."""
     if system == "mds-giis":
@@ -267,8 +305,6 @@ def exp2_point(
             request_size=p.giis.request_size,
             warmup=warmup,
             window=window,
-            retry=retry,
-            faults=faults,
         )
 
     if system == "hawkeye-manager":
@@ -303,8 +339,6 @@ def exp2_point(
             request_size=p.manager.request_size,
             warmup=warmup,
             window=window,
-            retry=retry,
-            faults=faults,
         )
 
     registry = Registry("lucky1")
@@ -333,8 +367,6 @@ def exp2_point(
         request_size=p.registry.request_size,
         warmup=warmup,
         window=window,
-        retry=retry,
-        faults=faults,
     )
 
 

@@ -21,6 +21,7 @@ from time import perf_counter
 import pytest
 
 from repro.core.experiments import exp1, exp2, exp3, scale
+from repro.core.experiments.scenarios import run_scenario_point
 from repro.core.fidelity import (
     FAST_TIERS,
     FidelityError,
@@ -33,6 +34,7 @@ from repro.core.fidelity import (
     tier_for_plan,
 )
 from repro.core.params import default_params
+from repro.core.scenario.model import FaultModel, Outage, Scenario, ScenarioError
 from repro.core.topology import FIDELITY_TIERS
 from repro.core.topology.catalog import exp1_plan, exp2_plan, exp4_plan, hierarchy_plan
 from repro.core.topology.plan import PlanError
@@ -221,13 +223,17 @@ def test_meanfield_million_user_point_beats_projected_exact():
 def test_fast_tiers_reject_fault_and_adaptive_runs():
     require_plain_run("cohort")  # plain runs pass
     with pytest.raises(FidelityError):
-        require_plain_run("cohort", retry=object())
-    with pytest.raises(FidelityError):
         require_plain_run("meanfield", adaptive=True)
     with pytest.raises(FidelityError):
         require_plain_run("warpspeed")
     with pytest.raises(FidelityError):
-        exp1.run_point("rgma-ps-lucky", 10, fidelity="cohort", retry=object(), **TINY)
+        exp1.run_point("rgma-ps-lucky", 10, fidelity="cohort", adaptive=True, **TINY)
+    crash = Scenario(name="crash", faults=FaultModel(outages=(Outage(2.0, 1.0),)))
+    with pytest.raises(ScenarioError, match="faults"):
+        run_scenario_point("rgma-ps-lucky", crash, 10, fidelity="cohort", **TINY)
+    # The control planes' wire loops have no fast model either.
+    with pytest.raises(FidelityError, match="exact tier"):
+        run_scenario_point("mds-registration", "flash-crowd", 10, fidelity="meanfield", **TINY)
 
 
 def test_exp4_plans_have_no_fast_model():

@@ -1,8 +1,10 @@
 """Tests for the declarative scenario plane (model, codec, DES install)."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.experiments import exp1
+from repro.core.experiments import exp1, scenarios
 from repro.core.experiments.scenarios import (
     NAMED_SCENARIOS,
     run_scenario_point,
@@ -11,15 +13,19 @@ from repro.core.experiments.scenarios import (
 from repro.core.params import WorkloadParams
 from repro.core.runner import new_run
 from repro.core.scenario import codec
+from repro.core.scenario.apply import apply_scenario
 from repro.core.scenario.model import (
     ArrivalModel,
     ChurnModel,
+    FaultModel,
     MixComponent,
+    Outage,
     Scenario,
     ScenarioError,
     WanWeather,
 )
-from repro.sim.faults import CrashRestartSchedule, FaultPlan
+from repro.core.topology import compile_plan
+from repro.core.topology.catalog import exp1_plan
 from repro.sim.randomness import RngHub
 from repro.sim.rpc import Service
 
@@ -158,6 +164,45 @@ class TestCodec:
         with pytest.raises(ScenarioError, match="unknown scenario"):
             resolve_scenario("no-such-scenario")
 
+    def test_faults_round_trip_and_stay_omitted_when_absent(self):
+        faulted = Scenario(
+            name="f",
+            faults=FaultModel(outages=(Outage(5.0, 2.0), Outage(9.0, 1.0)), drop=0.1),
+        )
+        text = codec.dumps(faulted)
+        assert '"outages"' in text and '"breaker"' not in text  # defaults omitted
+        assert codec.loads(text) == faulted
+        # A bare FaultModel (retries on, nothing injected) is not "no faults".
+        bare = Scenario(name="b", faults=FaultModel())
+        assert codec.loads(codec.dumps(bare)) == bare
+        assert '"faults"' not in codec.dumps(Scenario(name="none"))
+
+    def test_faults_fields_checked(self):
+        with pytest.raises(ScenarioError, match="unknown"):
+            codec.loads('{"name": "x", "faults": {"outage": []}}')
+        with pytest.raises(ScenarioError, match="disjoint"):
+            codec.loads(
+                '{"name": "x", "faults": {"outages": '
+                '[{"start": 1.0, "duration": 5.0}, {"start": 2.0, "duration": 1.0}]}}'
+            )
+
+
+class TestFaultModel:
+    def test_faults_need_the_exact_tier(self):
+        assert Scenario(name="f", faults=FaultModel()).requires_exact() == ["faults"]
+
+    def test_outages_need_a_fault_target(self):
+        plan = exp1_plan("mds-gris-cache")
+        untargeted = dataclasses.replace(
+            plan,
+            nodes=tuple(dataclasses.replace(n, fault_target=False) for n in plan.nodes),
+        )
+        run = new_run(1)
+        dep = compile_plan(untargeted, run)
+        crash = Scenario(name="crash", faults=FaultModel(outages=(Outage(1.0, 1.0),)))
+        with pytest.raises(ScenarioError, match="fault_target"):
+            apply_scenario(crash, run, dep, horizon=5.0)
+
 
 class TestDepthCountedOutage:
     def _service(self):
@@ -212,6 +257,19 @@ class TestScenarioPoints:
                 fidelity="meanfield",
             )
 
+    def test_fast_tier_rejects_faulted_scenarios(self):
+        crash = Scenario(name="crash", faults=FaultModel(outages=(Outage(6.0, 2.0),)))
+        with pytest.raises(ScenarioError, match="faults"):
+            run_scenario_point(
+                "mds-gris-cache", crash, 10, warmup=4, window=8, fidelity="meanfield"
+            )
+
+    def test_sweep_skips_uc_points_beyond_cap(self):
+        points = scenarios.sweep(
+            "rgma-ps-uc", Scenario(name="plain"), x_values=(4, 300), warmup=1, window=4
+        )
+        assert [p.x for p in points] == [4]
+
     def test_fast_tier_accepts_arrival_only_scenarios(self):
         point = run_scenario_point(
             "mds-gris-cache", "flash-crowd", 20, warmup=4, window=12,
@@ -258,7 +316,10 @@ class TestScenarioPoints:
 
 
 class TestChurnCrashComposition:
-    """Scenario churn overlapping a scheduled crash window (satellite)."""
+    """Scenario churn overlapping an injected crash window, in one scenario.
+
+    The same case is pinned in ``tests/fuzz_corpus/churn_crash_overlap.json``.
+    """
 
     def _run(self):
         scenario = Scenario(
@@ -268,9 +329,7 @@ class TestChurnCrashComposition:
                 session_time=2.0, downtime=3.0, start=1.0, end=22.0,
                 targets=("giis",),
             ),
-        )
-        faults = FaultPlan(
-            schedule=CrashRestartSchedule.single(4.0, 14.0), reason="scheduled crash"
+            faults=FaultModel(outages=(Outage(4.0, 14.0),)),
         )
         return scenario, run_scenario_point(
             "mds-registration",
@@ -279,7 +338,6 @@ class TestChurnCrashComposition:
             seed=2,
             warmup=4,
             window=26,
-            faults=faults,
         )
 
     def test_overlap_exists_and_no_double_free(self):

@@ -1,5 +1,6 @@
 """Tests for the metamorphic scenario fuzzer (determinism + invariants)."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.scenario.fuzz import (
     FuzzCase,
+    _shrink_candidates,
     audit_violations,
     case_from_doc,
     case_to_doc,
@@ -26,6 +28,9 @@ REPO = Path(__file__).resolve().parents[2]
 
 #: The fixed CI smoke seed (mirrored in .github/workflows/ci.yml).
 SMOKE_SEED = 20030623
+
+#: (system, users, seed, window) of the smoke seed's case 0.
+FIRST_SMOKE_CASE = ("rgma-ps-lucky", 23, 5, 12.1)
 
 
 class TestDrawDeterminism:
@@ -57,6 +62,25 @@ class TestDrawDeterminism:
             )
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    def test_faults_come_from_their_own_stream(self):
+        """Adding fault draws left every other draw of every case unchanged."""
+        cases = [draw_case(SMOKE_SEED, i) for i in range(12)]
+        assert any(c.scenario.faults is not None for c in cases)
+        assert any(c.scenario.faults is None for c in cases)
+        assert all(c.system != "hawkeye-advertise" for c in cases)
+        # The first smoke case as drawn before faults existed.
+        first = cases[0]
+        assert (first.system, first.users, first.seed, first.window) == FIRST_SMOKE_CASE
+
+    def test_shrinking_drops_faults_first(self):
+        case = next(
+            draw_case(SMOKE_SEED, i)
+            for i in range(50)
+            if draw_case(SMOKE_SEED, i).scenario.faults is not None
+        )
+        first = next(_shrink_candidates(case))
+        assert first.scenario == dataclasses.replace(case.scenario, faults=None)
 
     def test_case_doc_round_trip(self):
         case = draw_case(3, 2)
@@ -120,14 +144,24 @@ class TestInvariants:
         violations = audit_violations(
             self._audit(
                 services={"svc": bad}, churn_leaves=2, churn_rejoins=2,
-                last_churn_end=10.0, ok_after_churn=3,
+                last_churn_end=10.0, ok_after_recovery=3,
             )
         )
         assert any("stuck-down" in v for v in violations)
+        # An injected outage that has ended counts like a rejoined churn node ...
+        after_outage = audit_violations(
+            self._audit(services={"svc": bad}, last_outage_end=12.0)
+        )
+        assert any("stuck-down" in v for v in after_outage)
+        # ... but one still running at the horizon legitimately holds it down.
+        mid_outage = audit_violations(
+            self._audit(services={"svc": bad}, last_outage_end=25.0)
+        )
+        assert not any("stuck-down" in v for v in mid_outage)
 
     def test_recovery_gated_by_min_tail(self):
         audit = self._audit(
-            churn_leaves=2, churn_rejoins=2, last_churn_end=10.0, ok_after_churn=0
+            churn_leaves=2, churn_rejoins=2, last_churn_end=10.0, ok_after_recovery=0
         )
         assert any("recovery" in v for v in audit_violations(audit))
         # A long enough required tail waives the check (slow think times).

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import parallel
-from repro.core.experiments import exp1, exp2, exp3, exp4, faults, scale
+from repro.core.experiments import exp1, exp2, exp3, exp4, faults, scale, scenarios
 from repro.core.figures import points_to_series
 from repro.core.results import Figure
 
@@ -62,20 +62,24 @@ def test_cached_rerun_matches_and_skips_work(exp, systems, xs, tmp_path):
 
 
 def test_fault_sweep_parallel_and_cached(tmp_path):
-    kwargs = dict(schedule="outage", warmup=5.0, window=15.0)
-    serial = faults.sweep("mds-gris-cache", x_values=(10,), seed=1, **kwargs)
-    pooled = faults.sweep("mds-gris-cache", x_values=(10,), seed=1, jobs=2, **kwargs)
+    """A faulted scenario sweeps like any other: its retry policies are
+    built inside each point, so it pools and caches."""
+    kwargs = dict(warmup=5.0, window=15.0)
+    outage = faults.fault_scenario("outage", **kwargs)
+    serial = scenarios.sweep("mds-gris-cache", outage, x_values=(10,), seed=1, **kwargs)
+    pooled = scenarios.sweep("mds-gris-cache", outage, x_values=(10,), seed=1, jobs=2, **kwargs)
     assert serial == pooled
+    assert serial[0].result.resilience.downtime == pytest.approx(3.0)
     parallel.configure(cache_dir=tmp_path / "pc")
     try:
-        faults.sweep("mds-gris-cache", x_values=(10,), seed=1, **kwargs)
-        warm = faults.sweep("mds-gris-cache", x_values=(10,), seed=1, **kwargs)
+        scenarios.sweep("mds-gris-cache", outage, x_values=(10,), seed=1, **kwargs)
+        warm = scenarios.sweep("mds-gris-cache", outage, x_values=(10,), seed=1, **kwargs)
         stats = parallel.last_stats()
     finally:
         parallel.configure(cache_dir="")
     assert stats.cache_hits == 1 and stats.executed == 0
     assert warm == serial
-    assert faults.format_fault_table(warm) == faults.format_fault_table(serial)
+    assert scenarios.format_scenario_table(warm) == scenarios.format_scenario_table(serial)
 
 
 def test_scale_sweep_parallel_and_cached(tmp_path):

@@ -154,7 +154,7 @@ class TestCatalog:
         plan = catalog.exp2_plan("mds-giis", 1)
         run = new_run(1)
         dep = compile_plan(plan, run)
-        assert dep.fault_services == [dep.entry]
+        assert dep.fault_targets == [dep.entry]
 
     def test_hierarchy_plan_shapes(self):
         plan = catalog.hierarchy_plan("mds", 2, 4, 1)

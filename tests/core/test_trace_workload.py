@@ -111,14 +111,16 @@ def test_replay_requires_clients():
 
 def test_replay_against_experiment_service():
     """End to end: a Poisson trace against a real GRIS service."""
-    from repro.core.experiments.common import build_gris
     from repro.core.desruntime import kernel_service
     from repro.core.kernels import GrisKernel
     from repro.core.runner import new_run
+    from repro.mds.gris import GRIS
+    from repro.mds.providers import replicated_providers
     from repro.sim.resources import Mutex
 
     run = new_run(seed=5, monitored=("lucky7",))
-    gris = build_gris(run, collectors=10, cached=True, seed=5)
+    gris = GRIS("lucky7.mcs.anl.gov", replicated_providers(10), cachettl=float("inf"), seed=5)
+    gris.search(now=0.0)  # prime the cache before measurement
     host = run.testbed.lucky["lucky7"]
     kernel = GrisKernel(gris, run.params.gris, providers_lock=Mutex(run.sim, name="providers"))
     service = kernel_service(run.sim, run.net, host, kernel.spec())

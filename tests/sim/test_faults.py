@@ -2,12 +2,14 @@
 client-side resilience layer (retry, backoff, circuit breaker).
 
 Everything here is deterministic: backoff jitter and injector decisions
-come from seeded generators, and the crash schedules are explicit.
+come from seeded generators, and the crash windows are explicit.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.experiments.faults import fault_scenario
+from repro.core.scenario.model import FaultModel, Outage, ScenarioError
 from repro.errors import (
     CircuitOpenError,
     RequestTimeoutError,
@@ -16,19 +18,16 @@ from repro.errors import (
 )
 from repro.sim import (
     CircuitBreaker,
-    CrashRestartSchedule,
     DropInjector,
-    FaultPlan,
+    FaultInjector,
     Host,
     Network,
-    Outage,
     Response,
     RetryPolicy,
     Service,
     Simulator,
     StallInjector,
     call,
-    install_faults,
 )
 
 
@@ -43,6 +42,18 @@ def setup_pair(sim, dwell=0.01, **service_kwargs):
 
     svc = Service(sim, net, server, "echo", handler, **service_kwargs)
     return net, server, client, svc
+
+
+def crash_between(sim, svc, start, end, reason="injected fault"):
+    """Take ``svc`` down over ``[start, end)``, as a scenario outage does."""
+
+    def controller():
+        yield sim.timeout(start)
+        svc.fail(reason)
+        yield sim.timeout(end - start)
+        svc.restore()
+
+    sim.spawn(controller())
 
 
 # -- backoff / policy ---------------------------------------------------------
@@ -110,8 +121,7 @@ def test_retry_exhausts_against_down_service():
 def test_retry_recovers_after_restart():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim)
-    plan = FaultPlan(schedule=CrashRestartSchedule.single(0.0, 2.0), reason="bounce")
-    install_faults(sim, [svc], plan)
+    crash_between(sim, svc, 0.0, 2.0, "bounce")
     # Attempts near t=0 and t=1 hit the outage; the t=3 one succeeds.
     policy = RetryPolicy(max_attempts=4, base_backoff=1.0, multiplier=2.0, jitter=0.0)
     results = []
@@ -205,8 +215,7 @@ def test_breaker_fast_fails_without_wire_attempts():
 def test_breaker_half_open_probe_recovers():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim)
-    plan = FaultPlan(schedule=CrashRestartSchedule.single(0.0, 3.0))
-    install_faults(sim, [svc], plan)
+    crash_between(sim, svc, 0.0, 3.0)
     breaker = CircuitBreaker(failure_threshold=2, reset_timeout=2.0)
     policy = RetryPolicy(max_attempts=1, base_backoff=0.0, breaker=breaker)
     outcomes = []
@@ -234,23 +243,27 @@ def test_breaker_half_open_probe_recovers():
 
 
 def test_schedule_queries():
-    sched = CrashRestartSchedule.periodic(10.0, 2.0, 5.0, 3)
-    assert [o.start for o in sched.outages] == [10.0, 15.0, 20.0]
-    assert sched.is_down(11.0)
-    assert not sched.is_down(13.0)
-    assert sched.total_downtime() == pytest.approx(6.0)
-    assert sched.last_end() == pytest.approx(22.0)
-    assert sched.within(14.0, 16.0) == (Outage(15.0, 2.0),)
-    assert sched.within(0.0, 5.0) == ()
+    # The canonical shapes, scaled to a 10 s warm-up + 40 s window.
+    flapping = fault_scenario("flapping", 10.0, 40.0).faults.outages
+    assert [o.start for o in flapping] == [16.0, 26.0, 36.0]
+    assert sum(o.duration for o in flapping) == pytest.approx(3 * 2.4)
+    assert flapping[-1].end == pytest.approx(38.4)
+    (outage,) = fault_scenario("outage", 10.0, 40.0).faults.outages
+    assert outage == Outage(20.0, 8.0)
+    assert outage.end == 28.0
 
 
 def test_schedule_validation():
-    with pytest.raises(SimulationError):
-        CrashRestartSchedule([Outage(0.0, 0.0)])
-    with pytest.raises(SimulationError):
-        CrashRestartSchedule([Outage(0.0, 5.0), Outage(3.0, 1.0)])
-    with pytest.raises(SimulationError):
-        CrashRestartSchedule.periodic(0.0, 5.0, 5.0, 2)
+    with pytest.raises(ScenarioError):
+        FaultModel(outages=(Outage(0.0, 0.0),)).validate()
+    with pytest.raises(ScenarioError):
+        FaultModel(outages=(Outage(0.0, 5.0), Outage(3.0, 1.0))).validate()
+    with pytest.raises(ScenarioError):
+        FaultModel(outages=(Outage(5.0, 1.0), Outage(0.0, 1.0))).validate()
+    with pytest.raises(ScenarioError):
+        FaultModel(drop=1.5).validate()
+    with pytest.raises(ScenarioError):
+        FaultModel(stall=0.5, stall_seconds=-1.0).validate()
 
 
 def test_drop_injector_deterministic():
@@ -284,14 +297,13 @@ def test_injector_validation():
         StallInjector(0.5, -1.0, rng)
 
 
-# -- installed fault plans ----------------------------------------------------
+# -- injected faults ----------------------------------------------------------
 
 
 def test_outage_window_refuses_then_recovers():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim)
-    plan = FaultPlan(schedule=CrashRestartSchedule.single(1.0, 2.0), reason="oom kill")
-    install_faults(sim, [svc], plan)
+    crash_between(sim, svc, 1.0, 3.0, "oom kill")
     outcomes = []
 
     def probe(sim, at):
@@ -308,14 +320,12 @@ def test_outage_window_refuses_then_recovers():
     assert outcomes == [(0.5, "ok"), (1.5, "down"), (2.5, "down"), (3.5, "ok")]
     assert svc.stats.refused == 2
     assert svc.outage_log == [(1.0, 3.0)]
-    assert plan.installed_on == [svc]
 
 
 def test_drop_plan_resets_connections():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim)
-    plan = FaultPlan(drop=DropInjector(1.0, np.random.default_rng(1)))
-    install_faults(sim, [svc], plan)
+    svc.faults = FaultInjector(drop=DropInjector(1.0, np.random.default_rng(1)))
     outcomes = []
 
     def user(sim):
@@ -334,8 +344,8 @@ def test_drop_plan_resets_connections():
 def test_stall_plan_holds_handler_thread():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim, dwell=0.0, max_threads=1, backlog=10)
-    plan = FaultPlan(stall=StallInjector(1.0, 2.0, np.random.default_rng(1)))
-    install_faults(sim, [svc], plan)
+    stall = StallInjector(1.0, 2.0, np.random.default_rng(1))
+    svc.faults = FaultInjector(stall=stall)
     done = []
 
     def user(sim):
@@ -349,10 +359,4 @@ def test_stall_plan_holds_handler_thread():
     # the first's stall, so completions land near 2 s and 4 s.
     assert done[0] == pytest.approx(2.0, abs=0.1)
     assert done[1] == pytest.approx(4.0, abs=0.1)
-    assert plan.stall.stalled == 2
-
-
-def test_install_faults_requires_services():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        install_faults(sim, [], FaultPlan())
+    assert stall.stalled == 2
