@@ -5,10 +5,10 @@ database) monitoring information from each Agent" (paper §2.3).  This
 collector keeps the latest ad per name, maintains hash indexes over
 chosen attributes for O(1) equality lookups, and supports constraint
 queries that fall back to a full matchmaking scan — reporting the scan
-cost so the simulation can charge for it.  On the compiled plane that
-scan is an incrementally maintained view: a query re-evaluates only the
-ads advertised since the same constraint was last asked, and reports the
-cost of the scan it stands for.
+cost so the simulation can charge for it.  That scan is an incrementally
+maintained view: a query re-evaluates only the ads advertised since the
+same constraint was last asked, and reports the cost of the scan it
+stands for.
 
 Soft state: each ad carries a deadline; :meth:`expire` sweeps ads whose
 lease lapsed (Condor's 15-minute ClassAd lifetime by default).
@@ -19,7 +19,6 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
-from repro import queryplane
 from repro.classad.ads import ClassAd
 from repro.classad.ast import AttrRef, BinaryOp, Expr, Literal
 from repro.classad.matchmaker import match, match_pool, rank
@@ -143,7 +142,7 @@ class AdCollector:
         # full scan (re-advertising keeps the original slot, like dicts).
         self._seq: dict[str, int] = {}
         self._seq_next = 0
-        # Compiled plane only: constraint text -> view, least recently asked first.
+        # Constraint text -> view, least recently asked first.
         self._views: dict[str, _View] = {}
         self.updates = 0
         self.expired_total = 0
@@ -238,40 +237,35 @@ class AdCollector:
             return [self._ads[k] for k in sorted(keys)]
         return [ad for ad in self._ads.values() if _norm(ad.get_scalar(attr)) == _norm(value)]
 
-    def query(self, constraint: str, *, compiled: bool | None = None) -> QueryOutcome:
+    def query(self, constraint: str) -> QueryOutcome:
         """Return ads satisfying ``constraint`` (a ClassAd boolean expr).
 
         Simple ``Attr == "value"`` constraints on indexed attributes take
-        the index path.  On the compiled path, conjunctive constraints
-        containing an indexed ``Attr == literal`` term prune the
-        matchmaking scan to that term's bucket (candidates still run the
-        full bilateral match), and everything else is answered from the
-        constraint's view, which matches only the ads advertised since it
-        was last asked yet reports the ``scanned`` and ``ops`` of the full
-        scan — the interpreted path, kept as the oracle, performs it.
+        the index path.  Conjunctive constraints containing an indexed
+        ``Attr == literal`` term prune the matchmaking scan to that term's
+        bucket (candidates still run the full bilateral match).
+        Everything else is answered from the constraint's view, which
+        matches only the ads advertised since it was last asked yet
+        reports the ``scanned`` and ``ops`` of the full scan.
         """
-        use_views = queryplane.resolve(compiled)
-        view = self._view(constraint) if use_views else _View(constraint, self._indexed)
+        view = self._view(constraint)
         if view.equal is not None:
             indexed = self.lookup_equal(*view.equal)
             return QueryOutcome(ads=indexed, scanned=len(indexed), ops=len(indexed), index_hit=True)
         ads, seq = self._ads, self._seq
-        pruned = use_views and bool(view.conjuncts)
-        if use_views and not pruned:
-            self._refresh(view)
-            # Insertion order, then the stable descending-rank sort: match_pool's order.
-            rank_of = view.rank_of
-            ordered = sorted(rank_of, key=lambda k: (-rank_of[k], seq[k]))
-            return QueryOutcome(
-                ads=[ads[k] for k in ordered], scanned=len(ads), ops=view.ops, index_hit=False
-            )
-        pool: _t.Collection[ClassAd] = ads.values()
-        if pruned:
+        if view.conjuncts:
             bucket = min((self._index.get(k, ()) for k in view.conjuncts), key=len)
             pool = [ads[k] for k in sorted(bucket, key=seq.__getitem__)]
-        matches, ops = match_pool(view.request, pool)
+            matches, ops = match_pool(view.request, pool)
+            return QueryOutcome(
+                ads=[ad for _rank, ad in matches], scanned=len(pool), ops=ops, index_hit=True
+            )
+        self._refresh(view)
+        # Insertion order, then the stable descending-rank sort: match_pool's order.
+        rank_of = view.rank_of
+        ordered = sorted(rank_of, key=lambda k: (-rank_of[k], seq[k]))
         return QueryOutcome(
-            ads=[ad for _rank, ad in matches], scanned=len(pool), ops=ops, index_hit=pruned
+            ads=[ads[k] for k in ordered], scanned=len(ads), ops=view.ops, index_hit=False
         )
 
     def _view(self, constraint: str) -> _View:

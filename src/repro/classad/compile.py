@@ -2,21 +2,20 @@
 
 :func:`compile_expr` lowers an :class:`~repro.classad.ast.Expr` tree to
 a closure taking an :class:`~repro.classad.evaluator.Evaluation` context
-and returning a :class:`~repro.classad.values.Value`.  The closures are
-behaviour-identical to the interpreter, including:
+and returning a :class:`~repro.classad.values.Value`.  The closures
+carry old-ClassAds semantics, including:
 
-* the per-node ``ctx.ops`` increments (the op count drives the
+* one ``ctx.ops`` increment per node visited (the op count drives the
   simulation's CPU cost models, so it must not drift);
 * the cycle guard and the MY/TARGET flip for references resolved in the
   TARGET scope;
 * UNDEFINED/ERROR propagation, short-circuit logical operators and the
   lazy ``ifthenelse``.
 
-Value-level semantics (arithmetic, comparison, identity, builtins) are
-imported from the interpreter rather than duplicated, so the two paths
-cannot diverge on them.  Compilation memoizes per node *instance*
-(never by dataclass equality: ``Literal(3) == Literal(3.0)`` and
-``Literal(True) == Literal(1)`` under Python's cross-type numeric
+Value-level semantics (arithmetic, comparison, identity, builtins) live
+in :mod:`repro.classad.evaluator`.  Compilation memoizes per node
+*instance* (never by dataclass equality: ``Literal(3) == Literal(3.0)``
+and ``Literal(True) == Literal(1)`` under Python's cross-type numeric
 equality, yet they must not share a closure).
 """
 

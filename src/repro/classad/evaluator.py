@@ -11,8 +11,11 @@ The evaluation rules that matter for matchmaking:
 * unscoped references resolve in MY then TARGET; circular references
   evaluate to UNDEFINED (as in Condor).
 
-The evaluator counts visited nodes (``Evaluation.ops``) so the
-simulation can charge CPU proportional to real evaluation work.
+Expressions run as compiled closures (:mod:`repro.classad.compile`),
+which count visited nodes (``Evaluation.ops``) so the simulation can
+charge CPU proportional to real evaluation work.  This module holds the
+evaluation context and the value-level rules the closures share:
+three-valued coercion, arithmetic, comparison, identity and builtins.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import math
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro import queryplane
-from repro.classad.ast import AttrRef, BinaryOp, Expr, FuncCall, Literal, UnaryOp
+from repro.classad.ast import Expr
 from repro.classad.values import ERROR, UNDEFINED, Error, Undefined, Value
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -46,88 +48,16 @@ def evaluate(
     my: "ClassAd | None" = None,
     target: "ClassAd | None" = None,
     ctx: Evaluation | None = None,
-    compiled: bool | None = None,
 ) -> Value:
     """Evaluate ``expr`` with the given MY/TARGET ads; returns a Value.
 
-    The compiled path (:mod:`repro.classad.compile`, selected via
-    :mod:`repro.queryplane` or the ``compiled`` override) returns the
-    same value *and* the same ``ctx.ops`` count as this interpreter —
-    the op count feeds the cost models, so parity is load-bearing.
+    ``ctx.ops`` counts the nodes visited; it feeds the cost models.
     """
     if ctx is None:
         ctx = Evaluation(my=my, target=target)
-    if queryplane.resolve(compiled):
-        from repro.classad.compile import compile_expr
+    from repro.classad.compile import compile_expr  # compile imports this module
 
-        return compile_expr(expr)(ctx)
-    return _eval(expr, ctx)
-
-
-def _eval(expr: Expr, ctx: Evaluation) -> Value:
-    ctx.ops += 1
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, AttrRef):
-        return _eval_ref(expr, ctx)
-    if isinstance(expr, UnaryOp):
-        return _eval_unary(expr, ctx)
-    if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, ctx)
-    if isinstance(expr, FuncCall):
-        return _eval_func(expr, ctx)
-    return ERROR
-
-
-def _eval_ref(ref: AttrRef, ctx: Evaluation) -> Value:
-    key = ref.name.lower()
-    scopes: list[tuple[str, "ClassAd | None"]]
-    if ref.scope == "my":
-        scopes = [("my", ctx.my)]
-    elif ref.scope == "target":
-        scopes = [("target", ctx.target)]
-    else:
-        scopes = [("my", ctx.my), ("target", ctx.target)]
-    for scope_name, ad in scopes:
-        if ad is None:
-            continue
-        sub = ad.lookup(ref.name)
-        if sub is None:
-            continue
-        guard = (scope_name, key)
-        if guard in ctx._stack:
-            return UNDEFINED  # circular reference
-        ctx._stack.add(guard)
-        try:
-            # The referenced expression evaluates in ITS ad's scope:
-            # references found in TARGET flip MY/TARGET.
-            if scope_name == "target":
-                flipped = Evaluation(my=ctx.target, target=ctx.my, ops=ctx.ops, _stack=ctx._stack)
-                value = _eval(sub, flipped)
-                ctx.ops = flipped.ops
-            else:
-                value = _eval(sub, ctx)
-            return value
-        finally:
-            ctx._stack.discard(guard)
-    return UNDEFINED
-
-
-def _eval_unary(node: UnaryOp, ctx: Evaluation) -> Value:
-    value = _eval(node.operand, ctx)
-    if isinstance(value, Error):
-        return ERROR
-    if isinstance(value, Undefined):
-        return UNDEFINED
-    if node.op == "-":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return ERROR
-        return -value
-    if node.op == "!":
-        if isinstance(value, bool):
-            return not value
-        return ERROR
-    return ERROR
+    return compile_expr(expr)(ctx)
 
 
 def _numeric(value: Value) -> float | int | None:
@@ -136,48 +66,6 @@ def _numeric(value: Value) -> float | int | None:
     if isinstance(value, (int, float)):
         return value
     return None
-
-
-def _eval_binary(node: BinaryOp, ctx: Evaluation) -> Value:
-    op = node.op
-    if op in ("&&", "||"):
-        return _eval_logical(node, ctx)
-    left = _eval(node.left, ctx)
-    right = _eval(node.right, ctx)
-    if op in ("=?=", "=!="):
-        same = _is_identical(left, right)
-        return same if op == "=?=" else not same
-    if isinstance(left, Error) or isinstance(right, Error):
-        return ERROR
-    if isinstance(left, Undefined) or isinstance(right, Undefined):
-        return UNDEFINED
-    if op in ("+", "-", "*", "/", "%"):
-        return _eval_arith(op, left, right)
-    return _eval_compare(op, left, right)
-
-
-def _eval_logical(node: BinaryOp, ctx: Evaluation) -> Value:
-    left = _to_bool3(_eval(node.left, ctx))
-    # Short-circuit on decisive left operands.
-    if node.op == "&&" and left is False:
-        return False
-    if node.op == "||" and left is True:
-        return True
-    right = _to_bool3(_eval(node.right, ctx))
-    for side in (left, right):
-        if isinstance(side, Error):
-            return ERROR
-    if node.op == "&&":
-        if left is False or right is False:
-            return False
-        if isinstance(left, Undefined) or isinstance(right, Undefined):
-            return UNDEFINED
-        return True
-    if left is True or right is True:
-        return True
-    if isinstance(left, Undefined) or isinstance(right, Undefined):
-        return UNDEFINED
-    return False
 
 
 def _to_bool3(value: Value) -> Value:
@@ -258,21 +146,6 @@ def _is_identical(left: Value, right: Value) -> bool:
 
 
 # -- builtin functions -------------------------------------------------------
-
-
-def _eval_func(node: FuncCall, ctx: Evaluation) -> Value:
-    name = node.name
-    if name == "ifthenelse":
-        if len(node.args) != 3:
-            return ERROR
-        cond = _to_bool3(_eval(node.args[0], ctx))
-        if isinstance(cond, Error):
-            return ERROR
-        if isinstance(cond, Undefined):
-            return UNDEFINED
-        return _eval(node.args[1] if cond else node.args[2], ctx)
-    args = [_eval(a, ctx) for a in node.args]
-    return _apply_builtin(name, args)
 
 
 def _apply_builtin(name: str, args: list[Value]) -> Value:

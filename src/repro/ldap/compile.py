@@ -1,30 +1,21 @@
-"""Filter compilation: closed-over predicates and index prune plans.
+"""Filter compilation: closed-over entry predicates.
 
 :func:`compile_filter` turns a parsed :class:`~repro.ldap.filter.Filter`
-tree into
+tree into a **predicate** — a closure over pre-parsed numeric values and
+pre-lowered strings that answers ``predicate(entry)`` without re-walking
+the tree.  It is the one way the DIT, the GRIS and the GIIS evaluate a
+filter.
 
-* a **predicate** — a closure over pre-parsed numeric values and
-  pre-lowered strings that answers ``predicate(entry)`` exactly like
-  ``Filter.matches`` but without re-walking the AST, and
-* a **prune plan** — a description of the candidate entry sets the
-  :class:`~repro.ldap.dit.DIT` equality/presence indexes can supply
-  before the predicate runs.  A plan is an *over*-approximation: every
-  matching entry is in the candidate set, so the predicate always gets
-  the final say, and filters with no indexable structure (orderings,
-  substrings, NOT) simply carry no plan and fall back to the scan.
-
-Both are cached — :func:`compile_filter` memoizes on the (hashable)
-filter node, :func:`compile_text` adds an LRU keyed on the filter text
-so repeated string queries skip the parser entirely.
+Both entry points are cached — :func:`compile_filter` memoizes on the
+(hashable) filter node, :func:`compile_text` adds an LRU keyed on the
+filter text so repeated string queries skip the parser entirely.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import queryplane
 from repro.ldap.entry import Entry
 from repro.ldap.filter import (
     And,
@@ -40,88 +31,9 @@ from repro.ldap.filter import (
     parse_filter,
 )
 
-__all__ = [
-    "CompiledFilter",
-    "compile_filter",
-    "compile_text",
-    "resolve_filter",
-    "index_key",
-    "EqTerm",
-    "PresTerm",
-    "AnyTerm",
-    "PickTerm",
-]
+__all__ = ["CompiledFilter", "compile_filter", "compile_text", "resolve_filter"]
 
 Predicate = _t.Callable[[Entry], bool]
-
-
-def index_key(value: str) -> tuple[str, _t.Any]:
-    """Normalize an attribute value to its equality-index key.
-
-    Equality filters match numerically when both sides parse as numbers
-    and case-insensitively otherwise, so two values that can ever test
-    equal must map to the same key: numbers keyed by their float value,
-    everything else (including NaN spellings, which never compare equal
-    numerically) by its lowercased text.
-    """
-    number = _as_number(value)
-    if number is not None and number == number:  # NaN falls back to text
-        return ("num", number)
-    return ("str", value.lower())
-
-
-# -- prune plans -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EqTerm:
-    """Candidates = entries holding ``attr`` equal to the keyed value."""
-
-    attr: str
-    key: tuple[str, _t.Any]
-
-
-@dataclass(frozen=True)
-class PresTerm:
-    """Candidates = entries carrying ``attr`` at all."""
-
-    attr: str
-
-
-@dataclass(frozen=True)
-class AnyTerm:
-    """OR: the union of every option's candidates."""
-
-    options: tuple["Plan", ...]
-
-
-@dataclass(frozen=True)
-class PickTerm:
-    """AND: any single option is sound — the DIT picks the smallest."""
-
-    options: tuple["Plan", ...]
-
-
-Plan = _t.Union[EqTerm, PresTerm, AnyTerm, PickTerm]
-
-
-def _build_plan(flt: Filter) -> Plan | None:
-    if isinstance(flt, Equality):
-        return EqTerm(flt.attr.lower(), index_key(flt.value))
-    if isinstance(flt, Presence):
-        return PresTerm(flt.attr.lower())
-    if isinstance(flt, And):
-        options = tuple(p for p in (_build_plan(c) for c in flt.children) if p is not None)
-        return PickTerm(options) if options else None
-    if isinstance(flt, Or):
-        options = []
-        for child in flt.children:
-            plan = _build_plan(child)
-            if plan is None:  # one unprunable branch poisons the union
-                return None
-            options.append(plan)
-        return AnyTerm(tuple(options))
-    return None  # Not / orderings / substrings: evaluate on the scan
 
 
 # -- predicates --------------------------------------------------------------
@@ -201,27 +113,26 @@ def _compile_predicate(flt: Filter) -> Predicate:
             return False
 
         return run_ord
-    return flt.matches  # unknown node type: defer to the interpreter
+    raise TypeError(f"not a filter node: {type(flt).__name__}")
 
 
 # -- public entry points -----------------------------------------------------
 
 
 class CompiledFilter:
-    """A parsed filter with its compiled predicate and prune plan."""
+    """A parsed filter with its compiled predicate."""
 
-    __slots__ = ("filter", "predicate", "plan")
+    __slots__ = ("filter", "predicate")
 
-    def __init__(self, flt: Filter, predicate: Predicate, plan: Plan | None) -> None:
+    def __init__(self, flt: Filter, predicate: Predicate) -> None:
         self.filter = flt
         self.predicate = predicate
-        self.plan = plan
 
 
 @lru_cache(maxsize=512)
 def compile_filter(flt: Filter) -> CompiledFilter:
     """Compile a parsed filter tree (memoized on the node)."""
-    return CompiledFilter(flt, _compile_predicate(flt), _build_plan(flt))
+    return CompiledFilter(flt, _compile_predicate(flt))
 
 
 @lru_cache(maxsize=256)
@@ -230,13 +141,6 @@ def compile_text(text: str) -> CompiledFilter:
     return compile_filter(parse_filter(text))
 
 
-def resolve_filter(flt: Filter | str, compiled: bool | None = None) -> CompiledFilter:
-    """What a search runs for ``flt`` on the mode :func:`repro.queryplane.resolve` picks.
-
-    Compiled: the memoized closure and its prune plan.  Interpreted (the
-    oracle): the parsed tree's own ``matches`` and no plan.
-    """
-    if queryplane.resolve(compiled):
-        return compile_text(flt) if isinstance(flt, str) else compile_filter(flt)
-    parsed = parse_filter(flt) if isinstance(flt, str) else flt
-    return CompiledFilter(parsed, parsed.matches, None)
+def resolve_filter(flt: Filter | str) -> CompiledFilter:
+    """The compiled form of a filter given as text or as a parsed tree."""
+    return compile_text(flt) if isinstance(flt, str) else compile_filter(flt)

@@ -1,15 +1,16 @@
-"""RFC 1960 search filters: parser and evaluator.
+"""RFC 1960 search filters: the parsed tree.
 
 MDS clients select data with string filters such as
 ``(&(objectclass=MdsHost)(Mds-Cpu-Total-Free-1minX100>=80))``.  This
 module parses the full RFC 1960 grammar — AND ``&``, OR ``|``, NOT
 ``!``, equality, presence ``=*``, substring ``a=*b*c``, ``>=`` and
-``<=`` — and evaluates filters against :class:`~repro.ldap.entry.Entry`
-objects.
+``<=`` — into frozen nodes that :mod:`repro.ldap.compile` lowers to
+entry predicates.
 
 Comparisons are numeric when both sides parse as numbers (matching how
 OpenLDAP treats the integer-syntax attributes the MDS schema uses) and
-case-insensitive-lexicographic otherwise.
+case-insensitive-lexicographic otherwise.  Each leaf parses its value
+once at construction, for the compiled predicate to close over.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import typing as _t
 from dataclasses import dataclass
 
 from repro.errors import FilterSyntaxError
-from repro.ldap.entry import Entry
 
 __all__ = [
     "Filter",
@@ -37,10 +37,6 @@ __all__ = [
 class Filter:
     """Base class for parsed filter nodes."""
 
-    def matches(self, entry: Entry) -> bool:
-        """Evaluate this filter against ``entry``."""
-        raise NotImplementedError
-
     def __str__(self) -> str:
         raise NotImplementedError
 
@@ -50,9 +46,6 @@ class And(Filter):
     """``(&(f1)(f2)...)`` — true when every child matches."""
 
     children: tuple[Filter, ...]
-
-    def matches(self, entry: Entry) -> bool:
-        return all(child.matches(entry) for child in self.children)
 
     def __str__(self) -> str:
         return "(&" + "".join(str(c) for c in self.children) + ")"
@@ -64,9 +57,6 @@ class Or(Filter):
 
     children: tuple[Filter, ...]
 
-    def matches(self, entry: Entry) -> bool:
-        return any(child.matches(entry) for child in self.children)
-
     def __str__(self) -> str:
         return "(|" + "".join(str(c) for c in self.children) + ")"
 
@@ -76,9 +66,6 @@ class Not(Filter):
     """``(!(f))`` — true when the child does not match."""
 
     child: Filter
-
-    def matches(self, entry: Entry) -> bool:
-        return not self.child.matches(entry)
 
     def __str__(self) -> str:
         return f"(!{self.child})"
@@ -104,18 +91,6 @@ class Equality(Filter):
         object.__setattr__(self, "_num", _as_number(self.value))
         object.__setattr__(self, "_lower", self.value.lower())
 
-    def matches(self, entry: Entry) -> bool:
-        want_num: float | None = self._num  # type: ignore[attr-defined]
-        want_str: str = self._lower  # type: ignore[attr-defined]
-        for candidate in entry.get(self.attr):
-            if want_num is not None:
-                got = _as_number(candidate)
-                if got is not None and got == want_num:
-                    return True
-            if candidate.lower() == want_str:
-                return True
-        return False
-
     def __str__(self) -> str:
         return f"({self.attr}={self.value})"
 
@@ -125,9 +100,6 @@ class Presence(Filter):
     """``(attr=*)`` — attribute existence."""
 
     attr: str
-
-    def matches(self, entry: Entry) -> bool:
-        return entry.has(self.attr)
 
     def __str__(self) -> str:
         return f"({self.attr}=*)"
@@ -146,12 +118,6 @@ class Substring(Filter):
         object.__setattr__(self, "_initial_l", self.initial.lower())
         object.__setattr__(self, "_middles_l", tuple(m.lower() for m in self.middles))
         object.__setattr__(self, "_final_l", self.final.lower())
-
-    def matches(self, entry: Entry) -> bool:
-        for candidate in entry.get(self.attr):
-            if self._match_one(candidate.lower()):
-                return True
-        return False
 
     def _match_one(self, text: str) -> bool:
         pos = 0
@@ -186,21 +152,6 @@ class _Ordering(Filter):
         self.value = value
         self._num = _as_number(value)
         self._lower = value.lower()
-
-    def matches(self, entry: Entry) -> bool:
-        want_num = self._num
-        op = type(self).op
-        op_str = type(self).op_str
-        for candidate in entry.get(self.attr):
-            if want_num is not None:
-                got = _as_number(candidate)
-                if got is not None:
-                    if op(got, want_num):
-                        return True
-                    continue
-            if op_str(candidate.lower(), self._lower):
-                return True
-        return False
 
     def __str__(self) -> str:
         return f"({self.attr}{self.symbol}{self.value})"

@@ -184,9 +184,7 @@ class GIIS:
             for entries in fresh.values():
                 for entry in entries:
                     merged.upsert(entry)
-            # The merged DIT is consumed linearly, never searched, so its
-            # lazy indexes are never built; the compiled predicate alone
-            # carries the speedup here.
+            # The merged DIT is only read back in DFS order, never searched.
             return [e.project(attributes) for e in merged.entries() if predicate(e)]
 
         result._answer = self._memo.answer(self._generation, question, select)

@@ -7,7 +7,7 @@ paper's R-GMA 1.18 deployment (DESIGN.md §2).
 """
 
 from repro.relational.database import Database
-from repro.relational.executor import ResultSet, eval_predicate, execute_select
+from repro.relational.executor import ResultSet, execute_select
 from repro.relational.sqlast import (
     ColumnRef,
     Comparison,
@@ -36,7 +36,6 @@ __all__ = [
     "parse_sql",
     "parse_sql_cached",
     "execute_select",
-    "eval_predicate",
     "ResultSet",
     "SelectStmt",
     "InsertStmt",

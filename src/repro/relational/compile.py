@@ -1,18 +1,16 @@
 """WHERE-clause compilation: row closures, LIKE regexes, value compare.
 
 :func:`compile_predicate` lowers a WHERE tree to a closure over column
-positions and pre-coerced constants that returns the same three-valued
-answer (True/False/None) as
-:func:`repro.relational.executor.eval_predicate`, without re-dispatching
-on AST nodes per row.  Closures capture only the (immutable) table
-schema, so :func:`compiled_for`'s per-table cache never needs
-invalidating on row mutation.
+positions and pre-coerced constants that returns SQL's three-valued
+answer (True/False/None) without re-dispatching on AST nodes per row.
+Closures capture only the (immutable) table schema, so
+:func:`compiled_for`'s per-table cache never needs invalidating on row
+mutation.
 
 :func:`compare_values` is the one copy of the comparison semantics —
 numeric when both sides coerce to float, else case-insensitive text —
-shared by the interpreter and used by compiled closures for the
-column-vs-column case; the constant-vs-column cases pre-coerce the
-constant side at compile time.
+used by compiled closures for the column-vs-column case; the
+constant-vs-column cases pre-coerce the constant side at compile time.
 """
 
 from __future__ import annotations
@@ -263,16 +261,21 @@ def compile_predicate(expr: SqlExpr, table: "Table") -> RowPredicate:
 
 
 def compiled_for(table: "Table", expr: SqlExpr) -> RowPredicate:
-    """Per-table compiled-predicate cache, keyed on the (hashable) tree.
+    """Per-table compiled-predicate cache, keyed on the tree's identity.
 
-    Closures bind column positions, which are fixed at table creation,
-    so entries stay valid across inserts/deletes — no invalidation.
+    Never on dataclass equality: ``Constant(1) == Constant(1.0)``, yet
+    the closures differ in their text fallback (``'1'`` against
+    ``'1.0'``).  Each entry holds its tree, so a key's ``id`` cannot be
+    recycled while the entry lives.  Closures bind column positions,
+    which are fixed at table creation, so entries stay valid across
+    inserts/deletes — no invalidation.
     """
     cache = table._compiled_where
-    predicate = cache.get(expr)
-    if predicate is None:
-        if len(cache) >= 128:
-            cache.clear()
-        predicate = compile_predicate(expr, table)
-        cache[expr] = predicate
+    hit = cache.get(id(expr))
+    if hit is not None and hit[0] is expr:
+        return hit[1]
+    if len(cache) >= 128:
+        cache.clear()
+    predicate = compile_predicate(expr, table)
+    cache[id(expr)] = (expr, predicate)
     return predicate

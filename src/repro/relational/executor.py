@@ -1,9 +1,10 @@
 """Query execution over :class:`~repro.relational.table.Table`.
 
-The executor evaluates WHERE trees with SQL NULL semantics (three-valued
-logic), uses hash indexes for top-level ``col = literal`` conjuncts, and
-reports rows examined per query so the simulation can charge
-proportional CPU.
+The executor prunes candidate rows with the table's hash and sorted
+indexes, evaluates the WHERE tree's compiled row closure
+(:mod:`repro.relational.compile`, SQL three-valued logic) on each
+candidate, and reports rows examined per query so the simulation can
+charge proportional CPU.
 """
 
 from __future__ import annotations
@@ -11,25 +12,21 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
-from repro import queryplane
 from repro.errors import SchemaError
-from repro.relational.compile import compare_values, compiled_for, like_regex
+from repro.relational.compile import compiled_for
 from repro.relational.sqlast import (
     ColumnRef,
     Comparison,
     Constant,
     InList,
-    IsNull,
-    Like,
     LogicalOp,
-    NotOp,
     SelectStmt,
     SqlExpr,
 )
 from repro.relational.table import Table
 from repro.relational.types import SqlValue
 
-__all__ = ["ResultSet", "execute_select", "eval_predicate", "select_rowids"]
+__all__ = ["ResultSet", "execute_select", "select_rowids"]
 
 
 @dataclass(frozen=True)
@@ -54,72 +51,6 @@ class ResultSet:
         for row in self.rows:
             total += sum(len(str(v)) + 4 for v in row)
         return max(total, 64)
-
-
-# -- predicate evaluation (SQL three-valued logic) ---------------------------
-
-_TRUE, _FALSE, _NULL = True, False, None
-
-
-def eval_predicate(expr: SqlExpr, table: Table, row: tuple[SqlValue, ...]) -> bool | None:
-    """Evaluate a WHERE tree; returns True/False/None (NULL)."""
-    if isinstance(expr, LogicalOp):
-        left = eval_predicate(expr.left, table, row)
-        right = eval_predicate(expr.right, table, row)
-        if expr.op == "AND":
-            if left is _FALSE or right is _FALSE:
-                return _FALSE
-            if left is _NULL or right is _NULL:
-                return _NULL
-            return _TRUE
-        if left is _TRUE or right is _TRUE:
-            return _TRUE
-        if left is _NULL or right is _NULL:
-            return _NULL
-        return _FALSE
-    if isinstance(expr, NotOp):
-        inner = eval_predicate(expr.operand, table, row)
-        return _NULL if inner is _NULL else (not inner)
-    if isinstance(expr, Comparison):
-        left = _eval_operand(expr.left, table, row)
-        right = _eval_operand(expr.right, table, row)
-        if left is None or right is None:
-            return _NULL
-        return _compare(expr.op, left, right)
-    if isinstance(expr, InList):
-        value = _eval_operand(expr.operand, table, row)
-        if value is None:
-            return _NULL
-        hit = any(_compare("=", value, v) for v in expr.values if v is not None)
-        return (not hit) if expr.negated else hit
-    if isinstance(expr, Like):
-        value = _eval_operand(expr.operand, table, row)
-        if value is None:
-            return _NULL
-        hit = _like_match(str(value), expr.pattern)
-        return (not hit) if expr.negated else hit
-    if isinstance(expr, IsNull):
-        value = _eval_operand(expr.operand, table, row)
-        result = value is None
-        return (not result) if expr.negated else result
-    raise SchemaError(f"unsupported WHERE node: {type(expr).__name__}")
-
-
-def _eval_operand(expr: SqlExpr, table: Table, row: tuple[SqlValue, ...]) -> SqlValue:
-    if isinstance(expr, Constant):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return row[table.column_position(expr.name)]
-    raise SchemaError(f"unsupported operand: {type(expr).__name__}")
-
-
-# Comparison semantics live in repro.relational.compile so the compiled
-# closures and this interpreter share one definition.
-_compare = compare_values
-
-
-def _like_match(text: str, pattern: str) -> bool:
-    return like_regex(pattern).fullmatch(text) is not None
 
 
 # -- planning -------------------------------------------------------------
@@ -149,16 +80,17 @@ def _prune_candidates(table: Table, where: SqlExpr) -> set[int] | None:
     """Smallest index-derived candidate set for ``where``, or None.
 
     Every option over-approximates its conjunct (the compiled predicate
-    re-checks each candidate), so the smallest usable one wins.  Unknown
-    columns in equality conjuncts raise exactly where the interpreted
-    planner would.
+    re-checks each candidate), so the smallest usable one wins.  An
+    equality conjunct on an unknown column raises :class:`SchemaError`
+    unless an earlier equality conjunct already yielded an index bucket;
+    then the walk over them just stops there.
     """
     options: list[set[int]] = []
     for column, value in _index_candidates(where):
         if not options and not table.has_column(column):
             raise SchemaError(f"no column {column!r} in table {table.name!r}")
         if not table.has_column(column):
-            break  # the interpreted planner stops at the first usable bucket
+            break
         bucket = table.lookup_index(column, value)
         if bucket is not None:
             options.append(bucket)
@@ -196,46 +128,12 @@ def _prune_candidates(table: Table, where: SqlExpr) -> set[int] | None:
     return min(options, key=len)
 
 
-def _select_rowids_interpreted(table: Table, where: SqlExpr | None) -> tuple[list[int], int, bool]:
-    index_used = False
-    if where is not None:
-        for column, value in _index_candidates(where):
-            if not table.has_column(column):
-                raise SchemaError(f"no column {column!r} in table {table.name!r}")
-            bucket = table.lookup_index(column, value)
-            if bucket is not None:
-                index_used = True
-                examined = 0
-                hits = []
-                for rowid in sorted(bucket):
-                    examined += 1
-                    if eval_predicate(where, table, table.get_row(rowid)) is _TRUE:
-                        hits.append(rowid)
-                table.rows_scanned_total += examined
-                return hits, examined, index_used
-    hits = []
-    examined = 0
-    for rowid, row in table.rows():
-        examined += 1
-        if where is None or eval_predicate(where, table, row) is _TRUE:
-            hits.append(rowid)
-    table.rows_scanned_total += examined
-    return hits, examined, index_used
-
-
-def select_rowids(
-    table: Table, where: SqlExpr | None, *, compiled: bool | None = None
-) -> tuple[list[int], int, bool]:
+def select_rowids(table: Table, where: SqlExpr | None) -> tuple[list[int], int, bool]:
     """Rowids matching ``where``; returns (ids, rows_examined, index_used).
 
-    ``compiled`` overrides the :mod:`repro.queryplane` global: the
-    compiled path prunes with every usable index and evaluates a row
-    closure; the interpreted path is the legacy first-bucket-or-scan
-    planner and serves as the differential oracle.  Both return the same
-    rowids in the same order.
+    Prunes with every usable index, then evaluates the compiled row
+    closure on the candidates in rowid order.
     """
-    if not queryplane.resolve(compiled):
-        return _select_rowids_interpreted(table, where)
     candidates: set[int] | None = None
     index_used = False
     if where is not None:
@@ -247,22 +145,20 @@ def select_rowids(
         items = [(rowid, table.get_row(rowid)) for rowid in sorted(candidates)]
     hits = []
     examined = 0
-    # Compile lazily so empty scans match the interpreter, which never
-    # evaluates (and so never type-checks) the predicate on zero rows.
+    # Compile lazily: a WHERE naming an unknown column outside the
+    # equality conjuncts raises only when there is a row to test.
     predicate = compiled_for(table, where) if (where is not None and items) else None
     for rowid, row in items:
         examined += 1
-        if predicate is None or predicate(row) is _TRUE:
+        if predicate is None or predicate(row) is True:
             hits.append(rowid)
     table.rows_scanned_total += examined
     return hits, examined, index_used
 
 
-def execute_select(
-    table: Table, stmt: SelectStmt, *, compiled: bool | None = None
-) -> ResultSet:
+def execute_select(table: Table, stmt: SelectStmt) -> ResultSet:
     """Run a SELECT against one table."""
-    rowids, examined, index_used = select_rowids(table, stmt.where, compiled=compiled)
+    rowids, examined, index_used = select_rowids(table, stmt.where)
     if stmt.count_star:
         return ResultSet(
             columns=("COUNT(*)",),

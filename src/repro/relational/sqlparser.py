@@ -17,7 +17,6 @@ from __future__ import annotations
 import typing as _t
 from functools import lru_cache
 
-from repro import queryplane
 from repro.errors import SqlSyntaxError
 from repro.relational.sqlast import (
     ColumnRef,
@@ -399,17 +398,10 @@ def parse_sql(text: str) -> Statement:
 
 
 @lru_cache(maxsize=256)
-def _parse_memo(text: str) -> Statement:
-    return parse_sql(text)
-
-
 def parse_sql_cached(text: str) -> Statement:
-    """LRU-cached :func:`parse_sql` used on the compiled query path.
+    """LRU-cached :func:`parse_sql`, keyed on the statement text.
 
     Statements are frozen dataclasses over tuples, so sharing the parsed
-    object across callers is safe.  With compilation off this defers to
-    the plain parser so the oracle path stays allocation-identical.
+    object across callers is safe.
     """
-    if not queryplane.compiled_default():
-        return parse_sql(text)
-    return _parse_memo(text)
+    return parse_sql(text)

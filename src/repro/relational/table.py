@@ -3,8 +3,8 @@
 Rows are stored as tuples in insertion order; equality indexes map a
 column value to the set of row ids holding it, and sorted indexes keep
 ``(numeric key, rowid)`` pairs for range pruning.  The executor consults
-indexes for ``col = literal`` conjuncts (and, on the compiled path,
-``IN`` lists and range comparisons) and reports how many rows it
+indexes for ``col = literal`` conjuncts, ``IN`` lists and range
+comparisons, and reports how many rows it
 actually examined, which feeds the study's cost models.
 
 Index keys are normalized exactly like the executor's comparison
@@ -98,9 +98,10 @@ class Table:
         self._next_rowid = 0
         self._indexes: dict[str, dict[SqlValue, set[int]]] = {}
         self._sorted: dict[str, _SortedIndex] = {}
-        # Compiled WHERE closures keyed on the expression tree; closures
-        # bind column positions only, so rows never invalidate them.
-        self._compiled_where: dict[_t.Any, "RowPredicate"] = {}
+        # Compiled WHERE closures keyed on the expression tree's id (see
+        # compile.compiled_for); closures bind column positions only, so
+        # rows never invalidate them.
+        self._compiled_where: dict[int, tuple[_t.Any, "RowPredicate"]] = {}
         self.rows_scanned_total = 0  # cumulative cost counter
 
     # -- schema -----------------------------------------------------------------

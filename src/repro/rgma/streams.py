@@ -15,9 +15,9 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.errors import SqlError
+from repro.errors import SchemaError, SqlError
 from repro.relational import SelectStmt, parse_sql
-from repro.relational.executor import eval_predicate
+from repro.relational.compile import RowPredicate, compile_predicate
 from repro.relational.table import Table
 from repro.relational.types import Column, ColumnType
 from repro.rgma.schema import GLOBAL_SCHEMA
@@ -37,34 +37,51 @@ class ContinuousQuery:
     delivered: int = 0
 
 
+# A subscription as publish runs it: the handle, its compiled WHERE (None
+# for no WHERE) and its projection as (output name, column position) pairs.
+_Standing = tuple[ContinuousQuery, _t.Optional[RowPredicate], tuple[tuple[str, int], ...]]
+
+
 @dataclass
 class StreamBroker:
     """Dispatches published tuples to matching continuous queries."""
 
     _subs: dict[str, ContinuousQuery] = field(default_factory=dict)
-    _by_table: dict[str, list[str]] = field(default_factory=dict)
+    _by_table: dict[str, dict[str, _Standing]] = field(default_factory=dict)
     published: int = 0
     deliveries: int = 0
 
     def subscribe(self, subscription_id: str, sql: str, callback: Callback) -> ContinuousQuery:
-        """Register a continuous SELECT; returns the subscription handle."""
+        """Register a continuous SELECT; returns the subscription handle.
+
+        The WHERE clause and the projection are checked against the
+        table's global-schema columns here, once: an unknown column, or
+        an id that is already subscribed, raises :class:`SchemaError`.
+        """
         stmt = parse_sql(sql)
         if not isinstance(stmt, SelectStmt):
             raise SqlError("continuous queries must be SELECT statements")
-        if stmt.table not in GLOBAL_SCHEMA:
+        schema = GLOBAL_SCHEMA.get(stmt.table)
+        if schema is None:
             raise SqlError(f"table {stmt.table!r} is not in the global schema")
+        if subscription_id in self._subs:
+            raise SchemaError(f"subscription {subscription_id!r} already exists")
+        table = Table(stmt.table, [Column(c, ColumnType.normalize(t)) for c, t in schema])
+        predicate = None if stmt.where is None else compile_predicate(stmt.where, table)
+        names = [c for c, _t_ in schema] if stmt.columns == ("*",) else stmt.columns
+        projection = tuple((name, table.column_position(name)) for name in names)
         sub = ContinuousQuery(subscription_id, stmt, callback)
         self._subs[subscription_id] = sub
-        self._by_table.setdefault(stmt.table.lower(), []).append(subscription_id)
+        self._by_table.setdefault(stmt.table.lower(), {})[subscription_id] = (
+            sub, predicate, projection,
+        )
         return sub
 
     def unsubscribe(self, subscription_id: str) -> bool:
         sub = self._subs.pop(subscription_id, None)
         if sub is None:
             return False
-        bucket = self._by_table.get(sub.stmt.table.lower(), [])
-        if subscription_id in bucket:
-            bucket.remove(subscription_id)
+        del self._by_table[sub.stmt.table.lower()][subscription_id]
         return True
 
     @property
@@ -77,30 +94,13 @@ class StreamBroker:
         schema = GLOBAL_SCHEMA.get(table_name)
         if schema is None:
             raise SqlError(f"table {table_name!r} is not in the global schema")
-        # Build a single-row scratch table to reuse the WHERE evaluator.
-        scratch = Table(
-            table_name, [Column(c, ColumnType.normalize(t)) for c, t in schema]
-        )
         values = tuple(row.get(c) for c, _t_ in schema)
         delivered = 0
-        for sub_id in self._by_table.get(table_name.lower(), []):
-            sub = self._subs[sub_id]
-            if sub.stmt.where is None or eval_predicate(sub.stmt.where, scratch, values) is True:
-                projected = self._project(sub.stmt, schema, values)
-                sub.callback(projected)
+        # A snapshot: a callback may unsubscribe.
+        for sub, predicate, projection in tuple(self._by_table.get(table_name.lower(), {}).values()):
+            if predicate is None or predicate(values) is True:
+                sub.callback({name: values[position] for name, position in projection})
                 sub.delivered += 1
                 delivered += 1
         self.deliveries += delivered
         return delivered
-
-    @staticmethod
-    def _project(
-        stmt: SelectStmt,
-        schema: tuple[tuple[str, str], ...],
-        values: tuple,
-    ) -> dict[str, _t.Any]:
-        names = [c for c, _t_ in schema]
-        lookup = {n.lower(): v for n, v in zip(names, values)}
-        if stmt.columns == ("*",):
-            return dict(zip(names, values))
-        return {c: lookup[c.lower()] for c in stmt.columns}

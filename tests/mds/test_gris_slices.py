@@ -4,12 +4,11 @@ The oracle is the tree the GRIS used to keep: a ``DIT`` holding the suffix
 and host entries, into which every provider output is ``upsert``-ed in the
 order it was produced, searched from the VO suffix.  Each test drives a
 GRIS through some history and, after every step, asks both the same
-questions — every scope, filter and projection, compiled and interpreted.
+questions — every scope, filter and projection.
 """
 
 import pytest
 
-from repro import queryplane
 from repro.ldap import DIT, MDS_VO_SUFFIX, Entry, host_dn_text, to_ldif
 from repro.mds import GIIS, GRIS, InformationProvider, replicated_providers
 from tests.mds.test_reply_bytes import ATTRIBUTES, FILTERS
@@ -65,18 +64,14 @@ def view(entries):
 
 def assert_matches_reference(gris, log, now):
     oracle = reference(log)
-    for compiled in (True, False):
-        for scope in SCOPES:
-            for text in QUESTIONS:
-                for attributes in ATTRIBUTES:
-                    with queryplane.compiled() if compiled else queryplane.interpreted():
-                        got = gris.search(text, now=now, scope=scope, attributes=attributes)
-                        want = oracle.search(
-                            MDS_VO_SUFFIX, scope=scope, filter=text, attributes=attributes
-                        )
-                    assert view(got.entries) == view(want), (compiled, scope, text, attributes)
-                    assert got.estimated_size() == (len(to_ldif(want)) if want else 64)
-                    assert got.providers_run == []  # asking never re-ran a provider
+    for scope in SCOPES:
+        for text in QUESTIONS:
+            for attributes in ATTRIBUTES:
+                got = gris.search(text, now=now, scope=scope, attributes=attributes)
+                want = oracle.search(MDS_VO_SUFFIX, scope=scope, filter=text, attributes=attributes)
+                assert view(got.entries) == view(want), (scope, text, attributes)
+                assert got.estimated_size() == (len(to_ldif(want)) if want else 64)
+                assert got.providers_run == []  # asking never re-ran a provider
 
 
 def test_slices_answer_like_the_tree_through_a_history():

@@ -1,9 +1,12 @@
 """Compile-cache behavior: LIKE regexes, filter texts, SQL parse memo."""
 
-from repro import queryplane
+import pytest
+
 from repro.ldap.compile import compile_text
+from repro.relational import Database
 from repro.relational.compile import like_regex
 from repro.relational.sqlparser import parse_sql_cached
+from tests.queryplane import oracles
 
 
 def test_like_regex_cache_hits():
@@ -23,16 +26,29 @@ def test_compiled_filter_text_cache():
     second = compile_text("(&(objectclass=MdsHost)(Mds-Cpu-Free>=2))")
     assert first is second
     assert compile_text.cache_info().hits == 1
-    assert first.plan is not None
     assert first.predicate is second.predicate
 
 
-def test_parse_sql_cached_memoizes_only_when_compiled():
+def test_parse_sql_cached_memoizes():
     text = "SELECT * FROM t WHERE a = 1"
-    with queryplane.compiled():
-        assert parse_sql_cached(text) is parse_sql_cached(text)
-    with queryplane.interpreted():
-        assert parse_sql_cached(text) is not parse_sql_cached(text)
+    assert parse_sql_cached(text) is parse_sql_cached(text)
+
+
+@pytest.mark.parametrize("first", ("1", "1.0"))
+def test_compiled_where_keeps_int_and_float_constants_apart(first):
+    """``Constant(1) == Constant(1.0)``, but their text fallbacks differ:
+    '1-' sorts after '1' and before '1.0'.  Each spelling, asked first or
+    second on one table, answers like the oracle."""
+    db = Database()
+    db.execute("CREATE TABLE t (v VARCHAR(8))")
+    table = db.table("t")
+    table.insert(("1-",))
+    second = "1.0" if first == "1" else "1"
+    for const in (first, second, first):
+        stmt = parse_sql_cached(f"SELECT * FROM t WHERE v > {const}")
+        want = oracles.execute_select(table, stmt).rows
+        assert db.query(f"SELECT * FROM t WHERE v > {const}").rows == want, const
+        assert len(want) == (1 if const == "1" else 0)
 
 
 def test_classad_compile_memoizes_per_node():

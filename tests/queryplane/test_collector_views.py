@@ -1,11 +1,14 @@
 """The collector's incrementally maintained views against the scanning oracle.
 
-On the compiled plane a full-scan constraint is answered from a view that
-re-matches only the ads advertised since it was last asked.  It must be
-indistinguishable from the scan it replaces — same ad objects in the same
-order, same ``scanned``/``ops``/``index_hit`` — after any history of
-``advertise``/``remove``/``expire``, and it must actually do less work.
+A full-scan constraint is answered from a view that re-matches only the
+ads advertised since it was last asked.  It must be indistinguishable
+from the scan it replaces (``oracles.collector_query``) — same ad objects
+in the same order, same ``scanned``/``ops``/``index_hit`` — after any
+history of ``advertise``/``remove``/``expire``, and it must actually do
+less work.
 """
+
+from functools import partial
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.classad import AdCollector, ClassAd
 from repro.classad import collector as collector_module
 from repro.classad.matchmaker import match_pool
 from repro.sim.randomness import RngHub
+from tests.queryplane import oracles
 from tests.queryplane.test_differential_classad import _random_ad
 
 MATCHES_NOTHING = "TARGET.CpuLoad > 50"
@@ -75,8 +79,8 @@ def test_views_equal_the_scan_over_a_seeded_history():
 
         constraint = CONSTRAINTS[int(rng.integers(0, len(CONSTRAINTS)))]
         asked[constraint] += 1
-        got = views.query(constraint, compiled=True)
-        want = oracle.query(constraint, compiled=False)
+        got = views.query(constraint)
+        want = oracles.collector_query(oracle, constraint)
         where = f"step {step}: {constraint}"
         assert [id(ad) for ad in got.ads] == [id(ad) for ad in want.ads], where
         if constraint == CONJUNCTIVE_INDEXED:
@@ -119,44 +123,44 @@ def _pool(n: int) -> AdCollector:
 
 def test_a_query_matches_only_the_ads_advertised_since(match_calls):
     collector = _pool(20)
-    first = collector.query(MATCHES_SOME, compiled=True)
+    first = collector.query(MATCHES_SOME)
     assert len(match_calls) == 20 and first.scanned == 20
     del match_calls[:]
 
-    assert collector.query(MATCHES_SOME, compiled=True) == first
+    assert collector.query(MATCHES_SOME) == first
     assert match_calls == []  # nothing changed: nothing evaluated
 
     replaced = [ClassAd({"Name": f"slot{i}", "CpuLoad": 1.5}) for i in (3, 7, 11)]
     for ad in replaced:
         collector.advertise(ad)
     collector.advertise(replaced[0])  # the same key twice is still one ad to look at
-    answer = collector.query(MATCHES_SOME, compiled=True)
+    answer = collector.query(MATCHES_SOME)
     assert sorted(map(id, match_calls)) == sorted(map(id, replaced))
     assert [ad.get_scalar("Name") for ad in answer.ads] == ["slot3", "slot7", "slot11"]
-    assert answer == collector.query(MATCHES_SOME, compiled=False)
+    assert answer == oracles.collector_query(collector, MATCHES_SOME)
     del match_calls[:]
 
     collector.remove("slot7")
     collector.advertise(ClassAd({"Name": "late", "CpuLoad": 1.9}))
-    answer = collector.query(MATCHES_SOME, compiled=True)
+    answer = collector.query(MATCHES_SOME)
     assert [ad.get_scalar("Name") for ad in match_calls] == ["late"]  # a removal costs nothing
     assert [ad.get_scalar("Name") for ad in answer.ads] == ["slot3", "slot11", "late"]
-    assert answer == collector.query(MATCHES_SOME, compiled=False)
+    assert answer == oracles.collector_query(collector, MATCHES_SOME)
     del match_calls[:]
 
     # A second constraint has its own view; the first is not disturbed by it.
-    collector.query(MATCHES_NOTHING, compiled=True)
+    collector.query(MATCHES_NOTHING)
     assert len(match_calls) == 20
     del match_calls[:]
-    collector.query(MATCHES_SOME, compiled=True)
-    collector.query(MATCHES_NOTHING, compiled=True)
+    collector.query(MATCHES_SOME)
+    collector.query(MATCHES_NOTHING)
     assert match_calls == []
 
 
 def test_the_interpreted_side_keeps_no_view(match_calls):
     collector = _pool(5)
     for _ in range(3):
-        collector.query(MATCHES_SOME, compiled=False)
+        oracles.collector_query(collector, MATCHES_SOME)
     assert match_calls == [] and not collector._views  # match_pool scans, every time
 
 
@@ -164,21 +168,21 @@ def test_the_least_recently_asked_view_is_evicted(match_calls):
     collector = _pool(4)
     constraints = [f"Cpus > {i}" for i in range(AdCollector.MAX_VIEWS)]
     for constraint in constraints:
-        collector.query(constraint, compiled=True)
-    collector.query(constraints[0], compiled=True)  # now the most recently asked
-    collector.query("Cpus < 0", compiled=True)  # one more than the cap
+        collector.query(constraint)
+    collector.query(constraints[0])  # now the most recently asked
+    collector.query("Cpus < 0")  # one more than the cap
     assert len(collector._views) == AdCollector.MAX_VIEWS
     del match_calls[:]
-    collector.query(constraints[0], compiled=True)
+    collector.query(constraints[0])
     assert match_calls == []  # kept
-    collector.query(constraints[1], compiled=True)
+    collector.query(constraints[1])
     assert len(match_calls) == 4  # evicted: opened again, owing the whole pool
 
 
 def test_a_view_that_owes_more_than_a_scan_is_dropped():
     collector = _pool(6)
-    collector.query(MATCHES_SOME, compiled=True)
-    collector.query(WHOLE_INDEXED, compiled=True)
+    collector.query(MATCHES_SOME)
+    collector.query(WHOLE_INDEXED)
     for i in range(6):  # names churn and nobody asks again
         collector.advertise(ClassAd({"Name": f"churn{i}", "CpuLoad": 1.2}))
         collector.remove(f"churn{i}")
@@ -187,32 +191,28 @@ def test_a_view_that_owes_more_than_a_scan_is_dropped():
     collector.remove("churn6")
     assert MATCHES_SOME not in collector._views
     assert WHOLE_INDEXED in collector._views  # an index plan owes nothing
-    assert collector.query(MATCHES_SOME, compiled=True) == collector.query(
-        MATCHES_SOME, compiled=False
-    )
+    assert collector.query(MATCHES_SOME) == oracles.collector_query(collector, MATCHES_SOME)
 
 
 def test_a_failed_evaluation_leaves_the_view_consistent(match_calls):
     collector = _pool(3)
     constraint = "int(CpuLoad) >= 0"
-    collector.query(constraint, compiled=True)
+    collector.query(constraint)
     collector.advertise(ClassAd({"Name": "slot1", "CpuLoad": float("inf")}))
     for _ in range(2):  # int(inf) overflows, on either side, every time it is asked
         with pytest.raises(OverflowError):
-            collector.query(constraint, compiled=True)
+            collector.query(constraint)
     with pytest.raises(OverflowError):
-        collector.query(constraint, compiled=False)
+        oracles.collector_query(collector, constraint)
     collector.advertise(ClassAd({"Name": "slot1", "CpuLoad": 0.25}))
-    assert collector.query(constraint, compiled=True) == collector.query(
-        constraint, compiled=False
-    )
+    assert collector.query(constraint) == oracles.collector_query(collector, constraint)
 
 
 def test_a_malformed_constraint_opens_no_view():
     from repro.errors import ClassAdSyntaxError
 
     collector = _pool(2)
-    for compiled in (True, False):
+    for query in (collector.query, partial(oracles.collector_query, collector)):
         with pytest.raises(ClassAdSyntaxError):
-            collector.query("CpuLoad >", compiled=compiled)
+            query("CpuLoad >")
     assert not collector._views

@@ -1,16 +1,18 @@
-"""Differential corpus: compiled vs interpreted ClassAd evaluation.
+"""Differential corpus: compiled ClassAd evaluation against the oracle.
 
 The compiled closures must return the same value AND the same
-``Evaluation.ops`` count as the interpreter — the op count feeds the
-simulation's CPU cost models, so parity is load-bearing, not cosmetic.
-Also checks collector constraint queries with conjunctive index pruning
-against the full-scan oracle.
+``Evaluation.ops`` count as the tree-walking oracle
+(``tests/queryplane/oracles.py``) — the op count feeds the simulation's
+CPU cost models, so parity is load-bearing, not cosmetic.  Also checks
+collector constraint queries with conjunctive index pruning against the
+oracle's full scan.
 """
 
 import math
 
 from repro.classad import AdCollector, ClassAd, Evaluation, evaluate, parse_expr
 from repro.sim.randomness import RngHub
+from tests.queryplane import oracles
 
 _ATTRS = ("CpuLoad", "Cpus", "Arch", "Active", "Memory", "Missing")
 _STR_LITS = ('"intel"', '"INTEL"', '"sparc"', '"x"')
@@ -83,12 +85,12 @@ def test_differential_eval_corpus():
         text = _random_expr(expr_rng)
         expr = parse_expr(text)
         ctx_compiled = Evaluation(my=my, target=target)
-        ctx_interp = Evaluation(my=my, target=target)
-        got = evaluate(expr, ctx=ctx_compiled, compiled=True)
-        want = evaluate(expr, ctx=ctx_interp, compiled=False)
+        ctx_oracle = Evaluation(my=my, target=target)
+        got = evaluate(expr, ctx=ctx_compiled)
+        want = oracles.evaluate(expr, ctx=ctx_oracle)
         assert _same_value(got, want), f"trial {trial}: {text} -> {got!r} != {want!r}"
-        assert ctx_compiled.ops == ctx_interp.ops, (
-            f"trial {trial}: {text} ops {ctx_compiled.ops} != {ctx_interp.ops}"
+        assert ctx_compiled.ops == ctx_oracle.ops, (
+            f"trial {trial}: {text} ops {ctx_compiled.ops} != {ctx_oracle.ops}"
         )
 
 
@@ -109,8 +111,8 @@ def test_differential_collector_queries():
         "CpuLoad > 0.5",
     )
     for constraint in constraints:
-        got = collector.query(constraint, compiled=True)
-        want = collector.query(constraint, compiled=False)
+        got = collector.query(constraint)
+        want = oracles.collector_query(collector, constraint)
         got_names = [ad.get_scalar("Name") for ad in got.ads]
         want_names = [ad.get_scalar("Name") for ad in want.ads]
         assert got_names == want_names, f"constraint {constraint!r} diverged"
@@ -124,8 +126,8 @@ def test_pruned_query_reorders_like_insertion():
         collector.advertise(ClassAd({"Name": name, "Machine": "box", "Cpus": 1}))
     collector.advertise(ClassAd({"Name": "a", "Machine": "box", "Cpus": 8}))  # refresh
     constraint = 'Machine == "box" && Cpus >= 1'
-    got = collector.query(constraint, compiled=True)
-    want = collector.query(constraint, compiled=False)
+    got = collector.query(constraint)
+    want = oracles.collector_query(collector, constraint)
     assert [ad.get_scalar("Name") for ad in got.ads] == [
         ad.get_scalar("Name") for ad in want.ads
     ]
@@ -137,7 +139,7 @@ def test_removed_ads_leave_the_bucket():
     for name in ("a", "b"):
         collector.advertise(ClassAd({"Name": name, "Machine": "box", "Cpus": 2}))
     collector.remove("a")
-    outcome = collector.query('Machine == "box" && Cpus >= 1', compiled=True)
+    outcome = collector.query('Machine == "box" && Cpus >= 1')
     assert [ad.get_scalar("Name") for ad in outcome.ads] == ["b"]
     assert outcome.scanned == 1
 
@@ -154,9 +156,9 @@ def test_an_emptied_bucket_is_deleted_not_kept():
     # The absent keys still answer: nothing there, nothing scanned.
     assert collector.lookup_equal("Machine", "host7") == []
     for constraint in ('Machine == "box"', 'Machine == "host7" && Cpus >= 1'):
-        got = collector.query(constraint, compiled=True)
-        want = collector.query(constraint, compiled=False)
+        got = collector.query(constraint)
+        want = oracles.collector_query(collector, constraint)
         assert got.ads == want.ads == []
         assert (got.scanned, got.index_hit) == (0, True)
-    rack = collector.query('Machine == "rack" && Cpus >= 1', compiled=True)
+    rack = collector.query('Machine == "rack" && Cpus >= 1')
     assert [ad.get_scalar("Name") for ad in rack.ads] == ["stays"] and rack.scanned == 1

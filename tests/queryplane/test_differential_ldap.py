@@ -1,15 +1,15 @@
-"""Differential corpus: compiled vs interpreted LDAP search answers.
+"""Differential corpus: LDAP search answers against the interpreted oracle.
 
 Generates randomized DITs and RFC 1960 filter texts (seeded through
 :class:`repro.sim.randomness.RngHub`, so failures replay exactly) and
-asserts the compiled path — predicate closures plus index pruning —
-returns byte-identical results to the interpreted full scan, which is
-the differential oracle.
+asserts ``DIT.search`` — the scan with compiled predicate closures —
+returns byte-identical results to the oracle's scan, which walks the
+filter tree per entry (``tests/queryplane/oracles.py``).
 """
 
-from repro import queryplane
 from repro.ldap import DIT, SCOPE_BASE, SCOPE_ONE, SCOPE_SUB, Entry, parse_filter
 from repro.sim.randomness import RngHub
+from tests.queryplane import oracles
 
 _ATTRS = ("Mds-Os-name", "Mds-Cpu-Free", "Mds-Memory-Ram-Total", "objectclass")
 _TEXT_VALUES = ("Linux", "SunOS", "linux 2.4.10", "Irix", "MdsHost", "nan")
@@ -72,9 +72,15 @@ def _random_filter(rng, depth: int = 0) -> str:
     return f"({attr}<={_NUM_VALUES[int(rng.integers(0, len(_NUM_VALUES)))]})"
 
 
-def _answer(dit: DIT, base: str, scope: str, text: str, attributes, compiled: bool):
-    hits = dit.search(base, scope, text, attributes, compiled=compiled)
+def _answer(hits):
     return [(str(e.dn), sorted((a, tuple(e.get(a))) for a in e.attribute_names())) for e in hits]
+
+
+def _both(dit: DIT, base: str, scope: str, flt, attributes):
+    """(src answer, oracle answer) to one question."""
+    got = _answer(dit.search(base, scope, flt, attributes))
+    want = _answer(oracles.search(dit, base, scope, flt, attributes))
+    return got, want
 
 
 def test_differential_search_corpus():
@@ -93,73 +99,63 @@ def test_differential_search_corpus():
         base = bases[int(filter_rng.integers(0, len(bases)))]
         scope = scopes[int(filter_rng.integers(0, len(scopes)))]
         attributes = None if filter_rng.random() < 0.7 else ["Mds-Os-name", "objectclass"]
-        got = _answer(dit, base, scope, text, attributes, compiled=True)
-        want = _answer(dit, base, scope, text, attributes, compiled=False)
+        got, want = _both(dit, base, scope, text, attributes)
         assert got == want, f"trial {trial}: filter {text!r} diverged ({scope} at {base})"
 
 
 def test_differential_survives_mutation():
-    """Index maintenance keeps pruned answers equal to scans after add/upsert/delete."""
+    """Answers follow add/upsert/delete, asked twice after each step."""
     hub = RngHub(seed=7)
     rng = hub.stream("ldap", "mutation")
     dit = _build_dit(rng, hosts=6)
-    # Force the lazy indexes to build, then mutate.
-    dit.search("o=grid", SCOPE_SUB, "(objectclass=MdsHost)", compiled=True)
-    assert dit.pruned_searches == 1
-    dit.delete(dit.get("Mds-Host-hn=host2.mcs.anl.gov, Mds-Vo-name=local, o=grid").dn, recursive=True)
-    dit.upsert(
-        Entry(
-            "Mds-Host-hn=host3.mcs.anl.gov, Mds-Vo-name=local, o=grid",
-            {"objectclass": "MdsHost", "Mds-Os-name": "Plan9", "Mds-Cpu-Free": "99"},
-        )
-    )
-    dit.add(
-        Entry(
-            "Mds-Host-hn=fresh.mcs.anl.gov, Mds-Vo-name=local, o=grid",
-            {"objectclass": "MdsHost", "Mds-Os-name": "Linux"},
-        )
-    )
-    for text in (
+    questions = (
         "(objectclass=MdsHost)",
         "(Mds-Os-name=plan9)",
         "(Mds-Cpu-Free>=50)",
         "(&(objectclass=MdsHost)(Mds-Os-name=Linux))",
         "(|(Mds-Os-name=Plan9)(Mds-Os-name=SunOS))",
-    ):
-        got = _answer(dit, "o=grid", SCOPE_SUB, text, None, compiled=True)
-        want = _answer(dit, "o=grid", SCOPE_SUB, text, None, compiled=False)
-        assert got == want, f"filter {text!r} diverged after mutation"
+    )
+    mutations = (
+        lambda: dit.delete(
+            dit.get("Mds-Host-hn=host2.mcs.anl.gov, Mds-Vo-name=local, o=grid").dn, recursive=True
+        ),
+        lambda: dit.upsert(
+            Entry(
+                "Mds-Host-hn=host3.mcs.anl.gov, Mds-Vo-name=local, o=grid",
+                {"objectclass": "MdsHost", "Mds-Os-name": "Plan9", "Mds-Cpu-Free": "99"},
+            )
+        ),
+        lambda: dit.add(
+            Entry(
+                "Mds-Host-hn=fresh.mcs.anl.gov, Mds-Vo-name=local, o=grid",
+                {"objectclass": "MdsHost", "Mds-Os-name": "Linux"},
+            )
+        ),
+    )
+    for step, mutate in enumerate(mutations):
+        mutate()
+        for text in questions:
+            for ask in range(2):
+                got, want = _both(dit, "o=grid", SCOPE_SUB, text, None)
+                assert got == want, f"filter {text!r} diverged after mutation {step} (ask {ask})"
 
 
 def test_numeric_string_equality_matches_scan():
-    """Index keys normalize numbers first: (a=7.0) must find value "7"."""
+    """Equality matches numerically first: (a=7.0) must find value "7"."""
     dit = DIT()
     dit.add(Entry("o=grid", {"objectclass": "organization"}))
     dit.add(Entry("cn=a, o=grid", {"objectclass": "x", "Mds-Cpu-Free": "7"}))
     dit.add(Entry("cn=b, o=grid", {"objectclass": "x", "Mds-Cpu-Free": "7.0"}))
     dit.add(Entry("cn=c, o=grid", {"objectclass": "x", "Mds-Cpu-Free": "seven"}))
     for text in ("(Mds-Cpu-Free=7.0)", "(Mds-Cpu-Free=7)", "(Mds-Cpu-Free=SEVEN)"):
-        got = _answer(dit, "o=grid", SCOPE_SUB, text, None, compiled=True)
-        want = _answer(dit, "o=grid", SCOPE_SUB, text, None, compiled=False)
+        got, want = _both(dit, "o=grid", SCOPE_SUB, text, None)
         assert got == want
     assert len(dit.search("o=grid", SCOPE_SUB, "(Mds-Cpu-Free=7.0)")) == 2
 
 
-def test_context_manager_switches_paths():
-    dit = _build_dit(RngHub(seed=3).stream("ldap", "ctx"), hosts=4)
-    with queryplane.interpreted():
-        before = dit.pruned_searches
-        dit.search("o=grid", SCOPE_SUB, "(objectclass=MdsHost)")
-        assert dit.pruned_searches == before
-    with queryplane.compiled():
-        dit.search("o=grid", SCOPE_SUB, "(objectclass=MdsHost)")
-        assert dit.pruned_searches == before + 1
-
-
 def test_filter_object_search_differential():
-    """search() accepts pre-parsed Filter objects on both paths."""
+    """search() accepts pre-parsed Filter objects, like the oracle."""
     dit = _build_dit(RngHub(seed=5).stream("ldap", "obj"), hosts=5)
     flt = parse_filter("(&(objectclass=MdsHost)(Mds-Cpu-Free>=2))")
-    got = _answer(dit, "o=grid", SCOPE_SUB, flt, None, compiled=True)
-    want = _answer(dit, "o=grid", SCOPE_SUB, flt, None, compiled=False)
+    got, want = _both(dit, "o=grid", SCOPE_SUB, flt, None)
     assert got == want

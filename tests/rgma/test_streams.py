@@ -107,3 +107,48 @@ def test_producer_feeds_stream(broker):
     for t in range(5):
         broker.publish("cpuLoad", producer.measure(float(t)))
     assert len(got) == 5
+
+
+def _cpu_row(load1=1.0):
+    return {"producerId": "p", "hostName": "h", "timestamp": 0.0,
+            "load1": load1, "load5": load1, "load15": load1}
+
+
+def test_unknown_where_column_rejected_at_subscribe(broker):
+    seen = []
+    broker.subscribe("good", "SELECT * FROM cpuLoad", seen.append)
+    with pytest.raises(SqlError):
+        broker.subscribe("bad", "SELECT * FROM cpuLoad WHERE nosuch > 1", print)
+    assert broker.publish("cpuLoad", _cpu_row()) == 1
+    assert len(seen) == 1 and broker.subscription_count == 1
+
+
+def test_unknown_projected_column_rejected_at_subscribe(broker):
+    seen = []
+    broker.subscribe("good", "SELECT hostName FROM cpuLoad", seen.append)
+    with pytest.raises(SqlError):
+        broker.subscribe("bad", "SELECT nosuch FROM cpuLoad", print)
+    assert broker.publish("cpuLoad", _cpu_row()) == 1
+    assert seen == [{"hostName": "h"}]
+
+
+def test_subscribing_an_id_twice_is_rejected(broker):
+    seen = []
+    broker.subscribe("s", "SELECT * FROM cpuLoad", seen.append)
+    with pytest.raises(SqlError):
+        broker.subscribe("s", "SELECT * FROM cpuLoad", seen.append)
+    assert broker.publish("cpuLoad", _cpu_row()) == 1
+    assert len(seen) == 1
+
+
+def test_an_id_moves_to_another_table_only_through_unsubscribe(broker):
+    seen = []
+    broker.subscribe("s", "SELECT * FROM cpuLoad", seen.append)
+    with pytest.raises(SqlError):
+        broker.subscribe("s", "SELECT * FROM memoryUsage", seen.append)
+    assert broker.unsubscribe("s")
+    broker.subscribe("s", "SELECT freeMB FROM memoryUsage", seen.append)
+    assert broker.publish("cpuLoad", _cpu_row()) == 0
+    memory = {"producerId": "p", "hostName": "h", "timestamp": 0.0, "totalMB": 512, "freeMB": 100}
+    assert broker.publish("memoryUsage", memory) == 1
+    assert seen == [{"freeMB": 100}]
