@@ -16,11 +16,16 @@ tiers that break that ceiling (ROADMAP: million-user sweeps):
 
 Both tiers consume a :class:`ServiceModel` built by
 :func:`model_for_plan` from the same :class:`DeploymentPlan` the exact
-tier compiles, with per-query costs taken verbatim from
-:mod:`repro.core.params` and entry counts / response sizes measured on
-cheap *representative* functional objects (a real GRIS/GIIS/Agent/
-Manager/servlet answering one query) — never a full plan compile, so a
-10^4-node tree model costs milliseconds.
+tier compiles, and *recorded from its kernels*: the plan's own objects
+go through the shared materialize/connect/expose phases, and a
+recording interpreter of the op protocol drives the request the exact
+tier's clients send through the entry kernel once, on a symbolic clock.
+What the ops spend becomes the stations (CPU demand per host, one
+station per lock hold), ``KernelResponse.size`` the answer size, and
+the ``KernelSpec`` the thread pool, accept queue and connection
+overhead — a per-request cost is written once, in the kernel.  A tree
+records one leaf aggregate and the fan-out path above it, never the
+whole tree, so a 10^4-node tree model costs milliseconds.
 
 Validity envelope (docs/FIDELITY.md): background traffic that the
 exact tier simulates (producer publish rounds, Hawkeye local
@@ -34,15 +39,18 @@ from __future__ import annotations
 
 import math
 import typing as _t
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.components import Role, System
+from repro.core.components import System
+from repro.core.kernels import ops
+from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
+from repro.core.kernels.ops import KernelResponse, KernelSpec
 from repro.core.metrics import MetricsSummary
 from repro.core.params import StudyParams, default_params, measurement_window
 from repro.core.runner import PointResult
 from repro.core.topology.plan import (
     FIDELITY_TIERS,
-    CollectorSpec,
+    AggregateSpec,
     DeploymentPlan,
     EdgeKind,
     NodeSpec,
@@ -61,6 +69,7 @@ __all__ = [
     "model_for_plan",
     "tier_for_plan",
     "solve_meanfield",
+    "host_load",
     "load1_ramp",
     "fast_point",
     "projected_exact_cost",
@@ -147,8 +156,7 @@ class ServiceModel:
     cpus: int  # monitored host CPUs
     cpu_rate: float = 1.0
     refusal_rtt: float = 0.0  # client-observed cost of one refused attempt
-    response_bytes: int = 0
-    notes: str = ""
+    response_bytes: int = 0  # what the client gets back
 
     @property
     def capacity(self) -> int:
@@ -156,84 +164,7 @@ class ServiceModel:
         return self.max_threads + self.backlog
 
 
-# -- representative functional objects --------------------------------------
-#
-# Entry counts and wire sizes come from real answers of cheaply built
-# functional objects, so the fast tiers inherit them from the same code
-# path the exact tier exercises instead of hard-coding byte counts.
-
-
-def _rep_gris(collectors: int, cached: bool, seed: int = 0):
-    from repro.mds.gris import GRIS
-    from repro.mds.providers import replicated_providers
-
-    ttl = float("inf") if cached else 0.0
-    gris = GRIS(
-        "fidelity-model.mcs.anl.gov",
-        replicated_providers(collectors),
-        cachettl=ttl,
-        seed=seed,
-    )
-    result = gris.search(now=0.0)  # primes the cache when cached
-    if cached:
-        result = gris.search(now=0.0)  # measure the steady (cached) answer
-    return gris, result
-
-
-def _rep_giis_directory(registrants: int, collectors: int = 10):
-    from repro.mds.giis import GIIS
-
-    giis = GIIS("fidelity-model", cachettl=float("inf"))
-    for i in range(registrants):
-        gris, _ = _rep_gris(collectors, cached=True, seed=101 + i)
-        giis.register(f"gris{i}", _gris_puller(gris), now=0.0, ttl=1e12)
-    return giis, giis.query(now=0.0)
-
-
-def _gris_puller(gris):
-    def pull(now: float):
-        result = gris.search(now=now)
-        return result.entries, result.exec_cost
-
-    return pull
-
-
-def _rep_agent(modules: int, seed: int = 0):
-    from repro.hawkeye.agent import Agent
-    from repro.hawkeye.modules import replicated_modules
-
-    agent = Agent("fidelity-model.pool", replicated_modules(modules), seed=seed)
-    return agent, agent.query(now=0.0)
-
-
-def _rep_manager(agent_machines: _t.Sequence[str]):
-    from repro.hawkeye.agent import Agent
-    from repro.hawkeye.manager import Manager
-    from repro.hawkeye.modules import make_default_modules
-
-    manager = Manager("fidelity-model")
-    for machine in agent_machines:
-        agent = Agent(machine, make_default_modules(), seed=0)
-        manager.register_agent(agent)
-        ad, _ = agent.make_startd_ad(now=0.0)
-        manager.receive_ad(ad, now=0.0)
-    return manager
-
-
-def _rep_producer_servlet(producers: int, seed: int = 0):
-    from repro.rgma.producer import make_default_producers
-    from repro.rgma.producer_servlet import ProducerServlet
-    from repro.rgma.registry import Registry
-
-    registry = Registry("fidelity-model")
-    servlet = ProducerServlet("fidelity-ps")
-    for producer in make_default_producers("lucky3.mcs.anl.gov", producers, seed=seed):
-        servlet.attach(producer, registry, now=0.0, lease=1e9)
-    servlet.publish_all(now=0.0)
-    return registry, servlet, servlet.answer("SELECT * FROM cpuLoad")
-
-
-# -- model construction ------------------------------------------------------
+# -- the recording interpreter ------------------------------------------------
 
 
 def tier_for_plan(plan: DeploymentPlan) -> str:
@@ -241,334 +172,302 @@ def tier_for_plan(plan: DeploymentPlan) -> str:
     return plan.node(plan.entry).fidelity
 
 
-def _collector_count(plan: DeploymentPlan, spec: NodeSpec, default: int = 10) -> int:
-    for edge in plan.edges_to(spec.name, EdgeKind.COLLECTION):
-        source = plan.node(edge.source)
-        if isinstance(source, CollectorSpec):
-            return source.count
-    return default
+def _on_uc(host: str | None) -> bool:
+    return host is not None and host.startswith("uc:")
 
 
-def _wan_legs(request: int, response: int, p: StudyParams) -> tuple[float, float, list[Station]]:
-    """(pre_delay, post_delay, network stations) for UC clients -> ANL server."""
+def _host_cpus(p: StudyParams, host: str | None) -> tuple[int, float]:
+    """(CPU count, CPU rate) of a testbed placement."""
     tb = p.testbed
-    wan_rate = tb.wan_mbps * 1e6 / 8.0
-    pre = tb.wan_latency + 2 * request / _NIC_RATE
-    post = tb.wan_latency + response / _NIC_RATE
-    stations = [
-        Station("nic-out", demand=response / _NIC_RATE, in_server=False),
-        Station("wan", demand=(request + response) / wan_rate, in_server=False),
-    ]
-    return pre, post, stations
+    return (tb.uc_cpus, tb.uc_cpu_rate) if _on_uc(host) else (tb.lucky_cpus, tb.lucky_cpu_rate)
 
 
-def _lan_legs(request: int, response: int, p: StudyParams) -> tuple[float, float, list[Station]]:
-    """(pre, post, stations) for clients on the ANL LAN."""
+class _Target(_t.NamedTuple):
+    """A call target while recording: an exposed kernel on its node, or
+    the canned reply of a tree node's child, which is never walked."""
+
+    spec: KernelSpec | None
+    node: NodeSpec | None
+    reply: KernelResponse | None = None
+
+
+class _Recorder:
+    """Interprets kernel ops on a symbolic clock, summing their costs per station.
+
+    ``Compute`` adds to the CPU station of its service's host, divided by
+    that host's CPU rate; a ``Held``, or a ``Busy`` between ``Acquire``
+    and ``Release``, to one station per lock.  ``Call`` drives the
+    callee; ``Fanout`` answers from the targets' canned replies.
+    ``CLOCK`` reads 0 and ``QueueDepth`` reads ``depth``.
+    """
+
+    def __init__(self, p: StudyParams, server: NodeSpec, depth: int) -> None:
+        self.p = p
+        self.server = server  # its host is monitored, its handler the thread slot
+        self.depth = depth
+        # key -> [demand, servers, cpu_fraction (None: a CPU), host, in_server]
+        self.costs: dict[str, list] = {}
+        self.calls: list[tuple[int, int]] = []  # (request, reply) bytes per Call
+        self.inbound = 0  # reply bytes the fan-outs collect
+        self.read_depth = self.serialized = False
+        # Filled in by _record:
+        self.route: _Target | None = None  # where the client's request enters
+        self.reply: KernelResponse | None = None  # what the client gets back
+        self.admission: KernelSpec | None = None  # the server's thread pool and backlog
+        self.stations: list[Station] = []
+
+    def drive(
+        self, target: _Target, payload: _t.Any, copies: int = 1, inside: bool = False
+    ) -> KernelResponse:
+        """Run ``target``'s handler on ``payload``; ``copies`` multiplies its servers."""
+        assert target.spec is not None and target.node is not None
+        host = target.node.host
+        inside = inside or target.node.name == self.server.name
+        cpus, rate = _host_cpus(self.p, host)
+        held: list[str] = []
+        gen = target.spec.handle(payload)
+        value: _t.Any = None
+        while True:
+            try:
+                op = gen.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = None
+            tag = op.tag
+            if tag == ops.OP_COMPUTE:
+                self._charge(f"{host}:cpu", op.seconds / rate, cpus * copies, None, host, inside)
+            elif tag == ops.OP_CLOCK:
+                value = 0.0
+            elif tag == ops.OP_QUEUE_DEPTH:
+                self.read_depth = True
+                value = self.depth
+            elif tag == ops.OP_ACQUIRE:
+                self.serialized = True
+                held.append(op.lock)
+            elif tag == ops.OP_RELEASE:
+                held.remove(op.lock)
+            elif tag == ops.OP_BUSY or tag == ops.OP_HELD:
+                lock = op.lock if tag == ops.OP_HELD else held[-1]
+                self._charge(lock, op.hold, copies, op.cpu_fraction, host, inside)
+            elif tag == ops.OP_CALL:
+                reply = self.drive(op.target, op.payload, inside=inside)
+                self.calls.append((op.size, reply.size))
+                value = reply.value
+            elif tag == ops.OP_FANOUT:
+                value = [(True, t.reply.value) for t in op.targets]
+                self.inbound += sum(t.reply.size for t in op.targets)
+            else:
+                raise FidelityError(f"kernel op {op!r} has no fast-tier model")
+
+    def _charge(self, key, demand, servers, fraction, host, inside) -> None:
+        cost = self.costs.setdefault(key, [0.0, servers, fraction, host, inside])
+        cost[0] += demand
+
+    def build(self, convoy: _t.Mapping[str, float]) -> list[Station]:
+        """Stations in first-visit order; the monitored host's carry the load flags."""
+        out = []
+        for key, (demand, servers, fraction, host, inside) in self.costs.items():
+            mon = host == self.server.host
+            if fraction is None:
+                out.append(Station(key, demand, servers, monitored_cpu=demand if mon else 0.0,
+                                   load_queue=mon, in_server=inside))
+            else:
+                out.append(Station(key, demand, servers, convoy=convoy.get(key, 0.0),
+                                   monitored_cpu=demand * fraction if mon else 0.0,
+                                   load_util=fraction if mon else 0.0, in_server=inside))
+        return out
+
+    @property
+    def request(self) -> int:
+        """Bytes the client sends: the request size of the kernel it calls."""
+        assert self.route is not None and self.route.spec is not None
+        return self.route.spec.handle.__self__.params.request_size
+
+    @property
+    def cpu(self) -> float:
+        return sum(st.demand for st in self.stations)
+
+
+def _record(
+    plan: DeploymentPlan,
+    p: StudyParams,
+    payload: _t.Any = None,
+    children: _t.Mapping[str, _Target] | None = None,
+) -> _Recorder:
+    """Drive ``payload`` once through the route a client of ``plan`` takes.
+
+    The plan's own objects are built by the shared compile phases and
+    exposed with lock names as lock tokens; ``children`` pre-fills the
+    call targets.  The server under study is the ``fault_target`` node
+    (else the entry).  In the per-host mediator layout the request enters
+    at one mediator, whose stations get one server per mediator.  The
+    convoy coefficient is the one demand no op shows, so a request that
+    reads a queue depth is driven again at depth 1, and each lock's
+    convoy is ``hold(1) / hold(0) - 1``.
+    """
+    objects: dict[str, _t.Any] = {}
+    extras: dict[str, _t.Any] = {}
+    materialize_plan(plan, objects, extras)
+    connect_plan(plan, objects, extras)
+    targets = dict(children or {})
+    for name, node, spec in expose_plan(
+        plan, objects, extras, p, make_lock=lambda name: name, wire=False, services=targets
+    ):
+        targets[name] = _Target(spec, node)
+    server = next((s for s in plan.nodes if s.fault_target), plan.node(plan.entry))
+    mediators = [s.name for s in plan.nodes if isinstance(s, ServerSpec) and s.variant == "mediator"]
+    routed = bool(mediators) and plan.entry not in mediators
+    copies = len(mediators) if routed else 1
+    rec = _Recorder(p, server, depth=0)
+    rec.route = targets[mediators[0] if routed else plan.entry]
+    rec.reply = rec.drive(rec.route, payload, copies)
+    rec.admission = targets[server.name].spec
+    convoy: dict[str, float] = {}
+    if rec.read_depth:
+        again = _Recorder(p, server, depth=1)
+        again.drive(rec.route, payload, copies)
+        for key, cost in rec.costs.items():
+            if cost[2] is not None:
+                convoy[key] = again.costs[key][0] / cost[0] - 1.0
+    rec.stations = rec.build(convoy)
+    return rec
+
+
+# -- model construction ------------------------------------------------------
+
+
+def _legs(
+    p: StudyParams, request: int, response: int, *, wan: bool
+) -> tuple[float, float, list[Station], float]:
+    """(pre_delay, post_delay, network stations, return latency) of one hop.
+
+    ``wan`` is a UC <-> ANL hop through the shared WAN link; otherwise
+    both ends sit on one site's LAN.
+    """
     tb = p.testbed
-    pre = tb.lan_latency + 2 * request / _NIC_RATE
-    post = tb.lan_latency + response / _NIC_RATE
-    return pre, post, [Station("nic-out", demand=response / _NIC_RATE, in_server=False)]
-
-
-def _gris_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    entry = plan.node(plan.entry)
-    assert isinstance(entry, ServerSpec)
-    collectors = _collector_count(plan, entry)
-    gp = p.gris
-    _, result = _rep_gris(collectors, cached=entry.cached, seed=entry.seed)
-    response = result.estimated_size()
-    cpu = gp.cpu_per_query + len(result.entries) * gp.cpu_per_entry
-    stations = [
-        Station("cpu", demand=cpu, servers=p.testbed.lucky_cpus,
-                monitored_cpu=cpu, load_queue=True),
-    ]
-    if not entry.cached:
-        hold = collectors * gp.provider_hold
-        stations.append(
-            Station("providers", demand=hold,
-                    monitored_cpu=hold * gp.provider_cpu_fraction,
-                    load_util=gp.provider_cpu_fraction)
-        )
-    pre, post, net = _wan_legs(gp.request_size, response, p)
-    return ServiceModel(
-        name=plan.name, stations=tuple(stations + net), pre_delay=pre, post_delay=post,
-        conn=gp.conn_overhead, max_threads=gp.max_threads, backlog=gp.backlog,
-        cpus=p.testbed.lucky_cpus, cpu_rate=p.testbed.lucky_cpu_rate,
-        refusal_rtt=pre + p.testbed.wan_latency, response_bytes=response,
-    )
-
-
-def _agent_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    entry = plan.node(plan.entry)
-    modules = _collector_count(plan, entry, default=11)
-    ap = p.agent
-    _, answer = _rep_agent(modules, seed=entry.seed)
-    response = answer.estimated_size()
-    hold = ap.fetch_quad_coeff * modules * modules
-    stations = [
-        Station("cpu", demand=ap.cpu_per_query, servers=p.testbed.lucky_cpus,
-                monitored_cpu=ap.cpu_per_query, load_queue=True),
-        Station("startd", demand=hold, convoy=ap.convoy_coeff,
-                monitored_cpu=hold * ap.fetch_cpu_fraction,
-                load_util=ap.fetch_cpu_fraction),
-    ]
-    pre, post, net = _wan_legs(ap.request_size, response, p)
-    return ServiceModel(
-        name=plan.name, stations=tuple(stations + net), pre_delay=pre, post_delay=post,
-        conn=ap.conn_overhead, max_threads=ap.max_threads, backlog=ap.backlog,
-        cpus=p.testbed.lucky_cpus, cpu_rate=p.testbed.lucky_cpu_rate,
-        refusal_rtt=pre + p.testbed.wan_latency, response_bytes=response,
-    )
-
-
-def _ps_stations(plan: DeploymentPlan, p: StudyParams, ps_name: str) -> tuple[list[Station], int]:
-    """The ProducerServlet's own stations plus its response size."""
-    pp = p.producer_servlet
-    producers = _collector_count(plan, plan.node(ps_name))
-    _, _, answer = _rep_producer_servlet(producers)
-    hold = pp.db_hold_linear * producers + pp.db_hold_quad * producers * producers
-    stations = [
-        Station("ps-cpu", demand=pp.cpu_per_query, servers=p.testbed.lucky_cpus,
-                monitored_cpu=pp.cpu_per_query, load_queue=True),
-        Station("ps-db", demand=hold, convoy=pp.convoy_coeff,
-                monitored_cpu=hold * pp.db_cpu_fraction,
-                load_util=pp.db_cpu_fraction),
-    ]
-    return stations, answer.estimated_size()
-
-
-def _rgma_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    entry = plan.node(plan.entry)
-    pp = p.producer_servlet
-    cp = p.consumer_servlet
-    tb = p.testbed
-    if entry.variant == "mediator":
-        # exp1 rgma-ps-uc: UC consumers -> one CS at UC -> PS over the WAN.
-        mediation = [e.target for e in plan.edges_from(plan.entry, EdgeKind.MEDIATION)]
-        ps_stations, response = _ps_stations(plan, p, mediation[0])
+    latency = tb.wan_latency if wan else tb.lan_latency
+    pre = latency + 2 * request / _NIC_RATE
+    post = latency + response / _NIC_RATE
+    stations = [Station("nic-out", demand=response / _NIC_RATE, in_server=False)]
+    if wan:
         wan_rate = tb.wan_mbps * 1e6 / 8.0
-        stations = [
-            Station("cs-cpu", demand=cp.cpu_per_query / tb.uc_cpu_rate,
-                    servers=tb.uc_cpus, in_server=False),
-            Station("cs-mediation", demand=cp.mediation_hold, in_server=False),
-            *ps_stations,
-            # CS -> PS request and PS -> CS response both cross the WAN;
-            # the CS -> consumer response (1024 B) stays on the UC LAN.
-            Station("ps-nic-out", demand=response / _NIC_RATE, in_server=False),
-            Station("wan", demand=(cp.request_size + response) / wan_rate,
-                    in_server=False),
-        ]
-        pre = _SAME_SITE_LATENCY + tb.wan_latency + 2 * cp.request_size / _NIC_RATE
-        post = tb.wan_latency + _SAME_SITE_LATENCY + 1024 / _NIC_RATE
-        return ServiceModel(
-            name=plan.name, stations=tuple(stations), pre_delay=pre, post_delay=post,
-            conn=pp.conn_overhead, max_threads=pp.max_threads, backlog=pp.backlog,
-            cpus=tb.lucky_cpus, cpu_rate=tb.lucky_cpu_rate,
-            refusal_rtt=pre + tb.wan_latency, response_bytes=response,
-        )
-    mediators = [e.source for e in plan.edges_to(plan.entry, EdgeKind.MEDIATION)]
-    if mediators:
-        # exp1 rgma-ps-lucky: consumers on the Lucky nodes, a CS per node
-        # (loopback to the local CS, LAN to the shared PS on lucky3).
-        n_cs = len(mediators)
-        ps_stations, response = _ps_stations(plan, p, plan.entry)
-        stations = [
-            Station("cs-cpu", demand=cp.cpu_per_query,
-                    servers=n_cs * tb.lucky_cpus, in_server=False),
-            Station("cs-mediation", demand=cp.mediation_hold, servers=n_cs,
-                    service=cp.mediation_hold, in_server=False),
-            *ps_stations,
-            Station("ps-nic-out", demand=response / _NIC_RATE, in_server=False),
-        ]
-        pre = _LOOPBACK + tb.lan_latency + 2 * cp.request_size / _NIC_RATE
-        post = tb.lan_latency + _LOOPBACK + (response + 1024) / _NIC_RATE
-        return ServiceModel(
-            name=plan.name, stations=tuple(stations), pre_delay=pre, post_delay=post,
-            conn=pp.conn_overhead, max_threads=pp.max_threads, backlog=pp.backlog,
-            cpus=tb.lucky_cpus, cpu_rate=tb.lucky_cpu_rate,
-            refusal_rtt=pre + tb.lan_latency, response_bytes=response,
-        )
-    # exp3 rgma-ps: UC consumers query the ProducerServlet directly.
-    ps_stations, response = _ps_stations(plan, p, plan.entry)
-    pre, post, net = _wan_legs(pp.request_size, response, p)
-    return ServiceModel(
-        name=plan.name, stations=tuple(ps_stations + net), pre_delay=pre, post_delay=post,
-        conn=pp.conn_overhead, max_threads=pp.max_threads, backlog=pp.backlog,
-        cpus=tb.lucky_cpus, cpu_rate=tb.lucky_cpu_rate,
-        refusal_rtt=pre + tb.wan_latency, response_bytes=response,
-    )
+        stations.append(Station("wan", demand=(request + response) / wan_rate, in_server=False))
+    return pre, post, stations, latency
 
 
-def _giis_directory_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    gp = p.giis
-    registrants = len(plan.edges_to(plan.entry, EdgeKind.REGISTRATION))
-    _, result = _rep_giis_directory(registrants)
-    response = result.estimated_size()
-    stations = [
-        Station("cpu", demand=gp.cpu_per_query, servers=p.testbed.lucky_cpus,
-                monitored_cpu=gp.cpu_per_query, load_queue=True),
-    ]
-    pre, post, net = _wan_legs(gp.request_size, response, p)
+def _model(
+    plan: DeploymentPlan,
+    p: StudyParams,
+    rec: _Recorder,
+    stations: list[Station],
+    legs: tuple[float, float, list[Station], float],
+) -> ServiceModel:
+    pre, post, net, back = legs
+    spec = rec.admission
+    assert spec is not None and rec.reply is not None
+    cpus, rate = _host_cpus(p, rec.server.host)
     return ServiceModel(
         name=plan.name, stations=tuple(stations + net), pre_delay=pre, post_delay=post,
-        conn=gp.conn_overhead, max_threads=gp.max_threads, backlog=gp.backlog,
-        cpus=p.testbed.lucky_cpus, cpu_rate=p.testbed.lucky_cpu_rate,
-        refusal_rtt=pre + p.testbed.wan_latency, response_bytes=response,
+        conn=spec.conn_overhead, max_threads=spec.max_threads, backlog=spec.backlog,
+        cpus=cpus, cpu_rate=rate, refusal_rtt=pre + back, response_bytes=rec.reply.size,
     )
 
 
-def _manager_directory_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    mp = p.manager
-    agents = [
-        plan.node(e.source).options.get(
-            "agent_machine", f"{plan.node(e.source).host}.mcs.anl.gov"
-        )
-        for e in plan.edges_to(plan.entry, EdgeKind.REGISTRATION)
-    ]
-    manager = _rep_manager(agents)
-    answer = manager.query_machine("lucky4.mcs.anl.gov")
-    response = max(answer.estimated_size(), 512)
-    stations = [
-        Station("cpu", demand=mp.cpu_per_query, servers=p.testbed.lucky_cpus,
-                monitored_cpu=mp.cpu_per_query, load_queue=True),
-    ]
-    pre, post, net = _wan_legs(mp.request_size, response, p)
-    return ServiceModel(
-        name=plan.name, stations=tuple(stations + net), pre_delay=pre, post_delay=post,
-        conn=mp.conn_overhead, max_threads=mp.max_threads, backlog=mp.backlog,
-        cpus=p.testbed.lucky_cpus, cpu_rate=p.testbed.lucky_cpu_rate,
-        refusal_rtt=pre + p.testbed.wan_latency, response_bytes=response,
-        notes="background agent advertising ignored (<0.3% host CPU)",
+def _flat_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
+    """One server, queried directly or through one mediator."""
+    from repro.core.experiments.common import WIRING
+
+    # The Exp-1/2 wiring says what its clients send and where they sit.
+    system = plan.name.partition("-")[2]
+    wired = WIRING.get(system)
+    if wired is not None and wired.plan(system, 1).name != plan.name:
+        wired = None
+    rec = _record(plan, p, wired.payload if wired else None)
+    assert rec.route is not None and rec.reply is not None
+    server_on_uc = _on_uc(rec.server.host)
+    if not rec.calls:
+        clients_on_uc = not (wired and wired.clients == "lucky")
+        legs = _legs(p, rec.request, rec.reply.size, wan=clients_on_uc != server_on_uc)
+        return _model(plan, p, rec, rec.stations, legs)
+    # A mediator forwards the query over a hop of its own; the client's
+    # hop to it is loopback when every client has a mediator on its own
+    # host, an intra-site hop otherwise.
+    ((request, response),) = rec.calls
+    pre, post, net, back = _legs(
+        p, request, response, wan=_on_uc(rec.route.node.host) != server_on_uc
     )
+    hop = _SAME_SITE_LATENCY if rec.route.node.name == plan.entry else _LOOPBACK
+    legs = (pre + hop, post + hop + rec.reply.size / _NIC_RATE, net, back)
+    return _model(plan, p, rec, rec.stations, legs)
 
 
-def _registry_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    from repro.rgma.producer import make_default_producers
-    from repro.rgma.producer_servlet import ProducerServlet
-    from repro.rgma.registry import Registry
-
-    rp = p.registry
-    ps_nodes = [e.source for e in plan.edges_to(plan.entry, EdgeKind.REGISTRATION)]
-    registry = Registry("fidelity-model")
-    for i, node in enumerate(ps_nodes or ["lucky3-ps"]):
-        servlet = ProducerServlet(node)
-        producers = make_default_producers(f"{node}.mcs.anl.gov", 10, seed=i)
-        for producer in producers:
-            servlet.attach(producer, registry, now=0.0, lease=1e9)
-    regs = registry.lookup("cpuLoad", now=0.0)
-    response = max(256, 128 * len(regs))
-    stations = [
-        Station("cpu", demand=rp.cpu_per_query, servers=p.testbed.lucky_cpus,
-                monitored_cpu=rp.cpu_per_query, load_queue=True),
-    ]
-    lucky = plan.name.endswith("lucky")
-    if lucky:
-        pre, post, net = _lan_legs(rp.request_size, response, p)
-        rtt_back = p.testbed.lan_latency
-    else:
-        pre, post, net = _wan_legs(rp.request_size, response, p)
-        rtt_back = p.testbed.wan_latency
-    return ServiceModel(
-        name=plan.name, stations=tuple(stations + net), pre_delay=pre, post_delay=post,
-        conn=rp.conn_overhead, max_threads=rp.max_threads, backlog=rp.backlog,
-        cpus=p.testbed.lucky_cpus, cpu_rate=p.testbed.lucky_cpu_rate,
-        refusal_rtt=pre + rtt_back, response_bytes=response,
-    )
-
-
-def _tree_shape(plan: DeploymentPlan) -> tuple[int, int, int, int]:
-    """(depth, fanout, leaf_aggregates, interior_aggregates) of a tree plan.
+def _tree_shape(plan: DeploymentPlan) -> tuple[list[str], int, int, int]:
+    """(fan-out path, fanout, leaf_aggregates, interior_aggregates) of a tree.
 
     Walks one root-to-leaf path of the (complete, symmetric) tree that
-    :func:`repro.core.topology.catalog.hierarchy_plan` builds; the leaf
-    fan-out comes from the leaf's registration edges (a GRIS bank's
-    replica count for MDS, one edge per Agent for Hawkeye).
+    :func:`repro.core.topology.catalog.hierarchy_plan` builds; the path
+    holds the fan-out nodes from the root down, so the tree's depth is
+    ``len(path) + 1``.
     """
     children: dict[str, list[str]] = {}
     for edge in plan.edges:
         if edge.kind is EdgeKind.AGGREGATION:
             children.setdefault(edge.target, []).append(edge.source)
-    depth = 1
+    path: list[str] = []
     node = plan.entry
-    fanout = 0
     while node in children:
-        kids = children[node]
-        fanout = fanout or len(kids)
-        node = kids[0]
-        depth += 1
-    reg = plan.edges_to(node, EdgeKind.REGISTRATION)
-    if reg:
-        source = plan.node(reg[0].source)
-        leaf_fanout = source.replicas if source.replicas > 1 else len(reg)
-    else:
-        leaf_fanout = max(fanout, 1)
-    if fanout == 0:
-        fanout = leaf_fanout
+        path.append(node)
+        node = children[node][0]
+    fanout = len(children[plan.entry])
+    depth = len(path) + 1
     leaf_aggs = fanout ** (depth - 1)
     interior = sum(fanout**level for level in range(1, depth - 1))
-    return depth, fanout, leaf_aggs, interior
+    return path, fanout, leaf_aggs, interior
 
 
 def _tree_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
-    depth, fanout, leaf_aggs, interior = _tree_shape(plan)
+    """A fan-out tree from one recorded leaf and its recorded path to the root.
+
+    The leaf is the entry of the depth-1 tree of the same fan-out; each
+    fan-out node above it is recorded alone, its children answering with
+    the reply recorded one level down, so no recording builds the tree.
+    """
+    from repro.core.topology.catalog import hierarchy_plan
+
+    path, fanout, leaf_aggs, interior = _tree_shape(plan)
+    depth = len(path) + 1
     tb = p.testbed
     pool_cpus = 6 * tb.lucky_cpus  # hierarchy_plan places non-top nodes on 6 Luckys
-    if plan.system is System.MDS:
-        gp = p.giis
-        _, leaf_result = _rep_giis_directory(fanout)
-        leaf_bytes = max(leaf_result.estimated_size(),
-                         len(leaf_result.entries) * gp.entry_wire_bytes)
-        leaf_cost = gp.aggregate_cpu_coeff * (fanout ** gp.aggregate_cpu_exp)
-        top_cost = gp.aggregate_cpu_coeff * (fanout ** gp.aggregate_cpu_exp)
-        int_cost = top_cost
-        leaf_servers = min(pool_cpus, max(1, leaf_aggs * tb.lucky_cpus))
-        conn, threads, backlog = gp.conn_overhead, gp.max_threads, gp.backlog
-        request = gp.request_size
-    else:
-        mp = p.manager
-        leaf_cost = mp.cpu_per_query + mp.scan_cpu_per_ad * fanout
-        top_cost = mp.cpu_per_query * max(1, fanout)
-        int_cost = top_cost
-        leaf_bytes = 512
-        # Each leaf Manager serializes its scans on its collector lock,
-        # so parallelism is min(leaves, pool CPUs).
-        leaf_servers = min(pool_cpus, max(1, leaf_aggs))
-        conn, threads, backlog = mp.conn_overhead, mp.max_threads, mp.backlog
-        request = mp.request_size
-    if depth == 1:
-        # The "tree" is a single leaf aggregate on the top host.
-        response = leaf_bytes
-        stations = [
-            Station("top-cpu", demand=leaf_cost, servers=tb.lucky_cpus,
-                    monitored_cpu=leaf_cost, load_queue=True),
-        ]
-    else:
-        response = leaf_aggs * leaf_bytes
-        stations = [
-            Station("top-cpu", demand=top_cost, servers=tb.lucky_cpus,
-                    monitored_cpu=top_cost, load_queue=True),
-            Station("lan", demand=2 * (depth - 1) * tb.lan_latency, servers=0),
-            Station("leaves", demand=leaf_aggs * leaf_cost, servers=leaf_servers,
-                    service=leaf_cost),
-        ]
-        if interior:
-            stations.append(
-                Station("interior", demand=interior * int_cost, servers=pool_cpus,
-                        service=max(0, depth - 2) * int_cost)
-            )
-        # Child responses funnel through the top node's NIC while the
-        # handler thread is held (the fan-out happens inside _serve).
+    levels = [_record(hierarchy_plan(plan.system.value.lower(), 1, fanout), p)]
+    for name in reversed(path):
+        edges = plan.edges_to(name, EdgeKind.AGGREGATION)
+        alone = replace(plan, nodes=(plan.node(name),), edges=tuple(edges), entry=name)
+        canned = {edge.source: _Target(None, None, levels[-1].reply) for edge in edges}
+        levels.append(_record(alone, p, children=canned))
+    leaf, top = levels[0], levels[-1]
+    int_cost = levels[1].cpu if interior else 0.0
+    # A leaf that serializes on a lock runs one query at a time.
+    per_leaf = 1 if leaf.serialized else leaf.stations[0].servers
+    stations = [
+        *top.stations,
+        Station("lan", demand=2 * (depth - 1) * tb.lan_latency, servers=0),
+        Station("leaves", demand=leaf_aggs * leaf.cpu,
+                servers=min(pool_cpus, max(1, leaf_aggs * per_leaf)), service=leaf.cpu),
+    ]
+    conn = leaf.admission.conn_overhead if leaf.admission is not None else None
+    if conn is not None:
+        # Every fan-out leg pays the leaf server's own connection set-up.
+        stations.append(Station("leaf-conn", demand=conn.latency(1), servers=0))
+    if interior:
         stations.append(
-            Station("top-nic-in", demand=response / _NIC_RATE, servers=1)
+            Station("interior", demand=interior * int_cost, servers=pool_cpus,
+                    service=max(0, depth - 2) * int_cost)
         )
-    pre, post, net = _wan_legs(request, response, p)
-    return ServiceModel(
-        name=plan.name, stations=tuple(stations + net), pre_delay=pre, post_delay=post,
-        conn=conn, max_threads=threads, backlog=backlog,
-        cpus=tb.lucky_cpus, cpu_rate=tb.lucky_cpu_rate,
-        refusal_rtt=pre + tb.wan_latency, response_bytes=response,
-        notes=f"tree depth={depth} fanout={fanout} leaves={leaf_aggs}",
-    )
+    # Child replies funnel through the top node's NIC while the handler
+    # thread is held (the fan-out happens inside _serve).
+    stations.append(Station("top-nic-in", demand=top.inbound / _NIC_RATE, servers=1))
+    assert top.reply is not None
+    return _model(plan, p, top, stations, _legs(p, top.request, top.reply.size, wan=True))
 
 
 def model_for_plan(plan: DeploymentPlan, params: StudyParams | None = None) -> ServiceModel:
@@ -590,26 +489,14 @@ def model_for_plan(plan: DeploymentPlan, params: StudyParams | None = None) -> S
             f"plan {plan.name!r}: wire control-plane loops (advertising banks, "
             "soft-state registrars) need the exact tier"
         )
-    if plan.system is System.MDS:
-        if entry.role is Role.INFORMATION_SERVER:
-            return _gris_model(plan, p)
-        if entry.role is Role.DIRECTORY_SERVER:
-            return _giis_directory_model(plan, p)
-        if entry.variant in ("fanout", "leaf"):
-            return _tree_model(plan, p)
+    if plan.system is System.MDS and isinstance(entry, AggregateSpec) and entry.variant == "default":
         raise FidelityError(
             f"plan {plan.name!r}: the exp4 GIIS aggregate (crash limits) "
             "needs the exact tier"
         )
-    if plan.system is System.HAWKEYE:
-        if entry.role is Role.INFORMATION_SERVER:
-            return _agent_model(plan, p)
-        if entry.role is Role.DIRECTORY_SERVER:
-            return _manager_directory_model(plan, p)
+    if entry.variant == "fanout":
         return _tree_model(plan, p)
-    if entry.role is Role.DIRECTORY_SERVER:
-        return _registry_model(plan, p)
-    return _rgma_model(plan, p)
+    return _flat_model(plan, p)
 
 
 # -- mean-field solver -------------------------------------------------------
@@ -635,35 +522,19 @@ def _amva(
 ) -> tuple[float, float, float, float, list[float]]:
     """Schweitzer AMVA over the station chain for population ``n``.
 
-    Returns (X, R_total, R_in_server, conn_delay, queues).  Multi-server
-    stations use the Seidmann reduction (queueing on demand/servers, the
-    rest of the no-contention service as pure delay); the connection
+    Returns (X, R_total, R_in_server, conn_delay, queues); the connection
     overhead is an inner fixed point on the in-server concurrency.
     """
-    stations = model.stations
-    q = [0.0] * len(stations)
+    q = [0.0] * len(model.stations)
     conn_delay = model.conn.latency(0) if model.conn else 0.0
     x = 0.0
     factor = (n - 1) / n if n > 0 else 0.0
     for _ in range(400):
-        r_total = model.pre_delay + model.post_delay + conn_delay
-        r_in = conn_delay
-        r_each = []
-        for i, st in enumerate(stations):
-            scale = 1.0 + st.convoy * _convoy_queue(model, st, q[i])
-            if st.servers == 0:
-                r = st.base_service * scale
-            else:
-                per_server = st.demand * scale / st.servers
-                r = st.base_service * scale + per_server * q[i] * factor
-            r_each.append(r)
-            r_total += r
-            if st.in_server:
-                r_in += r
+        r_each, r_total, r_in = _residences(model, q, factor, conn_delay)
         x_new = n / (think + r_total)
         x = x_new if x == 0.0 else 0.5 * x + 0.5 * x_new
         converged = True
-        for i, st in enumerate(stations):
+        for i in range(len(q)):
             # Clamp to the population: a closed network can never queue
             # more than N requests anywhere, and the convoy feedback
             # (hold grows with queue, queue grows with hold) would
@@ -689,20 +560,31 @@ def _amva(
             conn_delay = 0.5 * conn_delay + 0.5 * new_delay
         if converged:
             break
+    _, r_total, r_in = _residences(model, q, factor, conn_delay)
+    x = n / (think + r_total)
+    return x, r_total, r_in, conn_delay, q
+
+
+def _residences(
+    model: ServiceModel, q: _t.Sequence[float], factor: float, conn_delay: float
+) -> tuple[list[float], float, float]:
+    """(per-station residence, total response, in-server residence) when an
+    arrival sees queues ``q`` scaled by ``factor``.  Multi-server stations
+    use the Seidmann reduction: queueing on demand/servers, the rest of
+    the no-contention service as pure delay."""
     r_total = model.pre_delay + model.post_delay + conn_delay
     r_in = conn_delay
-    for i, st in enumerate(stations):
-        scale = 1.0 + st.convoy * _convoy_queue(model, st, q[i])
-        if st.servers == 0:
-            r = st.base_service * scale
-        else:
-            per_server = st.demand * scale / st.servers
-            r = st.base_service * scale + per_server * q[i] * factor
+    r_each = []
+    for st, qi in zip(model.stations, q):
+        scale = 1.0 + st.convoy * _convoy_queue(model, st, qi)
+        r = st.base_service * scale
+        if st.servers != 0:
+            r += st.demand * scale / st.servers * qi * factor
+        r_each.append(r)
         r_total += r
         if st.in_server:
             r_in += r
-    x = n / (think + r_total)
-    return x, r_total, r_in, conn_delay, q
+    return r_each, r_total, r_in
 
 
 def _convoy_queue(model: ServiceModel, st: Station, q: float) -> float:
@@ -773,17 +655,8 @@ def solve_meanfield(
     # connection phase.
     occupancy = min(x * r_srv, threads)
     runnable_cap = occupancy * max(0.0, r_srv - conn_delay) / r_srv if r_srv > 0 else 0.0
-    load1 = 0.0
-    cpu_seconds = 0.0
-    for i, st in enumerate(model.stations):
-        cpu_seconds += st.monitored_cpu * (1.0 + st.convoy * q[i])
-        if st.load_queue:
-            load1 += min(q[i], runnable_cap)
-        elif st.load_util:
-            demand = st.demand * (1.0 + st.convoy * q[i])
-            busy = min(float(st.servers or 1), x * demand)
-            load1 += busy * st.load_util
-    cpu_pct = 100.0 * min(1.0, x * cpu_seconds / (model.cpus * model.cpu_rate))
+    convoy_q = [_convoy_queue(model, st, qi) for st, qi in zip(model.stations, q)]
+    load1, cpu_pct = host_load(model, x, q, convoy_q, runnable_cap)
     return MeanFieldSolution(
         throughput=x,
         response=r_total,
@@ -795,6 +668,29 @@ def solve_meanfield(
         conn_delay=conn_delay,
         queues=tuple(q),
     )
+
+
+def host_load(
+    model: ServiceModel, x: float, queues: _t.Sequence[float],
+    convoy_queues: _t.Sequence[float], runnable_cap: float,
+) -> tuple[float, float]:
+    """(steady-state load1, cpu%) of the monitored host, for both fast tiers.
+
+    A CPU station adds its mean queue, up to ``runnable_cap`` runnable
+    threads, to the run queue; a serialized hold adds the fraction of a
+    thread it burns while busy, its hold scaled by its ``convoy_queues``.
+    """
+    load1 = 0.0
+    cpu_seconds = 0.0
+    for st, q, cq in zip(model.stations, queues, convoy_queues):
+        scale = 1.0 + st.convoy * cq
+        cpu_seconds += st.monitored_cpu * scale
+        if st.load_queue:
+            load1 += min(q, runnable_cap)
+        elif st.load_util:
+            load1 += min(float(st.servers or 1), x * (st.demand * scale)) * st.load_util
+    cpu_pct = 100.0 * min(1.0, x * cpu_seconds / (model.cpus * model.cpu_rate))
+    return load1, cpu_pct
 
 
 def load1_ramp(warmup: float, window: float) -> float:

@@ -151,14 +151,6 @@ def reproduce_figure(
     return figure
 
 
-def reproduce_experiment_set(
-    numbers: _t.Sequence[int], seed: int = 1, **kwargs: _t.Any
-) -> list[Figure]:
-    """All figures of one experiment set, sharing the underlying sweeps."""
-    cache: dict = {}
-    return [reproduce_figure(n, seed, sweep_cache=cache, **kwargs) for n in numbers]
-
-
 def quick_x_values(x_values: _t.Sequence[int]) -> tuple[int, ...]:
     """--quick downsampling: every len//3-th x value plus always the last.
 

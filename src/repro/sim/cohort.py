@@ -336,7 +336,7 @@ class CohortEngine:
         srv_states: list[_StationState],
         conn_window: float,
     ) -> MetricsSummary:
-        from repro.core.fidelity import load1_ramp
+        from repro.core.fidelity import host_load, load1_ramp
 
         model = self.model
         x = completed / window
@@ -349,24 +349,13 @@ class CohortEngine:
         # asleep in the connection phase (sleepers are not runnable).
         occupancy = min(q_in, float(model.max_threads))
         runnable_cap = occupancy * (1.0 - q_conn / q_in) if q_in > 0 else 0.0
-        load1 = 0.0
-        cpu_seconds = 0.0
-        for state in states:
-            st = state.station
-            q = state.sojourn_window / window
-            scale = 1.0 + st.convoy * min(q, state.q_cap)
-            cpu_seconds += st.monitored_cpu * scale
-            if st.load_queue:
-                load1 += min(q, runnable_cap)
-            elif st.load_util:
-                demand = st.demand * scale
-                load1 += min(float(st.servers or 1), x * demand) * st.load_util
-        load1 *= load1_ramp(warmup, window)
-        cpu_pct = 100.0 * min(1.0, x * cpu_seconds / (model.cpus * model.cpu_rate))
+        queues = [state.sojourn_window / window for state in states]
+        convoy_queues = [min(q, state.q_cap) for q, state in zip(queues, states)]
+        load1, cpu_pct = host_load(model, x, queues, convoy_queues, runnable_cap)
         return MetricsSummary(
             throughput=x,
             response_time=hist.mean,
-            load1=load1,
+            load1=load1 * load1_ramp(warmup, window),
             cpu_load=cpu_pct,
             completed=completed,
             refused=refused,

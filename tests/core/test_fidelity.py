@@ -21,6 +21,7 @@ from time import perf_counter
 import pytest
 
 from repro.core.experiments import exp1, exp2, exp3, scale
+from repro.core.experiments.common import WIRING
 from repro.core.experiments.scenarios import run_scenario_point
 from repro.core.fidelity import (
     FAST_TIERS,
@@ -34,12 +35,14 @@ from repro.core.fidelity import (
     tier_for_plan,
 )
 from repro.core.params import default_params
+from repro.core.runner import new_run
 from repro.core.scenario.model import FaultModel, Outage, Scenario, ScenarioError
-from repro.core.topology import FIDELITY_TIERS
+from repro.core.topology import FIDELITY_TIERS, compile_plan
 from repro.core.topology.catalog import exp1_plan, exp2_plan, exp4_plan, hierarchy_plan
 from repro.core.topology.plan import PlanError
 from repro.core.topology.planfile import dumps, loads
 from repro.sim.cohort import CohortEngine
+from repro.sim.rpc import Request
 
 # The paper-calibrated fast window (repro.core.params.measurement_window).
 WINDOW = dict(warmup=10.0, window=30.0)
@@ -72,6 +75,9 @@ SCENARIOS = [
     pytest.param(exp2, ("mds-giis",), 50, 0.30, id="giis-50"),
     pytest.param(exp2, ("hawkeye-manager",), 50, 0.30, id="manager-50"),
     pytest.param(exp2, ("rgma-registry-lucky",), 10, 0.30, id="registry-10"),
+    # The mediator at UC (CS -> PS over the WAN) and the Registry's WAN leg.
+    pytest.param(exp1, ("rgma-ps-uc",), 50, 0.30, id="ps-uc-50"),
+    pytest.param(exp2, ("rgma-registry-uc",), 10, 0.30, id="registry-uc-10"),
 ]
 
 COHORT_X_TOL = 0.08
@@ -93,6 +99,92 @@ def test_fast_tiers_track_exact(exp, args, users, mf_resp):
     if mf_resp is not None:
         assert _rel(meanfield.response_time, exact.response_time) <= mf_resp
     assert _load1_close(meanfield.load1, exact.load1, abs_tol=1.1, rel_tol=0.40)
+
+
+TREE_SHAPES = [(1, 8), (2, 4), (3, 2)]
+
+
+@pytest.mark.parametrize("system", scale.SYSTEMS)
+@pytest.mark.parametrize("depth, fanout", TREE_SHAPES)
+def test_trees_on_the_cohort_tier_track_exact(system, depth, fanout):
+    """The tree model's leaf, fan-out path and admission come from the kernels:
+    the depth-1 MDS leaf charges no connection overhead, every Hawkeye
+    leaf charges its own."""
+    exact = scale.run_scale_point(system, depth, fanout, seed=1, users=10, **TINY).result
+    cohort = scale.run_scale_point(
+        system, depth, fanout, seed=1, users=10, fidelity="cohort", **TINY
+    ).result
+    assert _rel(cohort.throughput, exact.throughput) <= COHORT_X_TOL
+    assert _rel(cohort.response_time, exact.response_time) <= COHORT_R_TOL
+
+
+def _des_reply_bytes(plan) -> int:
+    """The bytes the exact tier's entry service answers one request with."""
+    run = new_run(1)
+    service = compile_plan(plan, run).entry
+    client = run.testbed.uc[0]
+    worker = run.sim.spawn(service.handler(service, Request(None, 512, client, 0.0)))
+    run.sim.run(until=30.0)
+    return worker.value.size
+
+
+def test_recorded_answers_carry_every_registrant():
+    """Answer sizes come from the plan's own objects, not look-alikes.
+
+    Representative GRIS that share one host name collapse in the GIIS
+    merge to a single registrant's entries.
+    """
+    giis = exp2_plan("mds-giis")
+    assert model_for_plan(giis).response_bytes == _des_reply_bytes(giis)
+    # A tree records one depth-1 leaf and multiplies it up the fan-out
+    # path; the leaves' host names differ in length by a few bytes.
+    tree = hierarchy_plan("mds", 2, 10)
+    assert _rel(model_for_plan(tree).response_bytes, _des_reply_bytes(tree)) <= 0.01
+
+
+def test_recorded_stations_follow_the_ops():
+    p = default_params()
+    tb = p.testbed
+    nocache = {st.name: st for st in model_for_plan(exp1_plan("mds-gris-nocache")).stations}
+    providers = nocache["gris:lucky7.mcs.anl.gov:providers"]
+    assert providers.demand == pytest.approx(10 * p.gris.provider_hold)
+    assert providers.load_util == p.gris.provider_cpu_fraction and providers.in_server
+    # The UC ConsumerServlet: its CPU divided by the UC rate on one CPU,
+    # outside the monitored host and outside the ProducerServlet's slot.
+    uc = model_for_plan(exp1_plan("rgma-ps-uc"))
+    cs = {st.name: st for st in uc.stations}
+    assert cs["uc:0:cpu"].demand == p.consumer_servlet.cpu_per_query / tb.uc_cpu_rate
+    assert cs["uc:0:cpu"].servers == tb.uc_cpus
+    assert not any((cs["uc:0:cpu"].load_queue, cs["uc:0:cpu"].in_server))
+    assert cs["lucky3:cpu"].load_queue and cs["lucky3:cpu"].in_server
+    ps = p.producer_servlet
+    assert (uc.max_threads, uc.backlog, uc.conn) == (ps.max_threads, ps.backlog, ps.conn_overhead)
+    # One ConsumerServlet per Lucky node but lucky3: six mediators' worth of servers.
+    lucky = {st.name: st for st in model_for_plan(exp1_plan("rgma-ps-lucky")).stations}
+    assert lucky["cs:lucky0-cs:mediation"].servers == 6
+    assert lucky["lucky0:cpu"].servers == 6 * tb.lucky_cpus
+
+
+def test_convoy_is_derived_from_the_kernels():
+    p = default_params()
+    agent = {st.name: st for st in model_for_plan(exp1_plan("hawkeye-agent")).stations}
+    ps = {st.name: st for st in model_for_plan(exp1_plan("rgma-ps-lucky")).stations}
+    startd = agent["agent:lucky4.mcs.anl.gov:startd"].convoy
+    db = ps["ps:lucky3-ps:db"].convoy
+    assert startd == pytest.approx(p.agent.convoy_coeff, rel=1e-12, abs=0.0)
+    assert db == pytest.approx(p.producer_servlet.convoy_coeff, rel=1e-12, abs=0.0)
+    assert all(st.convoy == 0.0 for name, st in ps.items() if name != "ps:lucky3-ps:db")
+
+
+@pytest.mark.parametrize("system", WIRING)
+def test_every_wired_system_has_a_model_or_refuses(system):
+    plan = WIRING[system].plan(system, 1)
+    if system in ("mds-registration", "hawkeye-advertise"):
+        with pytest.raises(FidelityError, match="exact tier"):
+            model_for_plan(plan)
+        return
+    model = model_for_plan(plan)
+    assert model.stations and model.response_bytes > 0
 
 
 def test_exp3_collector_axis_tracks_exact():
