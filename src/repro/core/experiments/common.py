@@ -1,10 +1,11 @@
 """Shared point wiring and sweep-execution helpers.
 
-:data:`WIRING` is the one table that turns a system name into a driven
-point (plan, payload, request size, client placement, user cap) for the
-Exp-1/2 series and the two control planes; client placement helpers
-serve every experiment set.  :func:`sweep_points` is the one sweep loop
-they all share — it fans independent points out through
+The ``*_WIRING`` tables hold one :class:`Wiring` row of client facts
+per legend entry of every plan-driven series, which the one point body
+(:func:`repro.core.experiments.scenarios.run_wired`) runs with the
+series' plan; :data:`WIRING` is the scenario plane's set (Exp 1/2 and
+the two control planes).  :func:`sweep_points` is the one sweep loop
+every series shares — it fans independent points out through
 :mod:`repro.core.parallel` (process pool + point cache) and merges the
 results in submission order, byte-identical to a serial loop.
 
@@ -43,9 +44,17 @@ from repro.sim.host import Host
 
 __all__ = [
     "UC_VARIANT_MAX_USERS",
+    "MAX_EXACT_USERS",
     "WIRING",
+    "EXP1_WIRING",
+    "EXP2_WIRING",
+    "EXP3_WIRING",
+    "EXP4_WIRING",
+    "SCALE_WIRING",
+    "TWO_LEVEL_WIRING",
     "Wiring",
     "wiring",
+    "wired_plan",
     "server_node",
     "within_cap",
     "sweep_points",
@@ -58,17 +67,20 @@ __all__ = [
 # The paper could only drive ~100 UC consumers through one ConsumerServlet.
 UC_VARIANT_MAX_USERS = 100
 
+# Guard rail: one exact point at 600 users already takes ~10 s; the
+# paper's testbed never exceeded 600 either.  Past this, require an
+# explicit fast tier instead of silently burning hours.
+MAX_EXACT_USERS = 2_000
+
 
 @dataclass(frozen=True)
 class Wiring:
-    """How one system name becomes a driven point.
+    """A series' client facts: what its users send and where they sit.
 
-    The server under study (the monitored host) is not listed: it is
-    the host of the plan's single ``fault_target`` node
-    (:func:`server_node`).
+    The deployment is not listed: each series builds its own catalog
+    plan, and the server under study is :func:`server_node` of it.
     """
 
-    plan: _t.Callable[[str, int], DeploymentPlan]  # (system, seed) -> plan
     payload: dict[str, str]  # every user's request
     request_size: str  # the StudyParams section whose request_size users send
     clients: str = "uc"  # "uc", or "lucky": every Lucky node but the server's
@@ -77,42 +89,87 @@ class Wiring:
 
 _ALL = {"filter": "(objectclass=*)"}
 _HOSTS = {"filter": "(objectclass=MdsHost)"}
+_STATUS = {"query": "status"}
 _SQL = {"sql": "SELECT * FROM cpuLoad"}
 _TABLE = {"table": "cpuLoad"}
 _MACHINE = {"machine": "lucky4.mcs.anl.gov"}
+# Exp 4's worst case: "a constraint that was not met by any machine".
+_NO_MATCH = {"constraint": "TARGET.CpuLoad > 50"}
 
-WIRING: dict[str, Wiring] = {
-    # Experiment 1 (Figures 5-8): information servers.
-    "mds-gris-cache": Wiring(exp1_plan, _ALL, "gris"),
-    "mds-gris-nocache": Wiring(exp1_plan, _ALL, "gris"),
-    "hawkeye-agent": Wiring(exp1_plan, {"query": "status"}, "agent"),
-    "rgma-ps-lucky": Wiring(exp1_plan, _SQL, "consumer_servlet", clients="lucky"),
-    "rgma-ps-uc": Wiring(exp1_plan, _SQL, "consumer_servlet", max_users=UC_VARIANT_MAX_USERS),
-    # Experiment 2 (Figures 9-12): directory servers.
-    "mds-giis": Wiring(exp2_plan, _HOSTS, "giis"),
-    "hawkeye-manager": Wiring(exp2_plan, _MACHINE, "manager"),
-    "rgma-registry-lucky": Wiring(exp2_plan, _TABLE, "registry", clients="lucky"),
-    "rgma-registry-uc": Wiring(exp2_plan, _TABLE, "registry", max_users=UC_VARIANT_MAX_USERS),
-    # The control planes: directory queries while registrants keep
-    # soft-state leases (MDS) or push ads over the wire (Hawkeye).
-    "mds-registration": Wiring(lambda _, seed: registration_fault_plan(seed), _HOSTS, "giis"),
-    "hawkeye-advertise": Wiring(lambda _, seed: advertise_fault_plan(seed), _MACHINE, "manager"),
+# Experiment 1 (Figures 5-8): information servers.
+EXP1_WIRING: dict[str, Wiring] = {
+    "mds-gris-cache": Wiring(_ALL, "gris"),
+    "mds-gris-nocache": Wiring(_ALL, "gris"),
+    "hawkeye-agent": Wiring(_STATUS, "agent"),
+    "rgma-ps-lucky": Wiring(_SQL, "consumer_servlet", clients="lucky"),
+    "rgma-ps-uc": Wiring(_SQL, "consumer_servlet", max_users=UC_VARIANT_MAX_USERS),
+}
+# Experiment 2 (Figures 9-12): directory servers.
+EXP2_WIRING: dict[str, Wiring] = {
+    "mds-giis": Wiring(_HOSTS, "giis"),
+    "hawkeye-manager": Wiring(_MACHINE, "manager"),
+    "rgma-registry-lucky": Wiring(_TABLE, "registry", clients="lucky"),
+    "rgma-registry-uc": Wiring(_TABLE, "registry", max_users=UC_VARIANT_MAX_USERS),
 }
 
+WIRING: dict[str, Wiring] = {
+    **EXP1_WIRING,
+    **EXP2_WIRING,
+    # The control planes: directory queries while registrants keep
+    # soft-state leases (MDS) or push ads over the wire (Hawkeye).
+    "mds-registration": Wiring(_HOSTS, "giis"),
+    "hawkeye-advertise": Wiring(_MACHINE, "manager"),
+}
 
-def wiring(system: str) -> Wiring:
-    """The :data:`WIRING` entry for ``system`` (ValueError naming the set)."""
+# Experiment 3 (Figures 13-16): the information servers again, the
+# ProducerServlet "queried directly" (§3.5).
+EXP3_WIRING: dict[str, Wiring] = {
+    "mds-gris-cache": Wiring(_ALL, "gris"),
+    "mds-gris-nocache": Wiring(_ALL, "gris"),
+    "hawkeye-agent": Wiring(_STATUS, "agent"),
+    "rgma-ps": Wiring(_SQL, "producer_servlet"),
+}
+
+# Experiment 4 (Figures 17-20): aggregate information servers.
+EXP4_WIRING: dict[str, Wiring] = {
+    "mds-giis-all": Wiring(_ALL, "giis"),
+    "mds-giis-part": Wiring(_ALL, "giis"),
+    "hawkeye-manager": Wiring(_NO_MATCH, "manager"),
+}
+
+# The aggregate trees: the scale grid and §4's two-level GIIS.
+SCALE_WIRING: dict[str, Wiring] = {
+    "mds": Wiring(_ALL, "giis"),
+    "hawkeye": Wiring(_NO_MATCH, "manager"),
+}
+TWO_LEVEL_WIRING = Wiring(_ALL, "giis")
+
+
+def wiring(system: str, table: _t.Mapping[str, Wiring] = WIRING) -> Wiring:
+    """The row of ``table`` for ``system`` (ValueError naming the set)."""
     try:
-        return WIRING[system]
+        return table[system]
     except KeyError:
-        raise ValueError(f"unknown system {system!r}; pick from {tuple(WIRING)}") from None
+        raise ValueError(f"unknown system {system!r}; pick from {tuple(table)}") from None
+
+
+def wired_plan(system: str, seed: int = 1) -> DeploymentPlan:
+    """The catalog plan a :data:`WIRING` system compiles."""
+    wiring(system)
+    if system in EXP1_WIRING:
+        return exp1_plan(system, seed)
+    if system in EXP2_WIRING:
+        return exp2_plan(system, seed)
+    if system == "mds-registration":
+        return registration_fault_plan(seed)
+    return advertise_fault_plan(seed)
 
 
 def server_node(plan: DeploymentPlan) -> str:
-    """The host of the plan's single ``fault_target`` node."""
-    (target,) = [spec for spec in plan.nodes if spec.fault_target]
-    assert target.host is not None
-    return target.host
+    """The host of the plan's server under study (:meth:`DeploymentPlan.server`)."""
+    host = plan.server().host
+    assert host is not None
+    return host
 
 
 def within_cap(system: str, x_values: _t.Iterable[int]) -> list[int]:

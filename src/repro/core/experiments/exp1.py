@@ -14,32 +14,27 @@ The five series of the figures:
 * ``rgma-ps-lucky``    — same servlet, consumers on the Lucky nodes with a
   ConsumerServlet per node (up to 600 users).
 
-Each point is :func:`repro.core.experiments.scenarios.run_wired` under
-the empty scenario: the system's catalog plan compiled onto a fresh run
-and driven by the clients its
-:data:`~repro.core.experiments.common.WIRING` entry names.
+Each point is the one point body,
+:func:`repro.core.experiments.scenarios.run_wired`, under the empty
+scenario: the system's :func:`~repro.core.topology.catalog.exp1_plan`
+with its :data:`~repro.core.experiments.common.EXP1_WIRING` row.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import sweep_points, within_cap
+from repro.core.experiments.common import EXP1_WIRING, sweep_points, wiring, within_cap
 from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
 from repro.core.runner import PointResult
 from repro.core.scenario.model import PLAIN
 from repro.core.stats import AdaptiveConfig
+from repro.core.topology.catalog import exp1_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "run_point", "sweep"]
 
-SYSTEMS = (
-    "mds-gris-cache",
-    "mds-gris-nocache",
-    "hawkeye-agent",
-    "rgma-ps-lucky",
-    "rgma-ps-uc",
-)
+SYSTEMS = tuple(EXP1_WIRING)
 
 # The user counts of Figures 5-8.
 X_VALUES = (1, 10, 50, 100, 200, 300, 400, 500, 600)
@@ -66,18 +61,10 @@ def run_point(
     same point under a scenario (faults, churn, ...) is
     :func:`repro.core.experiments.scenarios.run_scenario_point`.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown exp1 system {system!r}; pick from {SYSTEMS}")
     return run_wired(
-        system,
-        PLAIN,
-        users,
-        seed,
-        params=params,
-        warmup=warmup,
-        window=window,
-        adaptive=adaptive,
-        fidelity=fidelity,
+        exp1_plan(system, seed), wiring(system, EXP1_WIRING), PLAIN, users, seed,
+        label=system, x=users, params=params, warmup=warmup, window=window,
+        adaptive=adaptive, fidelity=fidelity,
     ).result
 
 

@@ -12,29 +12,26 @@ Series:
 * ``rgma-registry-lucky``— Registry on lucky1, consumers on Lucky nodes;
 * ``rgma-registry-uc``   — Registry on lucky1, consumers at UC (<=100).
 
-Each point is :func:`repro.core.experiments.scenarios.run_wired` under
-the empty scenario, exactly as in :mod:`~repro.core.experiments.exp1`.
+Each point is :func:`repro.core.experiments.scenarios.run_wired` on
+the system's :func:`~repro.core.topology.catalog.exp2_plan` with its
+``EXP2_WIRING`` row, exactly as in :mod:`~repro.core.experiments.exp1`.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import sweep_points, within_cap
+from repro.core.experiments.common import EXP2_WIRING, sweep_points, wiring, within_cap
 from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
 from repro.core.runner import PointResult
 from repro.core.scenario.model import PLAIN
 from repro.core.stats import AdaptiveConfig
+from repro.core.topology.catalog import exp2_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "run_point", "sweep"]
 
-SYSTEMS = (
-    "mds-giis",
-    "hawkeye-manager",
-    "rgma-registry-lucky",
-    "rgma-registry-uc",
-)
+SYSTEMS = tuple(EXP2_WIRING)
 
 # The user counts of Figures 9-12 (the paper's x-axis tick labels).
 X_VALUES = (1, 10, 50, 100, 200, 300, 400, 500, 600)
@@ -56,18 +53,10 @@ def run_point(
     ``fidelity`` selects the simulation tier exactly as in
     :func:`repro.core.experiments.exp1.run_point`.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown exp2 system {system!r}; pick from {SYSTEMS}")
     return run_wired(
-        system,
-        PLAIN,
-        users,
-        seed,
-        params=params,
-        warmup=warmup,
-        window=window,
-        adaptive=adaptive,
-        fidelity=fidelity,
+        exp2_plan(system, seed), wiring(system, EXP2_WIRING), PLAIN, users, seed,
+        label=system, x=users, params=params, warmup=warmup, window=window,
+        adaptive=adaptive, fidelity=fidelity,
     ).result
 
 

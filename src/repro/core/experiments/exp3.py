@@ -11,25 +11,26 @@ Series:
 * ``hawkeye-agent``    — Agent with vmstat-clone modules;
 * ``rgma-ps``          — ProducerServlet queried directly.
 
-Each scenario is a :func:`repro.core.topology.catalog.exp3_plan`
-compiled onto a fresh run; the collector count parameterizes the
-plan's collector bank.
+Each point is :func:`repro.core.experiments.scenarios.run_wired` on
+the system's :func:`~repro.core.topology.catalog.exp3_plan` (the
+collector count sizes its collector bank) with its ``EXP3_WIRING`` row.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import sweep_points, uc_clients
+from repro.core.experiments.common import EXP3_WIRING, sweep_points, wiring
+from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
-from repro.core.runner import PointResult, drive, new_run
+from repro.core.runner import PointResult
+from repro.core.scenario.model import PLAIN
 from repro.core.stats import AdaptiveConfig
-from repro.core.topology import compile_plan
 from repro.core.topology.catalog import exp3_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "USERS", "run_point", "sweep"]
 
-SYSTEMS = ("mds-gris-cache", "mds-gris-nocache", "hawkeye-agent", "rgma-ps")
+SYSTEMS = tuple(EXP3_WIRING)
 
 # Collector counts on the x-axis of Figures 13-16.
 X_VALUES = (10, 30, 50, 70, 90)
@@ -56,61 +57,11 @@ def run_point(
     :func:`repro.core.experiments.exp1.run_point`; the x axis stays the
     collector count, with ``users`` clients driving the fast model.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown exp3 system {system!r}; pick from {SYSTEMS}")
-    if fidelity is not None and fidelity != "exact":
-        from repro.core.fidelity import fast_point, require_plain_run
-
-        require_plain_run(fidelity, adaptive=adaptive)
-        return fast_point(
-            exp3_plan(system, collectors, seed),
-            system=system,
-            x=collectors,
-            users=users,
-            tier=fidelity,
-            params=params,
-            seed=seed,
-            warmup=warmup,
-            window=window,
-        )
-
-    if system.startswith("mds-gris"):
-        monitored: tuple[str, ...] = ("lucky7",)
-        server_node = "lucky7"
-        payload_fn = lambda uid: {"filter": "(objectclass=*)"}  # noqa: E731
-    elif system == "hawkeye-agent":
-        monitored = ("lucky4",)
-        server_node = "lucky4"
-        payload_fn = lambda uid: {"query": "status"}  # noqa: E731
-    else:
-        monitored = ("lucky3",)
-        server_node = "lucky3"
-        payload_fn = lambda uid: {"sql": "SELECT * FROM cpuLoad"}  # noqa: E731
-    run = new_run(seed, params, monitored=monitored)
-    p = run.params
-    dep = compile_plan(exp3_plan(system, collectors, seed), run)
-
-    if system.startswith("mds-gris"):
-        request_size = p.gris.request_size
-    elif system == "hawkeye-agent":
-        request_size = p.agent.request_size
-    else:  # rgma-ps: "We queried the ProducerServlet directly" (§3.5)
-        request_size = p.producer_servlet.request_size
-
-    assert dep.entry is not None
-    return drive(
-        run,
-        system=system,
-        x=collectors,
-        service=dep.entry,
-        clients=uc_clients(run, users),
-        server_host=run.testbed.lucky[server_node],
-        payload_fn=payload_fn,
-        request_size=request_size,
-        warmup=warmup,
-        window=window,
-        adaptive=adaptive,
-    )
+    return run_wired(
+        exp3_plan(system, collectors, seed), wiring(system, EXP3_WIRING), PLAIN, users, seed,
+        label=system, x=collectors, params=params, warmup=warmup, window=window,
+        adaptive=adaptive, fidelity=fidelity,
+    ).result
 
 
 def sweep(

@@ -18,25 +18,27 @@ R-GMA has no aggregate information server (Table 1), so — exactly like
 the paper — it has no series here; asking the topology plane for one
 raises :class:`~repro.core.topology.plan.PlanError`.
 
-Each scenario is a :func:`repro.core.topology.catalog.exp4_plan`
-compiled onto a fresh run — the GRIS bank and the synthetic advertiser
-pool are replicated node specs, not hand loops.
+Each point is :func:`repro.core.experiments.scenarios.run_wired` on
+the system's :func:`~repro.core.topology.catalog.exp4_plan` (the GRIS
+bank and the advertiser pool are replicated node specs) with its
+``EXP4_WIRING`` row.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.core.experiments.common import sweep_points, uc_clients
+from repro.core.experiments.common import EXP4_WIRING, sweep_points, wiring
+from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
-from repro.core.runner import PointResult, drive, new_run
+from repro.core.runner import PointResult
+from repro.core.scenario.model import PLAIN
 from repro.core.stats import AdaptiveConfig
-from repro.core.topology import compile_plan
 from repro.core.topology.catalog import exp4_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "USERS", "run_point", "sweep"]
 
-SYSTEMS = ("mds-giis-all", "mds-giis-part", "hawkeye-manager")
+SYSTEMS = tuple(EXP4_WIRING)
 
 # Information-server counts per series (the paper's observed limits).
 X_VALUES: dict[str, tuple[int, ...]] = {
@@ -60,36 +62,10 @@ def run_point(
     adaptive: AdaptiveConfig | bool | None = None,
 ) -> PointResult:
     """Measure one (system, servers) coordinate of Figures 17-20."""
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown exp4 system {system!r}; pick from {SYSTEMS}")
-
-    if system.startswith("mds-giis"):
-        monitored: tuple[str, ...] = ("lucky0",)
-        server_node = "lucky0"
-        payload_fn = lambda uid: {"filter": "(objectclass=*)"}  # noqa: E731
-    else:
-        monitored = ("lucky3",)
-        server_node = "lucky3"
-        payload_fn = lambda uid: {"constraint": "TARGET.CpuLoad > 50"}  # noqa: E731
-    run = new_run(seed, params, monitored=monitored)
-    p = run.params
-    dep = compile_plan(exp4_plan(system, servers, seed), run)
-    request_size = p.giis.request_size if system.startswith("mds") else p.manager.request_size
-
-    assert dep.entry is not None
-    return drive(
-        run,
-        system=system,
-        x=servers,
-        service=dep.entry,
-        clients=uc_clients(run, users),
-        server_host=run.testbed.lucky[server_node],
-        payload_fn=payload_fn,
-        request_size=request_size,
-        warmup=warmup,
-        window=window,
-        adaptive=adaptive,
-    )
+    return run_wired(
+        exp4_plan(system, servers, seed), wiring(system, EXP4_WIRING), PLAIN, users, seed,
+        label=system, x=servers, params=params, warmup=warmup, window=window, adaptive=adaptive,
+    ).result
 
 
 def sweep(

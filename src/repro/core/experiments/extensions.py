@@ -18,6 +18,10 @@ here:
   architecture in which each middle-level aggregate information server
   manages a subset of information servers" — a two-level GIIS tree vs.
   a flat GIIS over the same number of registrants.
+
+Every plan-driven point runs the one point body,
+:func:`repro.core.experiments.scenarios.run_wired` (the two-level tree
+with the ``TWO_LEVEL_WIRING`` row); :func:`push_vs_pull` builds no plan.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import dataclasses
 import typing as _t
 
 from repro.core.experiments import exp1
-from repro.core.experiments.common import sweep_points, uc_clients
+from repro.core.experiments.common import TWO_LEVEL_WIRING, sweep_points, uc_clients
+from repro.core.experiments.scenarios import run_wired
 from repro.core.params import default_params
-from repro.core.runner import PointResult, drive, new_run
-from repro.core.topology import compile_plan
+from repro.core.runner import PointResult, new_run
+from repro.core.scenario.model import PLAIN
 from repro.core.topology.catalog import two_level_plan
 from repro.sim.rpc import Request, Response, Service, call
 
@@ -291,20 +296,8 @@ def hierarchy_comparison(
     )
 
     # --- two-level ------------------------------------------------------------
-    run = new_run(seed, monitored=("lucky0",))
-    p = run.params.giis
-    dep = compile_plan(two_level_plan(registrants, seed), run)
-    assert dep.entry is not None
-    out["two-level"] = drive(
-        run,
-        system="giis-two-level",
-        x=registrants,
-        service=dep.entry,
-        clients=uc_clients(run, users),
-        server_host=run.testbed.lucky["lucky0"],
-        payload_fn=lambda uid: {"filter": "(objectclass=*)"},
-        request_size=p.request_size,
-        warmup=warmup,
-        window=window,
-    )
+    out["two-level"] = run_wired(
+        two_level_plan(registrants, seed), TWO_LEVEL_WIRING, PLAIN, users, seed,
+        label="giis-two-level", x=registrants, warmup=warmup, window=window,
+    ).result
     return out

@@ -8,12 +8,11 @@ that for one two-level MDS tree; this module sweeps the whole design
 space for both systems that *have* an aggregate server (Table 1 — MDS
 GIIS and Hawkeye Manager; R-GMA has none).
 
-Every point is a single :func:`repro.core.topology.catalog.hierarchy_plan`
-compiled onto a fresh run: ``depth`` aggregate levels with ``fanout``
-children per node, i.e. ``fanout**depth`` information servers total,
-without a line of per-shape wiring here.  That is the point of the
-deployment plane — the 3x3 grid below would otherwise be nine
-hand-built scenarios.
+Every point is :func:`repro.core.experiments.scenarios.run_wired` on
+a single :func:`repro.core.topology.catalog.hierarchy_plan` with the
+system's ``SCALE_WIRING`` row: ``depth`` aggregate levels with
+``fanout`` children per node, i.e. ``fanout**depth`` information
+servers total, without a line of per-shape wiring here.
 """
 
 from __future__ import annotations
@@ -21,11 +20,12 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
-from repro.core.experiments.common import sweep_points, uc_clients
+from repro.core.experiments.common import MAX_EXACT_USERS, SCALE_WIRING, sweep_points, wiring
+from repro.core.experiments.scenarios import run_wired
 from repro.core.parallel import register_codec
 from repro.core.params import StudyParams
-from repro.core.runner import PointResult, drive, new_run
-from repro.core.topology import compile_plan
+from repro.core.runner import PointResult
+from repro.core.scenario.model import PLAIN
 from repro.core.topology.catalog import hierarchy_plan
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "format_scale_table",
 ]
 
-SYSTEMS = ("mds", "hawkeye")
+SYSTEMS = tuple(SCALE_WIRING)
 
 # The sweep grid: 2..512 information servers per tree.
 DEPTHS = (1, 2, 3)
@@ -53,15 +53,10 @@ USERS = 10
 
 # The fast-tier grid (docs/FIDELITY.md): 10^4-server hierarchies under
 # 10^5-10^6 concurrent users — two orders of magnitude past anything
-# the exact DES can simulate in reasonable time.
+# the exact DES can simulate in reasonable time (``MAX_EXACT_USERS``).
 FAST_DEPTHS = (2, 4)
 FAST_FANOUTS = (10, 100)
 FAST_USERS = (10_000, 100_000, 1_000_000)
-
-# Guard rail: one exact point at 600 users already takes ~10 s; the
-# paper's testbed never exceeded 600 either.  Past this, require an
-# explicit fast tier instead of silently burning hours.
-MAX_EXACT_USERS = 2_000
 
 
 @register_codec
@@ -94,56 +89,13 @@ def run_scale_point(
     exact per-client DES is capped at ``MAX_EXACT_USERS``; the fast
     tiers take the grid to 10^6 users and 10^4-server trees.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown scale system {system!r}; pick from {SYSTEMS}")
     servers = fanout**depth
-    if fidelity is not None and fidelity != "exact":
-        from repro.core.fidelity import fast_point, require_plain_run
-
-        require_plain_run(fidelity)
-        result = fast_point(
-            hierarchy_plan(system, depth, fanout, seed),
-            system=f"{system}-tree-d{depth}",
-            x=servers,
-            users=users,
-            tier=fidelity,
-            params=params,
-            seed=seed,
-            warmup=warmup,
-            window=window,
-        )
-        return ScalePoint(
-            system=system, depth=depth, fanout=fanout, servers=servers, result=result
-        )
-    if users > MAX_EXACT_USERS:
-        raise ValueError(
-            f"{users} users exceeds the exact tier's {MAX_EXACT_USERS}-user cap; "
-            "pass fidelity='cohort' or fidelity='meanfield' for large populations"
-        )
-    if system == "mds":
-        server_node = "lucky0"
-        payload_fn = lambda uid: {"filter": "(objectclass=*)"}  # noqa: E731
-    else:
-        server_node = "lucky3"
-        payload_fn = lambda uid: {"constraint": "TARGET.CpuLoad > 50"}  # noqa: E731
-    run = new_run(seed, params, monitored=(server_node,))
-    p = run.params.giis if system == "mds" else run.params.manager
-    dep = compile_plan(hierarchy_plan(system, depth, fanout, seed), run)
-
-    assert dep.entry is not None
-    result = drive(
-        run,
-        system=f"{system}-tree-d{depth}",
-        x=servers,
-        service=dep.entry,
-        clients=uc_clients(run, users),
-        server_host=run.testbed.lucky[server_node],
-        payload_fn=payload_fn,
-        request_size=p.request_size,
-        warmup=warmup,
-        window=window,
-    )
-    return ScalePoint(system=system, depth=depth, fanout=fanout, servers=servers, result=result)
+    result = run_wired(
+        hierarchy_plan(system, depth, fanout, seed), wiring(system, SCALE_WIRING), PLAIN, users,
+        seed, label=f"{system}-tree-d{depth}", x=servers, params=params, warmup=warmup,
+        window=window, fidelity=fidelity,
+    ).result
+    return ScalePoint(system, depth, fanout, servers, result)
 
 
 def sweep_scale(

@@ -1,18 +1,19 @@
-"""Scenario experiments: the one point body every wired system runs through.
+"""Scenario experiments: the one point body every series runs through.
 
-:func:`run_wired` runs any :data:`~repro.core.experiments.common.WIRING`
-system (the Exp-1/2 series plus the ``mds-registration`` and
-``hawkeye-advertise`` control planes) under a
-:class:`~repro.core.scenario.model.Scenario`: it compiles the system's
-plan, installs the scenario's environment — churn, WAN weather, faults —
-with :func:`~repro.core.scenario.apply.apply_scenario`, drives the
-clients (arrival modulation and client mixes ride into
-:func:`~repro.core.runner.drive`) and audits the run.  Figure points
-(:func:`repro.core.experiments.exp1.run_point`, ``exp2.run_point``) are
-the same body under :data:`~repro.core.scenario.model.PLAIN`; every
-point returns a :class:`RunAudit` — the full server-side request
-accounting the fuzzer's metamorphic invariants check
-(:mod:`repro.core.scenario.fuzz`).
+:func:`run_wired` runs a series' plan with its
+:class:`~repro.core.experiments.common.Wiring` row under a
+:class:`~repro.core.scenario.model.Scenario`: it compiles the plan,
+installs the scenario's environment — churn, WAN weather, faults — with
+:func:`~repro.core.scenario.apply.apply_scenario`, drives the clients
+(arrival modulation and client mixes ride into
+:func:`~repro.core.runner.drive`) and audits the run.  Every figure
+point (Exp 1-4, the hierarchy grid, the two-level tree) is the same
+body under :data:`~repro.core.scenario.model.PLAIN`;
+:func:`run_scenario_point` runs a
+:data:`~repro.core.experiments.common.WIRING` system under any
+scenario.  Every exact point returns a :class:`RunAudit` — the full
+server-side request accounting the fuzzer's metamorphic invariants
+check (:mod:`repro.core.scenario.fuzz`).
 
 Scenarios are passed by registry name (:data:`NAMED_SCENARIOS`), by
 ``examples/*.scenario.json`` path, or as :class:`Scenario` objects
@@ -28,11 +29,14 @@ import typing as _t
 from dataclasses import dataclass, field, replace
 
 from repro.core.experiments.common import (
+    MAX_EXACT_USERS,
     WIRING,
+    Wiring,
     lucky_clients,
     server_node,
     sweep_points,
     uc_clients,
+    wired_plan,
     wiring,
     within_cap,
 )
@@ -52,6 +56,7 @@ from repro.core.scenario.model import (
 from repro.core.stats import AdaptiveConfig
 from repro.core.topology import compile_plan
 from repro.core.topology.adapters import Deployment
+from repro.core.topology.plan import DeploymentPlan
 from repro.mds.giis import GIIS
 from repro.mds.gris import GRIS
 from repro.sim.rpc import CircuitBreaker, RetryPolicy
@@ -331,65 +336,68 @@ def _control_counters(
 
 
 def run_wired(
-    system: str,
+    plan: DeploymentPlan,
+    wired: Wiring,
     scenario: Scenario,
     users: int,
     seed: int = 1,
     *,
+    label: str,
+    x: float,
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
     adaptive: AdaptiveConfig | bool | None = None,
     fidelity: str | None = None,
 ) -> ScenarioPointResult:
-    """One (system, scenario, users) coordinate: the one point body.
+    """One point of any plan-driven series, reported as (``label``, ``x``).
 
-    Compiles the :data:`~repro.core.experiments.common.WIRING` plan for
-    ``system``, applies ``scenario``, drives the clients and audits the
-    run.  A scenario with faults arms the clients with
+    ``users`` clients, placed and loaded as ``wired`` says, drive
+    ``plan``'s entry under ``scenario``.  The exact tier (at most
+    ``MAX_EXACT_USERS``) compiles the plan onto a fresh run monitoring
+    :func:`server_node`, applies the scenario, drives the clients and
+    audits the run.  A scenario with faults arms the clients with
     :func:`default_retry_policy` and R-GMA's CS->PS hop with a small
     policy of its own; the control-plane loops always retry on theirs
     (plans without those loops never consult them).
 
     ``fidelity`` routes environment-free scenarios through the fast
-    tiers: the scenario collapses to an *effective workload*
-    (:meth:`Scenario.effective_workload`, which rejects churn, WAN and
-    faults), and the audit is ``None`` because fast tiers model no
-    per-request accounting.
+    tiers with the same client facts: the scenario collapses to an
+    *effective workload* (:meth:`Scenario.effective_workload`, which
+    rejects churn, WAN and faults), and the audit is ``None`` because
+    fast tiers model no per-request accounting.
     """
-    wired = wiring(system)
     if users > wired.max_users:
-        raise ValueError(f"{system} supports at most {wired.max_users} users")
+        raise ValueError(f"{label} supports at most {wired.max_users} users")
     default_warmup, default_window = measurement_window()
     warmup = default_warmup if warmup is None else warmup
     window = default_window if window is None else window
     horizon = warmup + window
-    plan = wired.plan(system, seed)
+    base = params or default_params()
+    request_size = getattr(base, wired.request_size).request_size
 
     if fidelity is not None and fidelity != "exact":
         from repro.core.fidelity import fast_point, require_plain_run
 
         require_plain_run(fidelity, adaptive=adaptive)
-        base = params or default_params()
         eff = scenario.effective_workload(base.workload, warmup, horizon, tier=fidelity)
         result = fast_point(
-            plan,
-            system=system,
-            x=users,
-            users=users,
-            tier=fidelity,
-            params=replace(base, workload=eff),
-            seed=seed,
-            warmup=warmup,
-            window=window,
+            plan, system=label, x=x, users=users, payload=wired.payload,
+            request_size=request_size, clients=wired.clients, tier=fidelity,
+            params=replace(base, workload=eff), seed=seed, warmup=warmup, window=window,
         )
         return ScenarioPointResult(
-            system=system, scenario=scenario.name, x=users, result=result, audit=None
+            system=label, scenario=scenario.name, x=x, result=result, audit=None
         )
 
+    if users > MAX_EXACT_USERS:
+        raise ValueError(
+            f"{users} users exceeds the exact tier's {MAX_EXACT_USERS}-user cap; "
+            "pass fidelity='cohort' or fidelity='meanfield' for large populations"
+        )
     node = server_node(plan)
-    run = new_run(seed, params, monitored=(node,))
-    key = (system, str(users))
+    run = new_run(seed, base, monitored=(node,))
+    key = (label, str(users))
     retry = mediation = None
     if scenario.faults is not None:
         # Every run under faults, faulted or its retry-only baseline,
@@ -419,13 +427,13 @@ def run_wired(
     assert dep.entry is not None
     result = drive(
         run,
-        system=system,
-        x=users,
+        system=label,
+        x=x,
         service=dep.entry,
         clients=clients,
         server_host=run.testbed.lucky[node],
         payload_fn=lambda uid: dict(wired.payload),
-        request_size=getattr(run.params, wired.request_size).request_size,
+        request_size=request_size,
         services_by_user=[dep.route(c) for c in clients] if dep.routed else None,
         warmup=warmup,
         window=window,
@@ -442,7 +450,7 @@ def run_wired(
         control=_control_counters(dep, registrar, advertiser, horizon),
     )
     return ScenarioPointResult(
-        system=system, scenario=scenario.name, x=users, result=result, audit=audit
+        system=label, scenario=scenario.name, x=x, result=result, audit=audit
     )
 
 
@@ -457,20 +465,15 @@ def run_scenario_point(
     window: float | None = None,
     fidelity: str | None = None,
 ) -> ScenarioPointResult:
-    """One (system, scenario, users) coordinate (see :func:`run_wired`).
+    """One (system, scenario, users) coordinate of a :data:`WIRING` system.
 
     ``scenario`` is a registry name, a ``*.scenario.json`` path or a
     :class:`Scenario`.
     """
+    sc = resolve_scenario(scenario)
     return run_wired(
-        system,
-        resolve_scenario(scenario),
-        users,
-        seed,
-        params=params,
-        warmup=warmup,
-        window=window,
-        fidelity=fidelity,
+        wired_plan(system, seed), wiring(system), sc, users, seed, label=system, x=users,
+        params=params, warmup=warmup, window=window, fidelity=fidelity,
     )
 
 

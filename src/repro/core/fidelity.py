@@ -18,8 +18,9 @@ Both tiers consume a :class:`ServiceModel` built by
 :func:`model_for_plan` from the same :class:`DeploymentPlan` the exact
 tier compiles, and *recorded from its kernels*: the plan's own objects
 go through the shared materialize/connect/expose phases, and a
-recording interpreter of the op protocol drives the request the exact
-tier's clients send through the entry kernel once, on a symbolic clock.
+recording interpreter of the op protocol drives the request the
+caller's clients send (their payload, request size and placement come
+from the caller) through the entry kernel once, on a symbolic clock.
 What the ops spend becomes the stations (CPU demand per host, one
 station per lock hold), ``KernelResponse.size`` the answer size, and
 the ``KernelSpec`` the thread pool, accept queue and connection
@@ -278,12 +279,6 @@ class _Recorder:
         return out
 
     @property
-    def request(self) -> int:
-        """Bytes the client sends: the request size of the kernel it calls."""
-        assert self.route is not None and self.route.spec is not None
-        return self.route.spec.handle.__self__.params.request_size
-
-    @property
     def cpu(self) -> float:
         return sum(st.demand for st in self.stations)
 
@@ -298,9 +293,9 @@ def _record(
 
     The plan's own objects are built by the shared compile phases and
     exposed with lock names as lock tokens; ``children`` pre-fills the
-    call targets.  The server under study is the ``fault_target`` node
-    (else the entry).  In the per-host mediator layout the request enters
-    at one mediator, whose stations get one server per mediator.  The
+    call targets.  The server under study is :meth:`DeploymentPlan.server`.
+    In the per-host mediator layout the request enters at one mediator,
+    whose stations get one server per mediator.  The
     convoy coefficient is the one demand no op shows, so a request that
     reads a queue depth is driven again at depth 1, and each lock's
     convoy is ``hold(1) / hold(0) - 1``.
@@ -314,7 +309,7 @@ def _record(
         plan, objects, extras, p, make_lock=lambda name: name, wire=False, services=targets
     ):
         targets[name] = _Target(spec, node)
-    server = next((s for s in plan.nodes if s.fault_target), plan.node(plan.entry))
+    server = plan.server()
     mediators = [s.name for s in plan.nodes if isinstance(s, ServerSpec) and s.variant == "mediator"]
     routed = bool(mediators) and plan.entry not in mediators
     copies = len(mediators) if routed else 1
@@ -373,21 +368,15 @@ def _model(
     )
 
 
-def _flat_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
+def _flat_model(
+    plan: DeploymentPlan, p: StudyParams, payload: _t.Any, request: int, clients: str
+) -> ServiceModel:
     """One server, queried directly or through one mediator."""
-    from repro.core.experiments.common import WIRING
-
-    # The Exp-1/2 wiring says what its clients send and where they sit.
-    system = plan.name.partition("-")[2]
-    wired = WIRING.get(system)
-    if wired is not None and wired.plan(system, 1).name != plan.name:
-        wired = None
-    rec = _record(plan, p, wired.payload if wired else None)
+    rec = _record(plan, p, payload)
     assert rec.route is not None and rec.reply is not None
     server_on_uc = _on_uc(rec.server.host)
     if not rec.calls:
-        clients_on_uc = not (wired and wired.clients == "lucky")
-        legs = _legs(p, rec.request, rec.reply.size, wan=clients_on_uc != server_on_uc)
+        legs = _legs(p, request, rec.reply.size, wan=(clients == "uc") != server_on_uc)
         return _model(plan, p, rec, rec.stations, legs)
     # A mediator forwards the query over a hop of its own; the client's
     # hop to it is loopback when every client has a mediator on its own
@@ -425,7 +414,9 @@ def _tree_shape(plan: DeploymentPlan) -> tuple[list[str], int, int, int]:
     return path, fanout, leaf_aggs, interior
 
 
-def _tree_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
+def _tree_model(
+    plan: DeploymentPlan, p: StudyParams, payload: _t.Any, request: int, clients: str
+) -> ServiceModel:
     """A fan-out tree from one recorded leaf and its recorded path to the root.
 
     The leaf is the entry of the depth-1 tree of the same fan-out; each
@@ -438,12 +429,12 @@ def _tree_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
     depth = len(path) + 1
     tb = p.testbed
     pool_cpus = 6 * tb.lucky_cpus  # hierarchy_plan places non-top nodes on 6 Luckys
-    levels = [_record(hierarchy_plan(plan.system.value.lower(), 1, fanout), p)]
+    levels = [_record(hierarchy_plan(plan.system.value.lower(), 1, fanout), p, payload)]
     for name in reversed(path):
         edges = plan.edges_to(name, EdgeKind.AGGREGATION)
         alone = replace(plan, nodes=(plan.node(name),), edges=tuple(edges), entry=name)
         canned = {edge.source: _Target(None, None, levels[-1].reply) for edge in edges}
-        levels.append(_record(alone, p, children=canned))
+        levels.append(_record(alone, p, payload, children=canned))
     leaf, top = levels[0], levels[-1]
     int_cost = levels[1].cpu if interior else 0.0
     # A leaf that serializes on a lock runs one query at a time.
@@ -467,11 +458,20 @@ def _tree_model(plan: DeploymentPlan, p: StudyParams) -> ServiceModel:
     # thread is held (the fan-out happens inside _serve).
     stations.append(Station("top-nic-in", demand=top.inbound / _NIC_RATE, servers=1))
     assert top.reply is not None
-    return _model(plan, p, top, stations, _legs(p, top.request, top.reply.size, wan=True))
+    wan = (clients == "uc") != _on_uc(top.server.host)
+    return _model(plan, p, top, stations, _legs(p, request, top.reply.size, wan=wan))
 
 
-def model_for_plan(plan: DeploymentPlan, params: StudyParams | None = None) -> ServiceModel:
+def model_for_plan(
+    plan: DeploymentPlan, params: StudyParams | None = None, *,
+    payload: _t.Any, request_size: int, clients: str = "uc",
+) -> ServiceModel:
     """Build the fast-tier station model for a catalog plan.
+
+    The caller says what its clients send: ``payload`` is driven through
+    the plan's kernels, ``request_size`` bytes go on the wire, and
+    ``clients`` (``"uc"`` or ``"lucky"``) places them — the series'
+    ``Wiring`` row, as the exact tier's clients use it.
 
     Covers every exp1/exp2/exp3 scenario and the hierarchy trees.
     Experiment-4 aggregate scenarios (serialized query-all with crash
@@ -494,9 +494,8 @@ def model_for_plan(plan: DeploymentPlan, params: StudyParams | None = None) -> S
             f"plan {plan.name!r}: the exp4 GIIS aggregate (crash limits) "
             "needs the exact tier"
         )
-    if entry.variant == "fanout":
-        return _tree_model(plan, p)
-    return _flat_model(plan, p)
+    build = _tree_model if entry.variant == "fanout" else _flat_model
+    return build(plan, p, payload, request_size, clients)
 
 
 # -- mean-field solver -------------------------------------------------------
@@ -720,6 +719,9 @@ def fast_point(
     system: str,
     x: float,
     users: int,
+    payload: _t.Any,
+    request_size: int,
+    clients: str = "uc",
     tier: str | None = None,
     params: StudyParams | None = None,
     seed: int = 1,
@@ -728,8 +730,9 @@ def fast_point(
 ) -> PointResult:
     """One figure point on a fast fidelity tier.
 
-    ``tier`` defaults to the plan entry node's ``fidelity`` field; the
-    result carries the tier and population on
+    ``payload``, ``request_size`` and ``clients`` are the clients' facts
+    (:func:`model_for_plan`).  ``tier`` defaults to the plan entry node's
+    ``fidelity`` field; the result carries the tier and population on
     :attr:`~repro.core.runner.PointResult.fidelity` /
     :attr:`~repro.core.runner.PointResult.population`.
     """
@@ -743,7 +746,7 @@ def fast_point(
     default_warmup, default_window = measurement_window()
     warmup = default_warmup if warmup is None else warmup
     window = default_window if window is None else window
-    model = model_for_plan(plan, p)
+    model = model_for_plan(plan, p, payload=payload, request_size=request_size, clients=clients)
     wp = p.workload
     if tier == "meanfield":
         sol = solve_meanfield(model, users, think=wp.think_time, retry_wait=wp.retry_wait)

@@ -83,8 +83,8 @@ class NodeSpec:
     ``expose`` controls whether the node gets a network service of its
     own; ``tracked`` whether that service joins the run's crash
     accounting; ``fault_target`` marks where a scenario's
-    :class:`~repro.core.scenario.model.FaultModel` lands (and, for the
-    wired Exp-1/2 points, which host is the server under study).
+    :class:`~repro.core.scenario.model.FaultModel` lands (and which
+    node is the server under study, :meth:`DeploymentPlan.server`).
 
     ``fidelity`` selects the simulation tier used when this node is the
     plan's entry (one of :data:`FIDELITY_TIERS`); ``"exact"`` — the
@@ -232,6 +232,11 @@ class DeploymentPlan:
             if spec.name == name:
                 return spec
         raise KeyError(f"plan {self.name!r} has no node {name!r}")
+
+    def server(self) -> NodeSpec:
+        """The server under study: the single ``fault_target`` node, else the entry."""
+        (spec,) = [spec for spec in self.nodes if spec.fault_target] or [self.node(self.entry)]
+        return spec
 
     def nodes_by_role(self, role: Role) -> list[NodeSpec]:
         return [spec for spec in self.nodes if spec.role is role]

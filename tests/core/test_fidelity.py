@@ -13,6 +13,10 @@ Three families of guarantees (docs/FIDELITY.md):
   whose nodes omit the field) must reproduce the default run *exactly*,
   bit for bit, so the committed figure tables and plan files cannot
   drift.
+
+The fast tiers take their client facts from the series' ``Wiring`` row;
+``test_rows_name_the_request_size_of_the_kernel_their_clients_call``
+checks every row against the kernel its clients call.
 """
 
 import dataclasses
@@ -21,7 +25,15 @@ from time import perf_counter
 import pytest
 
 from repro.core.experiments import exp1, exp2, exp3, scale
-from repro.core.experiments.common import WIRING
+from repro.core.experiments.common import (
+    EXP3_WIRING,
+    EXP4_WIRING,
+    MAX_EXACT_USERS,
+    SCALE_WIRING,
+    TWO_LEVEL_WIRING,
+    WIRING,
+    wired_plan,
+)
 from repro.core.experiments.scenarios import run_scenario_point
 from repro.core.fidelity import (
     FAST_TIERS,
@@ -34,12 +46,20 @@ from repro.core.fidelity import (
     solve_meanfield,
     tier_for_plan,
 )
+from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
 from repro.core.params import default_params
 from repro.core.runner import new_run
 from repro.core.scenario.model import FaultModel, Outage, Scenario, ScenarioError
 from repro.core.topology import FIDELITY_TIERS, compile_plan
-from repro.core.topology.catalog import exp1_plan, exp2_plan, exp4_plan, hierarchy_plan
-from repro.core.topology.plan import PlanError
+from repro.core.topology.catalog import (
+    exp1_plan,
+    exp2_plan,
+    exp3_plan,
+    exp4_plan,
+    hierarchy_plan,
+    two_level_plan,
+)
+from repro.core.topology.plan import PlanError, ServerSpec
 from repro.core.topology.planfile import dumps, loads
 from repro.sim.cohort import CohortEngine
 from repro.sim.rpc import Request
@@ -57,6 +77,17 @@ def _rel(fast: float, exact: float) -> float:
 
 def _load1_close(fast: float, exact: float, abs_tol: float, rel_tol: float) -> bool:
     return abs(fast - exact) <= max(abs_tol, rel_tol * exact)
+
+
+def _facts(row, p=None) -> dict:
+    """A Wiring row as the client facts the fast tiers take from their caller."""
+    p = p or default_params()
+    request_size = getattr(p, row.request_size).request_size
+    return dict(payload=row.payload, request_size=request_size, clients=row.clients)
+
+
+def _model(plan, row, p=None):
+    return model_for_plan(plan, p, **_facts(row, p))
 
 
 # -- cross-validation --------------------------------------------------------
@@ -135,23 +166,24 @@ def test_recorded_answers_carry_every_registrant():
     merge to a single registrant's entries.
     """
     giis = exp2_plan("mds-giis")
-    assert model_for_plan(giis).response_bytes == _des_reply_bytes(giis)
+    assert _model(giis, WIRING["mds-giis"]).response_bytes == _des_reply_bytes(giis)
     # A tree records one depth-1 leaf and multiplies it up the fan-out
     # path; the leaves' host names differ in length by a few bytes.
     tree = hierarchy_plan("mds", 2, 10)
-    assert _rel(model_for_plan(tree).response_bytes, _des_reply_bytes(tree)) <= 0.01
+    assert _rel(_model(tree, SCALE_WIRING["mds"]).response_bytes, _des_reply_bytes(tree)) <= 0.01
 
 
 def test_recorded_stations_follow_the_ops():
     p = default_params()
     tb = p.testbed
-    nocache = {st.name: st for st in model_for_plan(exp1_plan("mds-gris-nocache")).stations}
+    plan = exp1_plan("mds-gris-nocache")
+    nocache = {st.name: st for st in _model(plan, WIRING["mds-gris-nocache"]).stations}
     providers = nocache["gris:lucky7.mcs.anl.gov:providers"]
     assert providers.demand == pytest.approx(10 * p.gris.provider_hold)
     assert providers.load_util == p.gris.provider_cpu_fraction and providers.in_server
     # The UC ConsumerServlet: its CPU divided by the UC rate on one CPU,
     # outside the monitored host and outside the ProducerServlet's slot.
-    uc = model_for_plan(exp1_plan("rgma-ps-uc"))
+    uc = _model(exp1_plan("rgma-ps-uc"), WIRING["rgma-ps-uc"])
     cs = {st.name: st for st in uc.stations}
     assert cs["uc:0:cpu"].demand == p.consumer_servlet.cpu_per_query / tb.uc_cpu_rate
     assert cs["uc:0:cpu"].servers == tb.uc_cpus
@@ -160,15 +192,18 @@ def test_recorded_stations_follow_the_ops():
     ps = p.producer_servlet
     assert (uc.max_threads, uc.backlog, uc.conn) == (ps.max_threads, ps.backlog, ps.conn_overhead)
     # One ConsumerServlet per Lucky node but lucky3: six mediators' worth of servers.
-    lucky = {st.name: st for st in model_for_plan(exp1_plan("rgma-ps-lucky")).stations}
+    lucky_model = _model(exp1_plan("rgma-ps-lucky"), WIRING["rgma-ps-lucky"])
+    lucky = {st.name: st for st in lucky_model.stations}
     assert lucky["cs:lucky0-cs:mediation"].servers == 6
     assert lucky["lucky0:cpu"].servers == 6 * tb.lucky_cpus
 
 
 def test_convoy_is_derived_from_the_kernels():
     p = default_params()
-    agent = {st.name: st for st in model_for_plan(exp1_plan("hawkeye-agent")).stations}
-    ps = {st.name: st for st in model_for_plan(exp1_plan("rgma-ps-lucky")).stations}
+    agent_model = _model(exp1_plan("hawkeye-agent"), WIRING["hawkeye-agent"])
+    ps_model = _model(exp1_plan("rgma-ps-lucky"), WIRING["rgma-ps-lucky"])
+    agent = {st.name: st for st in agent_model.stations}
+    ps = {st.name: st for st in ps_model.stations}
     startd = agent["agent:lucky4.mcs.anl.gov:startd"].convoy
     db = ps["ps:lucky3-ps:db"].convoy
     assert startd == pytest.approx(p.agent.convoy_coeff, rel=1e-12, abs=0.0)
@@ -178,13 +213,45 @@ def test_convoy_is_derived_from_the_kernels():
 
 @pytest.mark.parametrize("system", WIRING)
 def test_every_wired_system_has_a_model_or_refuses(system):
-    plan = WIRING[system].plan(system, 1)
+    plan = wired_plan(system, 1)
     if system in ("mds-registration", "hawkeye-advertise"):
         with pytest.raises(FidelityError, match="exact tier"):
-            model_for_plan(plan)
+            _model(plan, WIRING[system])
         return
-    model = model_for_plan(plan)
+    model = _model(plan, WIRING[system])
     assert model.stations and model.response_bytes > 0
+
+
+# Every Wiring row with a plan of its series: (id, plan, row).
+ROWS = [
+    *[(f"wiring-{s}", wired_plan(s), row) for s, row in WIRING.items()],
+    *[(f"exp3-{s}", exp3_plan(s, 10), row) for s, row in EXP3_WIRING.items()],
+    *[(f"exp4-{s}", exp4_plan(s, 10), row) for s, row in EXP4_WIRING.items()],
+    *[(f"scale-{s}", hierarchy_plan(s, 2, 3), row) for s, row in SCALE_WIRING.items()],
+    ("two-level", two_level_plan(9), TWO_LEVEL_WIRING),
+]
+
+
+@pytest.mark.parametrize("plan, row", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
+def test_rows_name_the_request_size_of_the_kernel_their_clients_call(plan, row):
+    """Both tiers send the row's request size; it must be the called kernel's own.
+
+    The clients call the plan's entry, or on the per-host mediator layout
+    the mediator on their host (any one: they share one params section).
+    """
+    p = default_params()
+    objects, extras, services = {}, {}, {}
+    materialize_plan(plan, objects, extras)
+    connect_plan(plan, objects, extras)
+    for name, _node, spec in expose_plan(
+        plan, objects, extras, p, make_lock=lambda n: n, wire=False, services=services
+    ):
+        services[name] = spec
+    mediators = [
+        n.name for n in plan.nodes if isinstance(n, ServerSpec) and n.variant == "mediator"
+    ]
+    called = mediators[0] if mediators and plan.entry not in mediators else plan.entry
+    assert services[called].handle.__self__.params == getattr(p, row.request_size)
 
 
 def test_exp3_collector_axis_tracks_exact():
@@ -210,14 +277,14 @@ def test_fast_point_metadata_round_trip():
 # -- metamorphic invariants --------------------------------------------------
 
 
-def _cohort_engine(plan, users: int, seed: int = 1) -> CohortEngine:
+def _cohort_engine(system: str, users: int, seed: int = 1) -> CohortEngine:
     p = default_params()
-    model = model_for_plan(plan, p)
+    model = _model(wired_plan(system), WIRING[system], p)
     return CohortEngine(model, users, workload=p.workload, seed=seed)
 
 
 def test_cohort_conserves_requests_without_refusals():
-    engine = _cohort_engine(exp1_plan("mds-gris-cache"), 50)
+    engine = _cohort_engine("mds-gris-cache", 50)
     engine.run(**WINDOW)
     assert engine.refused_total == 0
     assert engine.issued == engine.completed_total
@@ -225,14 +292,14 @@ def test_cohort_conserves_requests_without_refusals():
 
 def test_cohort_conserves_requests_under_refusal():
     # 600 users against the Manager's 128 threads + 64 backlog slots.
-    engine = _cohort_engine(exp2_plan("hawkeye-manager"), 600)
+    engine = _cohort_engine("hawkeye-manager", 600)
     engine.run(**WINDOW)
     assert engine.refused_total > 0
     assert engine.issued == engine.completed_total + engine.refused_total
 
 
 def test_cohort_refuses_only_past_capacity():
-    small = _cohort_engine(exp2_plan("hawkeye-manager"), 10)
+    small = _cohort_engine("hawkeye-manager", 10)
     small.run(**WINDOW)
     assert small.refused_total == 0
 
@@ -330,12 +397,39 @@ def test_fast_tiers_reject_fault_and_adaptive_runs():
 
 def test_exp4_plans_have_no_fast_model():
     with pytest.raises(FidelityError):
-        model_for_plan(exp4_plan("mds-giis-all", 8))
+        _model(exp4_plan("mds-giis-all", 8), EXP4_WIRING["mds-giis-all"])
 
 
 def test_fast_point_rejects_the_exact_tier():
     with pytest.raises(FidelityError):
-        fast_point(exp1_plan("mds-gris-cache"), system="s", x=1, users=1, tier="exact")
+        fast_point(
+            exp1_plan("mds-gris-cache"), system="s", x=1, users=1, tier="exact",
+            **_facts(WIRING["mds-gris-cache"]),
+        )
+
+
+@pytest.mark.parametrize("tier", FAST_TIERS)
+@pytest.mark.parametrize("depth", (2, 4))
+def test_fast_tiers_run_ten_thousand_users_on_deep_trees(depth, tier):
+    """A population the exact tier refuses outright (``MAX_EXACT_USERS``)."""
+    point = scale.run_scale_point(
+        "mds", depth, 10, seed=1, users=10_000, fidelity=tier, **WINDOW
+    )
+    assert scale.format_scale_table([point])
+    assert not point.result.crashed
+    assert point.result.throughput > 0
+
+
+def test_every_series_refuses_past_the_exact_cap_before_compiling(monkeypatch):
+    from repro.core.experiments import scenarios
+
+    def compiled(*args, **kwargs):
+        raise AssertionError("the exact tier started a run past its cap")
+
+    monkeypatch.setattr(scenarios, "new_run", compiled)
+    monkeypatch.setattr(scenarios, "compile_plan", compiled)
+    with pytest.raises(ValueError, match="2000-user cap"):
+        exp3.run_point("mds-gris-cache", 10, users=MAX_EXACT_USERS + 1, **TINY)
 
 
 def test_scale_exact_cap_names_the_fast_tiers():
@@ -397,9 +491,12 @@ def test_plan_rejects_unknown_fidelity():
 def test_hierarchy_plan_drives_both_fast_tiers():
     p = default_params()
     plan = hierarchy_plan("mds", 2, 4)
-    model = model_for_plan(plan, p)
+    model = _model(plan, SCALE_WIRING["mds"], p)
     sol = solve_meanfield(model, 1000, think=p.workload.think_time,
                           retry_wait=p.workload.retry_wait)
     assert sol.throughput > 0
-    point = fast_point(plan, system="mds-tree-d2", x=16, users=1000, tier="cohort")
+    point = fast_point(
+        plan, system="mds-tree-d2", x=16, users=1000, tier="cohort",
+        **_facts(SCALE_WIRING["mds"], p),
+    )
     assert point.fidelity == "cohort" and point.summary.throughput > 0
