@@ -15,11 +15,11 @@ __all__ = ["repro_version", "add_version_argument"]
 
 def repro_version() -> str:
     """The package version, from metadata or the source tree."""
-    try:
-        from importlib.metadata import version
+    from importlib.metadata import PackageNotFoundError, version
 
+    try:
         return version("repro")
-    except Exception:
+    except PackageNotFoundError:
         import repro
 
         return getattr(repro, "__version__", "unknown")

@@ -70,7 +70,7 @@ class ProducerServletKernel:
     def handle(self, payload: _t.Any) -> _t.Generator:
         p, servlet = self.params, self.servlet
         yield Compute(p.cpu_per_query)
-        m = len(servlet.producers)
+        m = servlet.producer_count
         hold = p.db_hold_linear * m + p.db_hold_quad * (m * m)
         # Convoy inflation uses the queue this request joins: read the
         # depth *before* queueing on the lock.

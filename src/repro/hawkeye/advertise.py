@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from repro.classad import ClassAd
-from repro.hawkeye.draws import DrawPlan, Integers, Uniform
+from repro.core.draws import DrawPlan, Integers, Uniform
 from repro.hawkeye.manager import Manager
 
 __all__ = ["synthesize_startd_ad", "advertise", "AdvertiserFleet"]

@@ -29,7 +29,7 @@ from repro.classad import ClassAd
 from repro.classad.ast import Literal
 from repro.classad.values import value_repr
 from repro.errors import ServiceCrashError
-from repro.hawkeye.draws import DrawPlan, Integers, Uniform
+from repro.core.draws import DrawPlan, Integers, Uniform
 from repro.hawkeye.modules import NOW, Module
 
 __all__ = ["Agent", "AgentAnswer", "MAX_MODULES"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.hawkeye.draws import Integers, Uniform
+from repro.core.draws import Integers, Uniform
 
 __all__ = ["Module", "NOW", "make_default_modules", "replicated_modules", "DEFAULT_MODULE_NAMES"]
 

@@ -9,17 +9,25 @@ count to 90 by cloning the memory provider, which
 Providers here generate real entries (with plausible MDS attribute
 vocabularies) from a seeded RNG, and carry an ``exec_cost`` — the CPU
 seconds the provider script takes — which the uncached GRIS pays on
-every query.
+every query.  What a run re-reads is the readings: an entry's shape
+(attribute names and spellings, constants, draw ranges) depends only on
+the provider's name, object class and attribute count, so it is fixed
+once per such shape and shared by every provider that has it, and a run
+costs one batch of draws (:mod:`repro.core.draws`) plus one pass that
+builds the entry.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 
 import numpy as np
 
+from repro.core.draws import DrawPlan, Integers
+from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
-from repro.ldap.schema import device_dn_text
+from repro.ldap.schema import DEVICE_OBJECTCLASSES, host_dn_text
 
 __all__ = [
     "InformationProvider",
@@ -47,6 +55,119 @@ DEFAULT_PROVIDER_NAMES = (
 # which this value (x10 providers, serialized) reproduces.
 DEFAULT_EXEC_COST = 0.05
 
+HOST = object()  # a device value: the name of the host the provider runs on
+
+# What each provider reports after its object classes, validity window
+# and device name: attribute and value, a value being a constant, HOST,
+# a draw, or a ``(prefix, draw)`` pair.  Unknown providers report one
+# ``Mds-Generic-value``; every provider pads to ``nattrs`` attributes
+# with ``Mds-<name>-metric<i>`` draws.
+_DEVICES: dict[str, tuple[tuple[str, _t.Any], ...]] = {
+    "cpu": (
+        ("Mds-Cpu-model", "Pentium III (Coppermine)"),
+        ("Mds-Cpu-speedMHz", "1133"),
+        ("Mds-Cpu-Total-count", "2"),
+        ("Mds-Cpu-cache-l2kB", "512"),
+    ),
+    "memory": (("Mds-Memory-Ram-Total-sizeMB", "512"), ("Mds-Memory-Ram-sizeMB", Integers(100, 480))),
+    "filesystem": (
+        ("Mds-Fs-Total-sizeMB", "17000"),
+        ("Mds-Fs-freeMB", Integers(2_000, 15_000)),
+        ("Mds-Fs-mount", "/home"),
+    ),
+    "network": (
+        ("Mds-Net-name", "eth0"),
+        ("Mds-Net-AdminStatus", "UP"),
+        ("Mds-Net-speedMbps", "100"),
+        ("Mds-Net-addr", ("140.221.9.", Integers(1, 254))),
+    ),
+    "os": (("Mds-Os-name", "Linux"), ("Mds-Os-release", "2.4.10"), ("Mds-Host-hn", HOST)),
+    "cpu-free": (
+        ("Mds-Cpu-Free-1minX100", Integers(0, 200)),
+        ("Mds-Cpu-Free-5minX100", Integers(0, 200)),
+        ("Mds-Cpu-Free-15minX100", Integers(0, 200)),
+    ),
+    "memory-vm": (("Mds-Memory-Vm-Total-sizeMB", "1024"), ("Mds-Memory-Vm-sizeMB", Integers(200, 1000))),
+    "storage": (("Mds-Storage-dev", "/dev/sda"), ("Mds-Storage-sizeGB", "18")),
+    "queue": (("Mds-Queue-name", "default"), ("Mds-Queue-length", Integers(0, 30))),
+    "software": (("Mds-Software-deployment", "globus-2.0"), ("Mds-Software-release", "2.1")),
+}
+_GENERIC = (("Mds-Generic-value", Integers(0, 10_000)),)
+_METRIC = Integers(0, 10_000)
+# A run's texts: now, now + 30 and now + 60 for these, then the host, then the draws.
+_VALIDITY = ("Mds-validfrom", "Mds-validto", "Mds-keepto")
+_HOST, _DRAWN = len(_VALIDITY), len(_VALIDITY) + 1
+
+
+class _Shape:
+    """One provider shape's entry, fixed: keys in attribute order, their
+    spellings, the constant values, and which slot takes a validity text,
+    the host name or which draw.  A later binding of a key overwrites an
+    earlier one in place, as ``Entry.put`` does; every draw is still made."""
+
+    def __init__(self, name: str, objectclass: str, nattrs: int) -> None:
+        # key -> (display, constant values, the run's text to take or -1, its prefix)
+        slots: dict[str, tuple[str, tuple[str, ...], int, str]] = {
+            "objectclass": ("objectclass", ("MdsDevice", objectclass), -1, "")
+        }
+        for source, display in enumerate(_VALIDITY):
+            slots[display.lower()] = (display, (), source, "")
+        specs: list[Integers] = []
+
+        def put(display: str, value: _t.Any) -> None:
+            constants, source, prefix = (), -1, ""
+            if isinstance(value, str):
+                constants = (value,)
+            elif value is HOST:
+                source = _HOST
+            else:  # a draw, or a (prefix, draw) pair
+                prefix, spec = ("", value) if isinstance(value, Integers) else value
+                source = _DRAWN + len(specs)
+                specs.append(spec)
+            slots[display.lower()] = (display, constants, source, prefix)
+
+        put("Mds-Device-name", name)  # the RDN attribute
+        for display, value in _DEVICES.get(name.split("#")[0], _GENERIC):  # replicas are "memory#17"
+            put(display, value)
+        i = 0
+        while len(slots) < nattrs:
+            put(f"Mds-{name}-metric{i}", _METRIC)
+            i += 1
+        self.keys = tuple(slots)
+        self.display = {key: display for key, (display, *_rest) in slots.items()}
+        self.constants = tuple(constants for _display, constants, *_rest in slots.values())
+        self.fills = tuple(
+            (slot, source, prefix)
+            for slot, (_display, _constants, source, prefix) in enumerate(slots.values())
+            if source >= 0
+        )
+        self.draws = DrawPlan(specs)
+        # ldif_length() less the DN and the run's texts (their prefixes counted)
+        self.length = len("dn: ") + sum(
+            (len(display) + len("\n: ")) * max(1, len(constants)) + sum(map(len, constants)) + len(prefix)
+            for display, constants, _source, prefix in slots.values()
+        )
+
+    def build(self, dn: DN, dn_length: int, hostname: str, rng: np.random.Generator, now: float) -> Entry:
+        """A fresh entry: one batch of draws and one pass over the slots,
+        with its ``ldif_length()`` memo filled."""
+        texts = [f"{now:.0f}", f"{now + 30.0:.0f}", f"{now + 60.0:.0f}", hostname]
+        texts += map(str, self.draws.draw(rng))
+        values = [list(constants) for constants in self.constants]
+        length = self.length + dn_length
+        for slot, source, prefix in self.fills:
+            text = texts[source]
+            values[slot] = [prefix + text]
+            length += len(text)
+        entry = Entry.__new__(Entry)
+        entry.dn, entry._ldif_len = dn, length
+        entry._attrs = dict(zip(self.keys, values))
+        entry._display = self.display.copy()
+        return entry
+
+
+_shape = functools.lru_cache(maxsize=None)(_Shape)
+
 
 class InformationProvider:
     """One data source feeding a GRIS."""
@@ -64,113 +185,24 @@ class InformationProvider:
         self.exec_cost = exec_cost
         self.nattrs = nattrs
         self.invocations = 0
+        self._dn: tuple[str, str, DN, int] | None = None  # host, name, device DN, its length
 
     def produce(self, hostname: str, rng: np.random.Generator, now: float = 0.0) -> list[Entry]:
         """Run the provider: returns fresh entries for ``hostname``."""
         self.invocations += 1
-        entry = Entry(
-            device_dn_text(hostname, self.name),
-            {
-                "objectclass": ["MdsDevice", self.objectclass],
-                "Mds-validfrom": f"{now:.0f}",
-                "Mds-validto": f"{now + 30.0:.0f}",
-                "Mds-keepto": f"{now + 60.0:.0f}",
-            },
-        )
-        self._fill(entry, hostname, rng)
-        # Pad to the configured attribute count with generic metrics.
-        i = 0
-        while entry.nattrs < self.nattrs:
-            entry.put(f"Mds-{self.name}-metric{i}", f"{rng.integers(0, 10_000)}")
-            i += 1
-        return [entry]
-
-    def _fill(self, entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-        """Provider-specific attributes; subclass hook."""
-        fillers: dict[str, _t.Callable[[Entry, str, np.random.Generator], None]] = {
-            "cpu": _fill_cpu,
-            "memory": _fill_memory,
-            "filesystem": _fill_filesystem,
-            "network": _fill_network,
-            "os": _fill_os,
-            "cpu-free": _fill_cpu_free,
-            "memory-vm": _fill_memory_vm,
-            "storage": _fill_storage,
-            "queue": _fill_queue,
-            "software": _fill_software,
-        }
-        base_kind = self.name.split("#")[0]  # replicas are "memory#17"
-        fillers.get(base_kind, _fill_generic)(entry, hostname, rng)
+        named = self._dn
+        if named is None or named[0] != hostname or named[1] != self.name:
+            dn = DN.parse(host_dn_text(hostname)).child("Mds-Device-name", self.name)
+            named = self._dn = (hostname, self.name, dn, len(str(dn)))
+        shape = _shape(self.name, self.objectclass, self.nattrs)
+        return [shape.build(named[2], named[3], hostname, rng, now)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<InformationProvider {self.name}>"
 
 
-def _fill_cpu(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Cpu-model", "Pentium III (Coppermine)")
-    entry.put("Mds-Cpu-speedMHz", "1133")
-    entry.put("Mds-Cpu-Total-count", "2")
-    entry.put("Mds-Cpu-cache-l2kB", "512")
-
-
-def _fill_memory(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Memory-Ram-Total-sizeMB", "512")
-    entry.put("Mds-Memory-Ram-sizeMB", str(int(rng.integers(100, 480))))
-
-
-def _fill_filesystem(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Fs-Total-sizeMB", "17000")
-    entry.put("Mds-Fs-freeMB", str(int(rng.integers(2_000, 15_000))))
-    entry.put("Mds-Fs-mount", "/home")
-
-
-def _fill_network(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Net-name", "eth0")
-    entry.put("Mds-Net-AdminStatus", "UP")
-    entry.put("Mds-Net-speedMbps", "100")
-    entry.put("Mds-Net-addr", f"140.221.9.{rng.integers(1, 254)}")
-
-
-def _fill_os(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Os-name", "Linux")
-    entry.put("Mds-Os-release", "2.4.10")
-    entry.put("Mds-Host-hn", hostname)
-
-
-def _fill_cpu_free(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Cpu-Free-1minX100", str(int(rng.integers(0, 200))))
-    entry.put("Mds-Cpu-Free-5minX100", str(int(rng.integers(0, 200))))
-    entry.put("Mds-Cpu-Free-15minX100", str(int(rng.integers(0, 200))))
-
-
-def _fill_memory_vm(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Memory-Vm-Total-sizeMB", "1024")
-    entry.put("Mds-Memory-Vm-sizeMB", str(int(rng.integers(200, 1000))))
-
-
-def _fill_storage(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Storage-dev", "/dev/sda")
-    entry.put("Mds-Storage-sizeGB", "18")
-
-
-def _fill_queue(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Queue-name", "default")
-    entry.put("Mds-Queue-length", str(int(rng.integers(0, 30))))
-
-
-def _fill_software(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Software-deployment", "globus-2.0")
-    entry.put("Mds-Software-release", "2.1")
-
-
-def _fill_generic(entry: Entry, hostname: str, rng: np.random.Generator) -> None:
-    entry.put("Mds-Generic-value", str(int(rng.integers(0, 10_000))))
-
-
 def make_default_providers(exec_cost: float = DEFAULT_EXEC_COST) -> list[InformationProvider]:
     """The 10 providers of a stock MDS 2.1 install."""
-    from repro.ldap.schema import DEVICE_OBJECTCLASSES
-
     return [
         InformationProvider(name, DEVICE_OBJECTCLASSES[name], exec_cost=exec_cost)
         for name in DEFAULT_PROVIDER_NAMES

@@ -43,6 +43,7 @@ class ProducerServlet:
         self.db = Database(f"{name}-buffer")
         self.history_rows = history_rows
         self._producers: dict[str, Producer] = {}
+        self._table_producers: dict[str, int] = {}  # table -> attached producers publishing it
         self._row_count: dict[str, int] = {}
         self.queries_answered = 0
         self.tuples_buffered = 0
@@ -60,6 +61,7 @@ class ProducerServlet:
         if producer.producer_id in self._producers:
             raise RegistryError(f"producer {producer.producer_id!r} already attached")
         self._producers[producer.producer_id] = producer
+        self._table_producers[producer.table] = self._table_producers.get(producer.table, 0) + 1
         if not self.db.has_table(producer.table):
             self.db.execute(table_ddl(producer.table))
             self.db.table(producer.table).create_index("producerId")
@@ -75,14 +77,20 @@ class ProducerServlet:
             )
 
     def detach(self, producer_id: str, registry: Registry | None = None) -> bool:
-        existed = self._producers.pop(producer_id, None) is not None
+        producer = self._producers.pop(producer_id, None)
+        if producer is not None:
+            self._table_producers[producer.table] -= 1
         if registry is not None:
             registry.unregister(producer_id)
-        return existed
+        return producer is not None
 
     @property
     def producers(self) -> list[Producer]:
         return list(self._producers.values())
+
+    @property
+    def producer_count(self) -> int:
+        return len(self._producers)
 
     # -- publication -------------------------------------------------------
     def publish(self, producer_id: str, now: float) -> dict[str, _t.Any]:
@@ -126,5 +134,5 @@ class ProducerServlet:
             self.db.execute(table_ddl(stmt.table))
         result = self.db.execute(stmt)
         assert isinstance(result, ResultSet)
-        touched = sum(1 for p in self._producers.values() if p.table == stmt.table)
+        touched = self._table_producers.get(stmt.table, 0)
         return ServletAnswer(result=result, producers_touched=touched)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.hawkeye import Agent, Module, replicated_modules, synthesize_startd_ad
-from repro.hawkeye.draws import DrawPlan, Integers, Uniform
+from repro.core.draws import DrawPlan, Integers, Uniform
 from tests.hawkeye import oracle
 
 

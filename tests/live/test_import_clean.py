@@ -8,6 +8,7 @@ meta-path blocker makes any regression an ImportError, not a silent
 re-coupling.
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -32,6 +33,9 @@ import repro.core.metrics
 import repro.mds.resilience
 import repro.hawkeye.resilience
 import repro.live
+import repro.core.draws
+import repro.mds.providers
+import repro.rgma.registry
 from repro.core.kernels.build import (
     activate_plan, connect_plan, expose_plan, materialize_plan,
 )
@@ -114,3 +118,11 @@ def test_des_twin_still_uses_sim():
     )
     assert proc.returncode == 0, proc.stderr
     assert "des blocked as expected" in proc.stdout
+
+
+def test_registry_owns_no_database():
+    """The Registry's RDBMS is a cost model: its module imports no SQL engine."""
+    tree = ast.parse((REPO / "src" / "repro" / "rgma" / "registry.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.startswith("repro.relational")], imported

@@ -11,6 +11,7 @@ from repro.rgma import (
     Registry,
     make_default_producers,
 )
+from repro.rgma.schema import GLOBAL_SCHEMA
 
 
 @pytest.fixture
@@ -161,6 +162,19 @@ def test_servlet_publish_unknown_producer():
     servlet = ProducerServlet("s")
     with pytest.raises(RegistryError):
         servlet.publish("ghost", now=0.0)
+
+
+def test_servlet_counts_follow_attach_and_detach():
+    servlet = ProducerServlet("s")
+    producers = make_default_producers("h", 10)
+    for producer in producers:
+        servlet.attach(producer)
+    assert servlet.detach(producers[0].producer_id)
+    assert not servlet.detach(producers[0].producer_id)
+    assert servlet.producer_count == len(servlet.producers) == 9
+    for table in GLOBAL_SCHEMA:
+        want = sum(p.table == table for p in servlet.producers)
+        assert servlet.answer(f"SELECT * FROM {table}").producers_touched == want
 
 
 # -- mediation ------------------------------------------------------------
