@@ -44,9 +44,6 @@ _LAZY = {
     "drive": "repro.core.runner",
     "Figure": "repro.core.results",
     "Series": "repro.core.results",
-    "ReplicateStat": "repro.core.stats",
-    "replicate_point": "repro.core.stats",
-    "summarize_replicates": "repro.core.stats",
 }
 
 __all__ = list(_LAZY)

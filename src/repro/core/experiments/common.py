@@ -9,29 +9,27 @@ every series shares — it fans independent points out through
 :mod:`repro.core.parallel` (process pool + point cache) and merges the
 results in submission order, byte-identical to a serial loop.
 
-Passing ``adaptive=`` to :func:`sweep_points` (or to any experiment's
-``sweep()``) switches the whole sweep to the adaptive measurement mode:
-every point is replicated across seeds until its confidence interval
+Passing ``adaptive=True`` to :func:`sweep_points` (or to any
+experiment's ``sweep()``) switches the whole sweep to the adaptive
+measurement mode, one fixed rule (:mod:`repro.core.stats`): every point
+is replicated across seeds until its throughput confidence interval
 converges (:func:`repro.core.stats.adaptive_replications`), each
-replication detecting its own steady-state window, and the reduced
-:class:`~repro.core.runner.PointResult` reports replication means with
-CI half-widths on :attr:`~repro.core.runner.PointResult.ci`.
+replication detecting its own steady-state window, and
+:func:`adaptive_point` reduces them to one
+:class:`~repro.core.runner.PointResult` of replication means with CI
+half-widths on :attr:`~repro.core.runner.PointResult.ci`.
 """
 
 from __future__ import annotations
 
 import math
 import typing as _t
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
+from repro.core.metrics import MetricsSummary
 from repro.core.parallel import PointSpec, run_specs
 from repro.core.runner import PointResult, ScenarioRun
-from repro.core.stats import (
-    AdaptiveConfig,
-    AdaptiveEstimate,
-    adaptive_replications,
-    summarize_replications,
-)
+from repro.core.stats import ReplicationInfo, adaptive_replications, mean_ci
 from repro.core.testbed import assign_users_to_clients
 from repro.core.topology.catalog import (
     advertise_fault_plan,
@@ -58,7 +56,6 @@ __all__ = [
     "server_node",
     "within_cap",
     "sweep_points",
-    "adaptive_sweep_points",
     "adaptive_point",
     "uc_clients",
     "lucky_clients",
@@ -184,7 +181,7 @@ def sweep_points(
     *,
     point_kwargs: _t.Sequence[dict[str, _t.Any]] | None = None,
     jobs: int | None = None,
-    adaptive: AdaptiveConfig | bool | None = None,
+    adaptive: bool = False,
     **kwargs: _t.Any,
 ) -> list[_t.Any]:
     """Run ``run_point(*args, **kwargs)`` for every args-tuple in ``points``.
@@ -196,9 +193,9 @@ def sweep_points(
     sweeps vary ``params`` per point); ``jobs`` overrides the
     process-wide default (``REPRO_JOBS`` / ``repro-figures --jobs``).
 
-    A truthy ``adaptive`` routes the sweep through
-    :func:`adaptive_sweep_points` instead (replicated, CI-reported
-    points); ``point_kwargs`` is not supported there.
+    ``adaptive`` measures every point with :func:`adaptive_point`
+    instead (replicated, CI-reported points); ``point_kwargs`` is not
+    supported there.
 
     Keyword arguments whose value is ``None`` are dropped — every
     ``run_point`` keyword defaults to ``None``, so this normalizes the
@@ -207,8 +204,7 @@ def sweep_points(
     if adaptive:
         if point_kwargs is not None:
             raise ValueError("point_kwargs is not supported with adaptive sweeps")
-        config = adaptive if isinstance(adaptive, AdaptiveConfig) else None
-        return adaptive_sweep_points(run_point, points, config=config, jobs=jobs, **kwargs)
+        return [adaptive_point(run_point, *args, jobs=jobs, **kwargs) for args in points]
     if point_kwargs is not None and len(point_kwargs) != len(points):
         raise ValueError(
             f"point_kwargs length {len(point_kwargs)} != points length {len(points)}"
@@ -226,69 +222,54 @@ def sweep_points(
     return run_specs(specs, jobs=jobs)
 
 
-def _reduce_estimate(estimate: AdaptiveEstimate, config: AdaptiveConfig) -> PointResult:
-    """Fold one point's replications into a single reported PointResult."""
-    first = estimate.results[0]
-    mean_summary, info, crashed = summarize_replications(
-        estimate.results, config.confidence
-    )
-    info = replace(info, converged=estimate.converged)
-    return replace(
-        first,
-        summary=mean_summary,
-        crashed=crashed,
-        sim_events=sum(r.sim_events for r in estimate.results),
-        ci=info,
-    )
-
-
-def adaptive_sweep_points(
-    run_point: _t.Callable,
-    points: _t.Sequence[_t.Sequence],
-    *,
-    config: AdaptiveConfig | None = None,
-    jobs: int | None = None,
-    **kwargs: _t.Any,
-) -> list[PointResult]:
-    """Adaptive-mode sweep: replicate every point until its CI converges.
-
-    Each args-tuple in ``points`` must end with the point's base seed
-    (the :func:`sweep_points` convention).  Replication ``k`` re-runs
-    the point with seed ``base + k * seed_stride`` and a detected
-    steady-state window; replications fan out through
-    :mod:`repro.core.parallel` batch by batch, so the stopping decision
-    — and therefore the reported mean ± CI — is independent of worker
-    count and scheduling.
-    """
-    cfg = config or AdaptiveConfig()
-    clean = {k: v for k, v in kwargs.items() if v is not None}
-    clean["adaptive"] = cfg
-    out: list[PointResult] = []
-    for args in points:
-        *head, base_seed = args
-        estimate = adaptive_replications(
-            run_point,
-            tuple(head),
-            clean,
-            base_seed=int(base_seed),
-            config=cfg,
-            jobs=jobs,
-        )
-        out.append(_reduce_estimate(estimate, cfg))
-    return out
+_COUNTS = ("completed", "refused", "timeouts", "errors")
 
 
 def adaptive_point(
     run_point: _t.Callable,
     *args: _t.Any,
-    config: AdaptiveConfig | None = None,
     jobs: int | None = None,
     **kwargs: _t.Any,
 ) -> PointResult:
-    """One adaptively-estimated point (``args`` ends with the base seed)."""
-    return adaptive_sweep_points(
-        run_point, [tuple(args)], config=config, jobs=jobs, **kwargs
-    )[0]
+    """One point measured by the adaptive rule, reduced to replication means.
+
+    ``args`` ends with the point's base seed (the :func:`sweep_points`
+    convention).  :func:`~repro.core.stats.adaptive_replications` re-runs
+    the point with ``adaptive=True`` (a detected steady-state window)
+    until its throughput CI converges; replications fan out through
+    :mod:`repro.core.parallel` batch by batch, so the stopping decision
+    — and therefore the reported mean ± CI — is independent of worker
+    count and scheduling.  The result is the first replication with
+    every summary field replaced by its mean across replications
+    (counts rounded), crashed when any replication crashed, and the
+    CI half-widths on :attr:`~repro.core.runner.PointResult.ci`.
+    """
+    *head, base_seed = args
+    kw = {k: v for k, v in kwargs.items() if v is not None}
+    results, converged = adaptive_replications(
+        run_point, tuple(head), {**kw, "adaptive": True}, int(base_seed), jobs=jobs
+    )
+    summaries = [r.summary for r in results]
+
+    def mean(attr: str) -> float:
+        return sum(getattr(s, attr) for s in summaries) / len(summaries)
+
+    summary = MetricsSummary(
+        **{f.name: round(mean(f.name)) if f.name in _COUNTS else mean(f.name)
+           for f in fields(MetricsSummary)}
+    )
+    return replace(
+        results[0],
+        summary=summary,
+        crashed=any(r.crashed for r in results),
+        sim_events=sum(r.sim_events for r in results),
+        ci=ReplicationInfo(
+            replications=len(results),
+            converged=converged,
+            throughput_ci=mean_ci([s.throughput for s in summaries]).half_width,
+            response_time_ci=mean_ci([s.response_time for s in summaries]).half_width,
+        ),
+    )
 
 
 def uc_clients(run: ScenarioRun, n_users: int) -> list[Host]:

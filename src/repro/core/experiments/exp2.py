@@ -26,7 +26,6 @@ from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
 from repro.core.runner import PointResult
 from repro.core.scenario.model import PLAIN
-from repro.core.stats import AdaptiveConfig
 from repro.core.topology.catalog import exp2_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "run_point", "sweep"]
@@ -45,7 +44,7 @@ def run_point(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    adaptive: AdaptiveConfig | bool | None = None,
+    adaptive: bool = False,
     fidelity: str | None = None,
 ) -> PointResult:
     """Measure one (system, users) coordinate of Figures 9-12.

@@ -25,7 +25,6 @@ from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
 from repro.core.runner import PointResult
 from repro.core.scenario.model import PLAIN
-from repro.core.stats import AdaptiveConfig
 from repro.core.topology.catalog import exp3_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "USERS", "run_point", "sweep"]
@@ -48,7 +47,7 @@ def run_point(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    adaptive: AdaptiveConfig | bool | None = None,
+    adaptive: bool = False,
     fidelity: str | None = None,
 ) -> PointResult:
     """Measure one (system, collectors) coordinate of Figures 13-16.

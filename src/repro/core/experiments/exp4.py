@@ -33,7 +33,6 @@ from repro.core.experiments.scenarios import run_wired
 from repro.core.params import StudyParams
 from repro.core.runner import PointResult
 from repro.core.scenario.model import PLAIN
-from repro.core.stats import AdaptiveConfig
 from repro.core.topology.catalog import exp4_plan
 
 __all__ = ["SYSTEMS", "X_VALUES", "USERS", "run_point", "sweep"]
@@ -59,7 +58,7 @@ def run_point(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    adaptive: AdaptiveConfig | bool | None = None,
+    adaptive: bool = False,
 ) -> PointResult:
     """Measure one (system, servers) coordinate of Figures 17-20."""
     return run_wired(

@@ -36,6 +36,7 @@ from repro.core.params import default_params
 from repro.core.runner import PointResult, new_run
 from repro.core.scenario.model import PLAIN
 from repro.core.topology.catalog import two_level_plan
+from repro.errors import RequestTimeoutError, ServiceUnavailableError
 from repro.sim.rpc import Request, Response, Service, call
 
 __all__ = [
@@ -223,7 +224,7 @@ def push_vs_pull(
                 while True:
                     try:
                         value = yield from call(sim, net, client, service, None, size=400)
-                    except Exception:
+                    except (ServiceUnavailableError, RequestTimeoutError):
                         value = {"fired": False, "since": None}
                     if value["fired"] and value["since"] != seen:
                         seen = value["since"]

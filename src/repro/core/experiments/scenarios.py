@@ -53,7 +53,6 @@ from repro.core.scenario.model import (
     ScenarioError,
     WanWeather,
 )
-from repro.core.stats import AdaptiveConfig
 from repro.core.topology import compile_plan
 from repro.core.topology.adapters import Deployment
 from repro.core.topology.plan import DeploymentPlan
@@ -347,7 +346,7 @@ def run_wired(
     params: StudyParams | None = None,
     warmup: float | None = None,
     window: float | None = None,
-    adaptive: AdaptiveConfig | bool | None = None,
+    adaptive: bool = False,
     fidelity: str | None = None,
 ) -> ScenarioPointResult:
     """One point of any plan-driven series, reported as (``label``, ``x``).

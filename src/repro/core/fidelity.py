@@ -55,7 +55,6 @@ from repro.core.topology.plan import (
     DeploymentPlan,
     EdgeKind,
     NodeSpec,
-    ServerSpec,
 )
 from repro.sim.rpc import ConnectionOverhead
 
@@ -68,7 +67,6 @@ __all__ = [
     "ServiceModel",
     "MeanFieldSolution",
     "model_for_plan",
-    "tier_for_plan",
     "solve_meanfield",
     "host_load",
     "load1_ramp",
@@ -88,7 +86,7 @@ class FidelityError(ValueError):
     """A scenario a fast tier cannot model faithfully."""
 
 
-def require_plain_run(tier: str, *, adaptive: object = None) -> None:
+def require_plain_run(tier: str, *, adaptive: bool = False) -> None:
     """Reject a tier name the repo does not know, or an adaptive run.
 
     The fast tiers compute steady-state query-path metrics only, so the
@@ -166,11 +164,6 @@ class ServiceModel:
 
 
 # -- the recording interpreter ------------------------------------------------
-
-
-def tier_for_plan(plan: DeploymentPlan) -> str:
-    """The fidelity tier the plan's entry node requests."""
-    return plan.node(plan.entry).fidelity
 
 
 def _on_uc(host: str | None) -> bool:
@@ -310,11 +303,10 @@ def _record(
     ):
         targets[name] = _Target(spec, node)
     server = plan.server()
-    mediators = [s.name for s in plan.nodes if isinstance(s, ServerSpec) and s.variant == "mediator"]
-    routed = bool(mediators) and plan.entry not in mediators
-    copies = len(mediators) if routed else 1
+    mediators = plan.routed_mediators()
+    copies = len(mediators) or 1
     rec = _Recorder(p, server, depth=0)
-    rec.route = targets[mediators[0] if routed else plan.entry]
+    rec.route = targets[mediators[0].name if mediators else plan.entry]
     rec.reply = rec.drive(rec.route, payload, copies)
     rec.admission = targets[server.name].spec
     convoy: dict[str, float] = {}
@@ -722,7 +714,7 @@ def fast_point(
     payload: _t.Any,
     request_size: int,
     clients: str = "uc",
-    tier: str | None = None,
+    tier: str,
     params: StudyParams | None = None,
     seed: int = 1,
     warmup: float | None = None,
@@ -731,13 +723,12 @@ def fast_point(
     """One figure point on a fast fidelity tier.
 
     ``payload``, ``request_size`` and ``clients`` are the clients' facts
-    (:func:`model_for_plan`).  ``tier`` defaults to the plan entry node's
-    ``fidelity`` field; the result carries the tier and population on
+    (:func:`model_for_plan`).  ``tier`` is ``"cohort"`` or ``"meanfield"``;
+    the result carries the tier and population on
     :attr:`~repro.core.runner.PointResult.fidelity` /
     :attr:`~repro.core.runner.PointResult.population`.
     """
     p = params or default_params()
-    tier = tier or tier_for_plan(plan)
     if tier not in FAST_TIERS:
         raise FidelityError(
             f"fast_point needs a fast tier {FAST_TIERS}, got {tier!r} "

@@ -255,9 +255,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     for number in wanted:
         kwargs: dict = {}
         if args.adaptive:
-            from repro.core.stats import AdaptiveConfig
-
-            kwargs["adaptive"] = AdaptiveConfig()
+            kwargs["adaptive"] = True
         # "exact" is the default; omitting it keeps the point-cache keys
         # (and therefore warm caches) identical to pre-fidelity runs.
         if args.fidelity not in (None, "exact"):

@@ -21,7 +21,6 @@ from repro.core.cliversion import add_version_argument
 from repro.core.experiments import exp1, exp2, exp3, exp4
 from repro.core.experiments.common import adaptive_point
 from repro.core.runner import PointResult
-from repro.core.stats import AdaptiveConfig
 
 __all__ = ["Claim", "CLAIMS", "ClaimOutcome", "run_report", "main"]
 
@@ -39,7 +38,7 @@ class _Context:
         seed: int,
         warmup: float | None,
         window: float | None,
-        adaptive: AdaptiveConfig | None = None,
+        adaptive: bool = False,
     ) -> None:
         self.seed = seed
         self.warmup = warmup
@@ -50,15 +49,9 @@ class _Context:
     def point(self, exp: _t.Any, system: str, x: int) -> PointResult:
         key = (exp.__name__, system, x)
         if key not in self._points:
-            if self.adaptive is not None:
+            if self.adaptive:
                 self._points[key] = adaptive_point(
-                    exp.run_point,
-                    system,
-                    x,
-                    self.seed,
-                    config=self.adaptive,
-                    warmup=self.warmup,
-                    window=self.window,
+                    exp.run_point, system, x, self.seed, warmup=self.warmup, window=self.window
                 )
             else:
                 self._points[key] = exp.run_point(
@@ -254,7 +247,7 @@ def run_report(
     seed: int = 1,
     warmup: float | None = None,
     window: float | None = None,
-    adaptive: AdaptiveConfig | None = None,
+    adaptive: bool = False,
     context_out: list | None = None,
 ) -> list[ClaimOutcome]:
     """Evaluate every claim; returns the outcomes in registration order.
@@ -328,7 +321,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         seed=args.seed,
         warmup=warmup,
         window=window,
-        adaptive=AdaptiveConfig() if args.adaptive else None,
+        adaptive=args.adaptive,
         context_out=contexts,
     )
     print(render_report(outcomes))

@@ -10,7 +10,7 @@ Two measurement modes:
 
 * **exact** (default) — the paper's fixed warm-up + window, byte-for-
   byte identical to every committed figure table;
-* **adaptive** (``adaptive=`` truthy) — the same simulated horizon, but
+* **adaptive** (``adaptive=True``) — the same simulated horizon, but
   the measurement window is *detected* from the run's own completion
   stream via changepoint analysis (:mod:`repro.core.stats`): the
   longest stable regime becomes the window, cutting warm-up ramp and
@@ -21,7 +21,7 @@ Two measurement modes:
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.metrics import (
     MetricsSummary,
@@ -31,12 +31,7 @@ from repro.core.metrics import (
     resilience_summary,
     summarize,
 )
-from repro.core.stats import (
-    AdaptiveConfig,
-    ReplicationInfo,
-    SteadyStateInfo,
-    detect_steady_state,
-)
+from repro.core.stats import BUCKET, ReplicationInfo, SteadyStateInfo, detect_steady_state
 from repro.core.params import StudyParams, WorkloadParams, default_params, measurement_window
 from repro.core.scenario.model import PLAIN, Scenario
 from repro.core.testbed import Testbed, build_testbed
@@ -135,7 +130,7 @@ def drive(
     warmup: float | None = None,
     window: float | None = None,
     retry: RetryPolicy | None = None,
-    adaptive: AdaptiveConfig | bool | None = None,
+    adaptive: bool = False,
     scenario: Scenario = PLAIN,
 ) -> PointResult:
     """Run the workload and reduce the window to one figure point.
@@ -152,10 +147,10 @@ def drive(
     result then carries a :class:`ResilienceSummary` measured against
     the scenario's outages.
 
-    A truthy ``adaptive`` (``True`` or an
-    :class:`~repro.core.stats.AdaptiveConfig`) switches this run to the
-    detected steady-state window; the simulated horizon is unchanged,
-    so adaptive and exact runs of the same point cost the same.
+    ``adaptive`` switches this run to the detected steady-state window
+    (:func:`~repro.core.stats.detect_steady_state`); the simulated
+    horizon is unchanged, so adaptive and exact runs of the same point
+    cost the same.
     """
     default_warmup, default_window = measurement_window()
     warmup = default_warmup if warmup is None else warmup
@@ -193,18 +188,11 @@ def drive(
     start, end = warmup, horizon
     steady_info = None
     if adaptive:
-        cfg = adaptive if isinstance(adaptive, AdaptiveConfig) else AdaptiveConfig()
-        rates = bucket_rates(run.log.records, 0.0, horizon, cfg.bucket)
-        ss = detect_steady_state(rates, dt=cfg.bucket)
-        if ss.stable:
-            start, end = ss.start, ss.end
-        steady_info = SteadyStateInfo(
-            warmup=start,
-            window_start=start,
-            window_end=end,
-            stable=ss.stable,
-            changepoints=len(ss.changepoints),
-        )
+        detected = detect_steady_state(bucket_rates(run.log.records, 0.0, horizon, BUCKET), BUCKET)
+        if detected.stable:
+            start, end = detected.window_start, detected.window_end
+        # An unstable run keeps the configured window; report the one measured.
+        steady_info = replace(detected, window_start=start, window_end=end)
 
     summary = summarize(run.log, run.testbed.monitor, server_host, start, end)
     crashed = service.crashed or any(s.crashed for s in run.services.values())

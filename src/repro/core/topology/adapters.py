@@ -39,7 +39,7 @@ from repro.core.kernels.build import (
     materialize_plan,
 )
 from repro.core.runner import ScenarioRun
-from repro.core.topology.plan import DeploymentPlan, NodeSpec, PlanError, ServerSpec
+from repro.core.topology.plan import DeploymentPlan, NodeSpec, PlanError
 from repro.sim.host import Host
 from repro.sim.resources import Mutex
 from repro.sim.rpc import RetryPolicy, Service
@@ -164,17 +164,10 @@ class SystemAdapter:
             for key, svc in dep.services.items():
                 if key.startswith(prefix):
                     run.services[key] = svc
-        # Per-host mediator routing (the rgma-ps-lucky consumer layout):
-        # when the entry is not itself a mediator, clients talk to the
-        # mediator co-located on their own node.
-        mediators = [
-            spec
-            for spec in plan.nodes
-            if isinstance(spec, ServerSpec) and spec.variant == "mediator"
-        ]
-        if mediators and plan.entry not in {spec.name for spec in mediators}:
-            for spec in mediators:
-                dep.routes[_node_host(run, spec)] = dep.services[spec.name]
+        # Per-host mediator routing: clients talk to the mediator
+        # co-located on their own node.
+        for spec in plan.routed_mediators():
+            dep.routes[_node_host(run, spec)] = dep.services[spec.name]
 
 
 _COMPILER = SystemAdapter()

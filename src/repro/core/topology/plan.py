@@ -43,7 +43,7 @@ class PlanError(ValueError):
     """A deployment plan that cannot exist (Table 1 or structure says no)."""
 
 
-# Simulation fidelity tiers a plan node may request (docs/FIDELITY.md):
+# Simulation fidelity tiers a plan runs on (docs/FIDELITY.md):
 #
 # * ``exact``     — the discrete-event simulation, one process per client
 #   and per request (the default; every committed figure table uses it);
@@ -52,9 +52,6 @@ class PlanError(ValueError):
 # * ``meanfield`` — fixed-point throughput/response/load equations over
 #   the same cost model (:mod:`repro.core.fidelity`), for populations no
 #   per-client engine can reach.
-#
-# The tuple lives here (not in repro.core.fidelity) so plan validation
-# needs no import from the layer that consumes plans.
 FIDELITY_TIERS = ("exact", "cohort", "meanfield")
 
 
@@ -85,10 +82,6 @@ class NodeSpec:
     accounting; ``fault_target`` marks where a scenario's
     :class:`~repro.core.scenario.model.FaultModel` lands (and which
     node is the server under study, :meth:`DeploymentPlan.server`).
-
-    ``fidelity`` selects the simulation tier used when this node is the
-    plan's entry (one of :data:`FIDELITY_TIERS`); ``"exact"`` — the
-    default — is the per-client discrete-event simulation.
     """
 
     name: str
@@ -100,7 +93,6 @@ class NodeSpec:
     tracked: bool = True
     fault_target: bool = False
     options: dict[str, _t.Any] = field(default_factory=dict)
-    fidelity: str = "exact"
 
     role: _t.ClassVar[Role]
 
@@ -238,6 +230,21 @@ class DeploymentPlan:
         (spec,) = [spec for spec in self.nodes if spec.fault_target] or [self.node(self.entry)]
         return spec
 
+    def routed_mediators(self) -> list[NodeSpec]:
+        """The mediators clients are routed to, one per mediator's host.
+
+        When the plan has ``variant="mediator"`` servers and the entry is
+        not one of them (the rgma-ps-lucky consumer layout), each client
+        talks to the mediator co-located on its own node.  Otherwise
+        nothing is routed and the list is empty.
+        """
+        mediators = [
+            spec for spec in self.nodes if isinstance(spec, ServerSpec) and spec.variant == "mediator"
+        ]
+        if any(spec.name == self.entry for spec in mediators):
+            return []
+        return mediators
+
     def nodes_by_role(self, role: Role) -> list[NodeSpec]:
         return [spec for spec in self.nodes if spec.role is role]
 
@@ -268,11 +275,6 @@ class DeploymentPlan:
                 )
             if spec.replicas < 1:
                 raise PlanError(f"node {spec.name!r}: replicas must be >= 1")
-            if spec.fidelity not in FIDELITY_TIERS:
-                raise PlanError(
-                    f"node {spec.name!r}: unknown fidelity {spec.fidelity!r} "
-                    f"(tiers are {', '.join(FIDELITY_TIERS)})"
-                )
             if spec.host is not None:
                 _check_placement(f"node {spec.name!r}", spec.host)
             for placement in spec.options.get("hosts", ()):

@@ -52,10 +52,6 @@ def _node_to_dict(spec: NodeSpec) -> dict[str, _t.Any]:
     out: dict[str, _t.Any] = {"kind": kind, "name": spec.name}
     for field in _BASE_FIELDS + _EXTRA_FIELDS[kind]:
         out[field] = getattr(spec, field)
-    # Only serialized when non-default so committed plan files written
-    # before fidelity tiers existed stay byte-identical on round-trip.
-    if spec.fidelity != "exact":
-        out["fidelity"] = spec.fidelity
     if spec.options:
         out["options"] = spec.options
     return out
@@ -67,7 +63,7 @@ def _node_from_dict(raw: dict[str, _t.Any]) -> NodeSpec:
     if kind not in _KINDS:
         raise PlanError(f"node {data.get('name')!r}: unknown kind {kind!r}")
     cls = _KINDS[kind]
-    allowed = {"name", "options", "fidelity", *_BASE_FIELDS, *_EXTRA_FIELDS[kind]}
+    allowed = {"name", "options", *_BASE_FIELDS, *_EXTRA_FIELDS[kind]}
     unknown = set(data) - allowed
     if unknown:
         raise PlanError(f"node {data.get('name')!r}: unknown fields {sorted(unknown)}")

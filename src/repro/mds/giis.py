@@ -7,9 +7,10 @@ data, cached for ``cachettl`` seconds.  Setting ``cachettl`` very large
 turns the GIIS into a pure directory server — exactly the paper's
 Experiment 2 configuration.
 
-Hard resource limits reproduce the crashes the paper reports in
-Experiment 4: the GIIS died beyond ~200 registered GRIS under
-query-all and ~500 under query-part.
+The crashes the paper reports in Experiment 4 (the GIIS died beyond
+~200 registered GRIS under query-all) are the kernel's to decide
+(:mod:`repro.core.kernels.mds`); it marks the GIIS ``crashed``, and a
+crashed GIIS refuses all further work.
 """
 
 from __future__ import annotations
@@ -51,14 +52,10 @@ class GIIS:
         name: str,
         *,
         cachettl: float = 30.0,
-        max_registrants: int | None = None,
-        max_queryall: int | None = None,
     ) -> None:
         self.name = name
         self.registrations = RegistrationTable()
         self.cache: TtlCache[list[Entry]] = TtlCache(cachettl)
-        self.max_registrants = max_registrants
-        self.max_queryall = max_queryall
         self.queries = 0
         self.crashed = False
         self._generation = 0
@@ -73,21 +70,11 @@ class GIIS:
         now: float = 0.0,
         ttl: float = DEFAULT_REG_TTL,
     ) -> None:
-        """Register (or re-register) a downstream information service.
-
-        Raises :class:`ServiceCrashError` past ``max_registrants`` — the
-        paper's observed GIIS crash when over ~500 GRIS registered.
-        """
+        """Register (or re-register) a downstream information service."""
         self._check_alive()
         if name in self.registrations:
             self.registrations.renew(name, now)
             return
-        if self.max_registrants is not None and len(self.registrations) >= self.max_registrants:
-            self.crashed = True
-            raise ServiceCrashError(
-                f"GIIS {self.name} crashed: {len(self.registrations)} registrants "
-                f"(limit {self.max_registrants})"
-            )
         self.registrations.add(
             Registration(name=name, puller=puller, ttl=ttl, registered_at=now)
         )
@@ -139,8 +126,7 @@ class GIIS:
         """Aggregate query across registrants.
 
         ``subset`` restricts the aggregation to named registrants (the
-        paper's "query part" case); None means query-all, which is
-        subject to the ``max_queryall`` crash limit.
+        paper's "query part" case); None means query-all.
 
         Raises :class:`RegistryError` for unknown subset names.
         """
@@ -154,12 +140,6 @@ class GIIS:
             if unknown:
                 raise RegistryError(f"unknown registrants: {sorted(unknown)}")
             live = [reg for reg in live if reg.name in wanted]
-        elif self.max_queryall is not None and len(live) > self.max_queryall:
-            self.crashed = True
-            raise ServiceCrashError(
-                f"GIIS {self.name} crashed answering query-all over {len(live)} "
-                f"registrants (limit {self.max_queryall})"
-            )
         result = GiisResult(entries=[], registrants_queried=len(live))
         fresh: dict[str, list[Entry]] = {}
         for reg in live:

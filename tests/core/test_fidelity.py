@@ -19,7 +19,7 @@ The fast tiers take their client facts from the series' ``Wiring`` row;
 checks every row against the kernel its clients call.
 """
 
-import dataclasses
+import json
 from time import perf_counter
 
 import pytest
@@ -44,7 +44,6 @@ from repro.core.fidelity import (
     projected_exact_cost,
     require_plain_run,
     solve_meanfield,
-    tier_for_plan,
 )
 from repro.core.kernels.build import connect_plan, expose_plan, materialize_plan
 from repro.core.params import default_params
@@ -59,7 +58,7 @@ from repro.core.topology.catalog import (
     hierarchy_plan,
     two_level_plan,
 )
-from repro.core.topology.plan import PlanError, ServerSpec
+from repro.core.topology.plan import PlanError
 from repro.core.topology.planfile import dumps, loads
 from repro.sim.cohort import CohortEngine
 from repro.sim.rpc import Request
@@ -247,10 +246,8 @@ def test_rows_name_the_request_size_of_the_kernel_their_clients_call(plan, row):
         plan, objects, extras, p, make_lock=lambda n: n, wire=False, services=services
     ):
         services[name] = spec
-    mediators = [
-        n.name for n in plan.nodes if isinstance(n, ServerSpec) and n.variant == "mediator"
-    ]
-    called = mediators[0] if mediators and plan.entry not in mediators else plan.entry
+    mediators = plan.routed_mediators()
+    called = mediators[0].name if mediators else plan.entry
     assert services[called].handle.__self__.params == getattr(p, row.request_size)
 
 
@@ -457,34 +454,13 @@ def test_sweep_normalizes_exact_to_the_same_cache_key():
     assert explicit == default
 
 
-def test_plan_fidelity_round_trip():
-    plan = exp1_plan("mds-gris-cache")
-    assert tier_for_plan(plan) == "exact"
-    # Plans predating fidelity tiers serialize byte-identically: the
-    # default tier is omitted from the JSON.
-    assert '"fidelity"' not in dumps(plan)
-    assert loads(dumps(plan)) == plan
-
-    entry = plan.node(plan.entry)
-    fast = dataclasses.replace(
-        plan, nodes=tuple(
-            dataclasses.replace(n, fidelity="cohort") if n.name == entry.name else n
-            for n in plan.nodes
-        )
-    )
-    fast.validate()
-    assert tier_for_plan(fast) == "cohort"
-    assert '"fidelity": "cohort"' in dumps(fast)
-    assert loads(dumps(fast)) == fast
-
-
 def test_plan_rejects_unknown_fidelity():
-    plan = exp1_plan("mds-gris-cache")
-    bad = dataclasses.replace(
-        plan, nodes=tuple(dataclasses.replace(n, fidelity="psychic") for n in plan.nodes)
-    )
-    with pytest.raises(PlanError, match="fidelity"):
-        bad.validate()
+    # The tier is the caller's choice (``fidelity=``), never a plan's: a
+    # plan file whose node carries one is rejected as an unknown field.
+    doc = json.loads(dumps(exp1_plan("mds-gris-cache")))
+    doc["nodes"][-1]["fidelity"] = "meanfield"
+    with pytest.raises(PlanError, match=r"unknown fields \['fidelity'\]"):
+        loads(json.dumps(doc))
     assert "exact" in FIDELITY_TIERS and set(FAST_TIERS) < set(FIDELITY_TIERS)
 
 

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.stats import (
-    AdaptiveConfig,
+    MAX_REPLICATIONS,
+    MIN_REPLICATIONS,
+    REL_PRECISION,
+    SEED_STRIDE,
     adaptive_replications,
     default_penalty,
     detect_steady_state,
@@ -100,46 +103,46 @@ def test_steady_state_on_ramp_plateau():
     # 10 s warm-up ramp, then a flat plateau: the window is the plateau.
     ramp = [float(i) for i in range(10)]
     plateau = [10.0] * 30
-    ss = detect_steady_state(ramp + plateau, dt=1.0)
+    ss = detect_steady_state(ramp + plateau, 1.0)
     assert ss.stable
-    assert ss.end == 40.0
-    assert 8.0 <= ss.start <= 12.0
-    assert ss.level == pytest.approx(10.0, rel=0.1)
+    assert ss.window_end == 40.0
+    assert 8.0 <= ss.window_start <= 12.0
+    assert ss.changepoints >= 1
 
 
 def test_steady_state_constant_series_is_whole_span():
-    ss = detect_steady_state([7.0] * 20, dt=2.0, origin=4.0)
+    ss = detect_steady_state([7.0] * 20, 2.0)
     assert ss.stable
-    assert (ss.start, ss.end) == (4.0, 44.0)
-    assert ss.changepoints == ()
+    assert (ss.window_start, ss.window_end) == (0.0, 40.0)
+    assert ss.changepoints == 0
 
 
 def test_steady_state_short_series_not_stable():
-    ss = detect_steady_state([1.0, 2.0, 3.0], dt=1.0)
+    ss = detect_steady_state([1.0, 2.0, 3.0], 1.0)
     assert not ss.stable
-    assert (ss.start, ss.end) == (0.0, 3.0)  # fallback: full span
+    assert (ss.window_start, ss.window_end) == (0.0, 3.0)  # fallback: full span
 
 
 def test_steady_state_rejects_fragmented_series():
-    # Alternating regimes leave no segment >= min_fraction of the run.
+    # Alternating regimes leave no segment covering a quarter of the run.
     series = ([1.0] * 6 + [9.0] * 6) * 4
-    ss = detect_steady_state(series, dt=1.0, min_size=5, min_fraction=0.5)
+    ss = detect_steady_state(series, 1.0)
     assert not ss.stable
-    assert (ss.start, ss.end) == (0.0, float(len(series)))
+    assert ss.changepoints == 7
+    assert (ss.window_start, ss.window_end) == (0.0, float(len(series)))
 
 
 # -- confidence intervals -----------------------------------------------------
 
 
 def test_t_critical_values():
-    assert t_critical(1, 0.95) == pytest.approx(12.706)
-    assert t_critical(9, 0.95) == pytest.approx(2.262)
-    assert t_critical(1000, 0.95) == pytest.approx(1.960)
-    assert t_critical(5, 0.99) == pytest.approx(4.032)
+    assert t_critical(1) == pytest.approx(12.706)
+    assert t_critical(9) == pytest.approx(2.262)
+    assert t_critical(12) == pytest.approx(2.179)  # its own row, not df=15's 2.131
+    assert t_critical(15) == pytest.approx(2.131)
+    assert t_critical(1000) == pytest.approx(1.960)
     with pytest.raises(ValueError):
         t_critical(0)
-    with pytest.raises(ValueError):
-        t_critical(5, 0.42)
 
 
 def test_mean_ci_known_values():
@@ -172,45 +175,28 @@ def test_mean_ci_zero_mean_relative():
 @dataclass(frozen=True)
 class _FakePoint:
     throughput: float
+    seed: int
 
 
 # Module-level on purpose: the PointSpec contract requires an importable
 # callable.  Deterministic "noise" derived from the seed.
 def fake_point(base: float, spread: float, seed: int) -> _FakePoint:
-    return _FakePoint(throughput=base + spread * ((seed * 7919) % 11 - 5) / 5.0)
-
-
-def test_adaptive_config_validation():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(min_replications=1)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(max_replications=2, min_replications=3)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(rel_precision=0.0)
+    return _FakePoint(base + spread * ((seed * 7919) % 11 - 5) / 5.0, seed)
 
 
 def test_adaptive_replications_converges_on_quiet_metric():
-    cfg = AdaptiveConfig(rel_precision=0.10, min_replications=3, max_replications=10)
-    est = adaptive_replications(fake_point, (100.0, 0.5), base_seed=1, config=cfg, jobs=1)
-    assert est.converged
-    assert est.replications == 3  # the minimum was already enough
-    assert est.ci.relative <= 0.10
-    assert est.ci.mean == pytest.approx(100.0, rel=0.02)
+    results, converged = adaptive_replications(fake_point, (100.0, 0.5), {}, 3, jobs=1)
+    assert converged
+    assert len(results) == MIN_REPLICATIONS  # the minimum was already enough
+    # Replication k of a point seeded 3 runs with seed 3 + k * SEED_STRIDE.
+    assert [r.seed for r in results] == [3 + k * SEED_STRIDE for k in range(MIN_REPLICATIONS)]
+    ci = mean_ci([r.throughput for r in results])
+    assert ci.relative <= REL_PRECISION
+    assert ci.mean == pytest.approx(100.0, rel=0.02)
 
 
 def test_adaptive_replications_caps_on_noisy_metric():
-    cfg = AdaptiveConfig(rel_precision=0.01, min_replications=3, max_replications=6)
-    est = adaptive_replications(fake_point, (100.0, 40.0), base_seed=1, config=cfg, jobs=1)
-    assert not est.converged
-    assert est.replications == 6  # hard cap
-    assert est.ci.n == 6
-
-
-def test_adaptive_replications_seed_kw_and_stride():
-    cfg = AdaptiveConfig(rel_precision=0.5, min_replications=2, max_replications=4,
-                         seed_stride=10)
-    est = adaptive_replications(
-        fake_point, (50.0, 0.0), base_seed=3, seed_kw="seed", config=cfg, jobs=1
-    )
-    assert est.converged
-    assert all(r.throughput == 50.0 for r in est.results)
+    results, converged = adaptive_replications(fake_point, (100.0, 40.0), {}, 1, jobs=1)
+    assert not converged
+    assert len(results) == MAX_REPLICATIONS  # hard cap
+    assert mean_ci([r.throughput for r in results]).relative > REL_PRECISION

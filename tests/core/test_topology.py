@@ -150,6 +150,21 @@ class TestCatalog:
             assert dep.entry is not None, name
             assert dep.services, name
 
+    def test_only_the_per_host_consumer_layout_routes_clients(self):
+        """The plan names the routed mediators; compiling installs exactly those routes."""
+        routed = {}
+        for name, thunk in catalog.catalog_entries().items():
+            mediators = thunk().routed_mediators()
+            if mediators:
+                routed[name] = [spec.host for spec in mediators]
+        lucky = ["lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"]
+        assert routed == {"exp1-rgma-ps-lucky": lucky}
+        # The UC variant's entry is its one mediator: nothing is routed.
+        for system, hosts in (("rgma-ps-lucky", lucky), ("rgma-ps-uc", [])):
+            run = new_run(1)
+            dep = compile_plan(catalog.exp1_plan(system), run)
+            assert list(dep.routes) == [run.testbed.lucky[host] for host in hosts], system
+
     def test_fault_targets_cover_the_server_under_study(self):
         plan = catalog.exp2_plan("mds-giis", 1)
         run = new_run(1)

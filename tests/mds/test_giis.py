@@ -104,25 +104,17 @@ def test_reregistration_renews():
     assert giis.registrant_count == 1
 
 
-def test_max_registrants_crash():
-    giis = GIIS("g", max_registrants=3)
-    for i in range(3):
-        giis.register(f"h{i}", gris_puller(make_gris(f"h{i}")), now=0.0)
-    with pytest.raises(ServiceCrashError):
-        giis.register("h3", gris_puller(make_gris("h3")), now=0.0)
-    assert giis.crashed
+def test_crashed_giis_refuses_work():
+    # The query-all crash is the kernel's to decide; it marks the GIIS.
+    giis = GIIS("g")
+    giis.register("h0", gris_puller(make_gris("h0")), now=0.0)
+    giis.crashed = True
     with pytest.raises(ServiceCrashError):
         giis.query(now=0.0)
-
-
-def test_max_queryall_crash():
-    giis = GIIS("g", max_queryall=2)
-    for i in range(3):
-        giis.register(f"h{i}", gris_puller(make_gris(f"h{i}")), now=0.0)
-    # Query-part under the limit still works.
-    assert giis.query(now=0.0, subset=["h0", "h1"]).registrants_queried == 2
     with pytest.raises(ServiceCrashError):
-        giis.query(now=0.0)
+        giis.register("h1", gris_puller(make_gris("h1")), now=0.0)
+    with pytest.raises(ServiceCrashError):
+        giis.unregister("h0")
 
 
 def test_hierarchy_giis_registers_into_parent():
