@@ -117,9 +117,11 @@ def mds_materialize(
             count = _mds_collector_count(plan, spec)
             ttl = float("inf") if spec.cached else 0.0
             if spec.replicas == 1 and "hostname_format" not in spec.options:
-                hostname = spec.options.get("hostname", f"{spec.host}.mcs.anl.gov")
                 gris = GRIS(
-                    hostname, replicated_providers(count), cachettl=ttl, seed=spec.seed
+                    f"{spec.host}.mcs.anl.gov",
+                    replicated_providers(count),
+                    cachettl=ttl,
+                    seed=spec.seed,
                 )
                 if spec.primed:
                     gris.search(now=0.0)  # prime the cache before measurement
@@ -145,8 +147,7 @@ def mds_materialize(
             if spec.variant == "fanout":
                 continue  # pure service node, no resident GIIS state
             objects[spec.name] = GIIS(
-                spec.options.get("giis_name", spec.name),
-                cachettl=spec.options.get("cachettl", float("inf")),
+                spec.options.get("giis_name", spec.name), cachettl=float("inf")
             )
 
 
@@ -197,9 +198,8 @@ def rgma_materialize(
             for edge in plan.edges_to(spec.name, EdgeKind.COLLECTION):
                 collector = plan.node(edge.source)
                 assert isinstance(collector, CollectorSpec)
-                hostname = spec.options.get("producer_host", f"{spec.host}.mcs.anl.gov")
                 extras[f"producers:{spec.name}"] = make_default_producers(
-                    hostname, collector.count, seed=collector.seed
+                    f"{spec.host}.mcs.anl.gov", collector.count, seed=collector.seed
                 )
 
 
@@ -547,9 +547,8 @@ def _rgma_activate(x: _Activate) -> _Loops:
             and spec.options.get("publisher")
         ):
             servlet = x.objects[spec.name]
-            interval = float(spec.options.get("publish_interval", 30.0))
             yield f"publisher:{servlet.name}", _placement(spec), functools.partial(
-                _publisher, servlet, interval
+                _publisher, servlet, 30.0
             )
 
 

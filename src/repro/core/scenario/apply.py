@@ -42,7 +42,7 @@ from repro.core.topology.adapters import Deployment
 from repro.core.topology.plan import CollectorSpec, EdgeKind
 from repro.errors import ServiceCrashError
 from repro.mds.giis import GIIS
-from repro.sim.faults import DropInjector, FaultInjector, StallInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.network import WanConditions
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -264,14 +264,13 @@ def apply_scenario(
                 f"scenario {scenario.name!r} injects faults but plan "
                 f"{dep.plan.name!r} marks no fault_target node"
             )
-        drop = stall = None
-        if faults.drop > 0:
-            drop = DropInjector(faults.drop, run.rng.stream("drop", *key, scenario.name))
-        if faults.stall > 0:
-            stream = run.rng.stream("stall", *key, scenario.name)
-            stall = StallInjector(faults.stall, faults.stall_seconds, stream)
-        if drop is not None or stall is not None:
-            injector = FaultInjector(drop, stall)
+        if faults.drop > 0 or faults.stall > 0:
+            injector = FaultInjector(
+                lambda stream: run.rng.stream(stream, *key, scenario.name),
+                faults.drop,
+                faults.stall,
+                faults.stall_seconds,
+            )
             for svc in targets:
                 svc.faults = injector
         ops.outages = faults.outages

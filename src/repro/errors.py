@@ -17,18 +17,6 @@ class SimulationError(ReproError):
     """An inconsistency inside the discrete-event simulation engine."""
 
 
-class InterruptError(SimulationError):
-    """Raised inside a simulated process when it is interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
 class ServiceUnavailableError(SimulationError):
     """A simulated RPC was refused (backlog full) or the service crashed."""
 

@@ -7,7 +7,7 @@ database; Trigger ClassAds automate problem detection via matchmaking.
 Timing is charged by the simulation layer (``repro.core``).
 """
 
-from repro.hawkeye.advertise import AdvertiserFleet, advertise, synthesize_startd_ad
+from repro.hawkeye.advertise import synthesize_startd_ad
 from repro.hawkeye.agent import MAX_MODULES, Agent, AgentAnswer
 from repro.hawkeye.manager import Manager, ManagerAnswer
 from repro.hawkeye.modules import (
@@ -32,9 +32,7 @@ __all__ = [
     "Trigger",
     "TriggerEngine",
     "TriggerFiring",
-    "advertise",
     "synthesize_startd_ad",
-    "AdvertiserFleet",
     "AdvertiserStats",
     "resilient_advertiser",
 ]

@@ -38,11 +38,6 @@ class Database:
         self._tables[key] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name.lower() not in self._tables:
-            raise SchemaError(f"no such table: {name!r}")
-        del self._tables[name.lower()]
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name.lower()]
@@ -51,9 +46,6 @@ class Database:
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
-
-    def tables(self) -> list[str]:
-        return [t.name for t in self._tables.values()]
 
     # -- execution ------------------------------------------------------------
     def execute(self, sql: str | Statement) -> ResultSet | int:

@@ -1,7 +1,7 @@
 """Query execution over :class:`~repro.relational.table.Table`.
 
-The executor prunes candidate rows with the table's hash and sorted
-indexes, evaluates the WHERE tree's compiled row closure
+The executor prunes candidate rows with the table's hash indexes,
+evaluates the WHERE tree's compiled row closure
 (:mod:`repro.relational.compile`, SQL three-valued logic) on each
 candidate, and reports rows examined per query so the simulation can
 charge proportional CPU.
@@ -103,26 +103,6 @@ def _prune_candidates(table: Table, where: SqlExpr) -> set[int] | None:
                     if element is not None:
                         union.update(table.lookup_index(column, element) or ())
                 options.append(union)
-        elif isinstance(conjunct, Comparison) and conjunct.op in ("<", "<=", ">", ">="):
-            op = conjunct.op
-            left, right = conjunct.left, conjunct.right
-            if isinstance(left, Constant) and isinstance(right, ColumnRef):
-                # constant <op> column is column <flipped-op> constant
-                left, right = right, left
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-            if not (isinstance(left, ColumnRef) and isinstance(right, Constant)):
-                continue
-            if not table.has_column(left.name):
-                continue
-            try:
-                bound = float(right.value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                continue  # text bound: lexicographic compare, not range-prunable
-            if bound != bound:
-                continue
-            ranged = table.range_candidates(left.name, op, bound)
-            if ranged is not None:
-                options.append(ranged)
     if not options:
         return None
     return min(options, key=len)

@@ -4,26 +4,26 @@ Public surface:
 
 * :class:`Simulator` — event loop and clock;
 * :class:`Event`, :class:`Timeout`, :class:`Process` — control flow;
-* :class:`Resource`, :class:`Mutex`, :class:`Store` — shared resources;
+* :class:`Mutex` — the FIFO lock every server serialises on;
 * :class:`ProcessorSharing` — fluid CPU/NIC model;
 * :class:`Host`, :class:`Network` — the testbed fabric;
 * :class:`Service`, :func:`call` — RPC with thread pools and backlogs;
 * :class:`RetryPolicy`, :class:`CircuitBreaker` — client-side resilience;
-* :class:`DropInjector`, :class:`StallInjector` — per-request fault injection;
+* :class:`FaultInjector` — per-request drops and stalls;
 * :class:`Ganglia` — the monitoring pipeline of the paper;
 * :class:`RngHub` — named reproducible random streams.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.faults import DropInjector, FaultInjector, StallInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.host import Host
 from repro.sim.loadavg import LoadAverage
 from repro.sim.monitor import Ganglia, HostSample
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.randomness import RngHub, stable_hash
-from repro.sim.resources import Mutex, Resource, Store
+from repro.sim.resources import Mutex
 from repro.sim.rpc import (
     CircuitBreaker,
     ConnectionOverhead,
@@ -43,9 +43,7 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Process",
-    "Resource",
     "Mutex",
-    "Store",
     "ProcessorSharing",
     "PsSnapshot",
     "Host",
@@ -59,8 +57,6 @@ __all__ = [
     "RetryPolicy",
     "RetryStats",
     "call",
-    "DropInjector",
-    "StallInjector",
     "FaultInjector",
     "Ganglia",
     "HostSample",

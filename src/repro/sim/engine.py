@@ -12,17 +12,17 @@ down): the schedule entries are plain ``(time, seq, event)`` tuples —
 CPython's tuple free list makes them both cheaper to allocate and
 faster to compare than reusable list slots, which we measured before
 choosing.  The sequence counter is a bare int (``itertools.count`` pays
-a C-call per event), and :meth:`run` inlines :meth:`step` so the hot
-loop touches no method descriptors.  None of this changes scheduling
-order: every event is still assigned the same ``(time, seq)`` key it
-always was, which is what keeps the committed figure tables
-byte-identical.
+a C-call per event), and :meth:`run` pops and dispatches inline so
+the hot loop touches no method descriptors.  None of this changes
+scheduling order: every event is still assigned the same ``(time,
+seq)`` key it always was, which is what keeps the committed figure
+tables byte-identical.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from heapq import heappop, heappush
+from heapq import heappop
 
 from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -76,9 +76,6 @@ class Simulator:
         """Start a new process executing ``generator``."""
         return Process(self, generator, name=name)
 
-    # SimPy-compatible alias
-    process = spawn
-
     def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
@@ -87,40 +84,7 @@ class Simulator:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (self._now + delay, seq, event))
-
-    def call_at(self, when: float, callback: _t.Callable[[], None]) -> Event:
-        """Run ``callback`` at absolute time ``when``; returns the timer event.
-
-        Used by the processor-sharing queues to (re)schedule completion
-        scans without spawning a full process.
-        """
-        if when < self._now:
-            raise SimulationError(f"call_at into the past: {when} < {self._now}")
-        event = Timeout(self, when - self._now)
-        event.callbacks.append(lambda _ev: callback())
-        return event
-
     # -- main loop ------------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def step(self) -> None:
-        """Process a single event."""
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        when, _seq, event = heappop(self._heap)
-        self._now = when
-        self._processed += 1
-        event._process()
-
     def run(self, until: float | None = None) -> None:
         """Run until the schedule drains, or until time ``until``.
 

@@ -72,8 +72,8 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        # Inlined Simulator._schedule(self, 0.0): triggering is the
-        # engine's hottest entry point, so it books the heap slot itself.
+        # Book the heap slot at the current time: triggering is the
+        # engine's hottest entry point, so there is no helper call.
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1

@@ -7,14 +7,12 @@ experience.  A scenario's :class:`~repro.core.scenario.model.FaultModel`
 supplies that regime; crash/restart outages are
 :meth:`~repro.sim.rpc.Service.fail`/:meth:`~repro.sim.rpc.Service.restore`
 windows (:func:`repro.core.scenario.apply.apply_scenario`), and this
-module holds the per-request half :mod:`repro.sim.rpc` consults:
-
-* :class:`DropInjector` — transient connection drops (a fraction of
-  arriving requests see an immediate connection reset);
-* :class:`StallInjector` — a fraction of admitted requests stall for a
-  fixed extra dwell while *holding a handler thread*, modelling the
-  provider/cache-miss stalls MDS deployments reported;
-* :class:`FaultInjector` — the pair, attached as ``service.faults``.
+module holds the per-request half :mod:`repro.sim.rpc` consults: a
+:class:`FaultInjector` attached as ``service.faults``, which resets a
+fraction of arriving requests (a flaky NAT, a dying servlet thread) and
+stalls a fraction of admitted ones for a fixed extra dwell while
+*holding a handler thread*, modelling the provider/cache-miss stalls
+MDS deployments reported.
 
 All randomness is drawn from generators handed in by the caller
 (:class:`~repro.sim.randomness.RngHub` streams), so injected faults are
@@ -23,72 +21,50 @@ exactly reproducible from the experiment seed.
 
 from __future__ import annotations
 
+import typing as _t
+
 import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["DropInjector", "StallInjector", "FaultInjector"]
-
-
-class DropInjector:
-    """Transient connection drops: each arriving request is reset with
-    probability ``probability`` (a flaky NAT, a dying servlet thread)."""
-
-    def __init__(self, probability: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"drop probability out of range: {probability}")
-        self.probability = probability
-        self.rng = rng
-        self.dropped = 0
-        self.passed = 0
-
-    def should_drop(self) -> bool:
-        drop = bool(self.rng.random() < self.probability)
-        if drop:
-            self.dropped += 1
-        else:
-            self.passed += 1
-        return drop
-
-
-class StallInjector:
-    """Server-side stalls: each admitted request stalls ``stall`` extra
-    seconds with probability ``probability``, holding its handler thread
-    the whole time (an information provider hanging under the lock)."""
-
-    def __init__(
-        self, probability: float, stall: float, rng: np.random.Generator
-    ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"stall probability out of range: {probability}")
-        if stall < 0:
-            raise SimulationError(f"stall must be non-negative: {stall}")
-        self.probability = probability
-        self.stall = stall
-        self.rng = rng
-        self.stalled = 0
-
-    def sample(self) -> float:
-        if self.probability and self.rng.random() < self.probability:
-            self.stalled += 1
-            return self.stall
-        return 0.0
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """The per-service hook :mod:`repro.sim.rpc` consults, attached as
-    ``service.faults``."""
+    """Per-request drops and stalls for one or more services.
+
+    ``drop`` is the probability an arriving request is reset; ``stall``
+    the probability an admitted request stalls ``stall_seconds`` extra
+    seconds.  ``streams(name)`` supplies the generator for the
+    ``"drop"`` and ``"stall"`` streams; each is created, and drawn from,
+    only when its probability is positive.
+    """
 
     def __init__(
         self,
-        drop: DropInjector | None = None,
-        stall: StallInjector | None = None,
+        streams: _t.Callable[[str], np.random.Generator],
+        drop: float = 0.0,
+        stall: float = 0.0,
+        stall_seconds: float = 0.0,
     ) -> None:
+        if not 0.0 <= drop <= 1.0:
+            raise SimulationError(f"drop probability out of range: {drop}")
+        if not 0.0 <= stall <= 1.0:
+            raise SimulationError(f"stall probability out of range: {stall}")
+        if stall_seconds < 0:
+            raise SimulationError(f"stall must be non-negative: {stall_seconds}")
         self.drop = drop
         self.stall = stall
+        self.stall_seconds = stall_seconds
+        self._drop_rng = streams("drop") if drop > 0 else None
+        self._stall_rng = streams("stall") if stall > 0 else None
 
     def drop_request(self) -> bool:
-        return self.drop.should_drop() if self.drop is not None else False
+        """Whether to reset this arriving request (one draw when drops are on)."""
+        return self._drop_rng is not None and bool(self._drop_rng.random() < self.drop)
 
     def stall_delay(self) -> float:
-        return self.stall.sample() if self.stall is not None else 0.0
+        """Extra seconds this admitted request holds its handler thread."""
+        if self._stall_rng is not None and self._stall_rng.random() < self.stall:
+            return self.stall_seconds
+        return 0.0

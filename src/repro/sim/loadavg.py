@@ -1,4 +1,4 @@
-"""Unix-style exponentially damped load averages.
+"""Unix-style exponentially damped one-minute load average.
 
 The paper's ``load1`` metric is Ganglia's ``load_one``: the kernel's
 one-minute load average, i.e. the run-queue length passed through an
@@ -13,38 +13,26 @@ import math
 
 __all__ = ["LoadAverage"]
 
-# exp(-dt/period) per period, memoized by dt: the Ganglia monitor samples
-# every host on a fixed tick, so in steady state every call hits the
-# cache instead of paying three math.exp() per host per tick.  Values
-# are bit-identical to recomputation (same expression, computed once).
-_DECAY_CACHE: dict[float, tuple[float, ...]] = {}
+# exp(-dt/60) memoized by dt: the Ganglia monitor samples every host on
+# a fixed tick, so in steady state every call hits the cache instead of
+# paying a math.exp() per host per tick.  Values are bit-identical to
+# recomputation (same expression, computed once).
+_DECAY_CACHE: dict[float, float] = {}
 
 
 class LoadAverage:
-    """One/five/fifteen-minute damped averages of a sampled quantity."""
-
-    PERIODS = (60.0, 300.0, 900.0)
+    """The one-minute damped average of a sampled quantity."""
 
     def __init__(self) -> None:
-        self._loads = [0.0, 0.0, 0.0]
+        self._load1 = 0.0
 
     @property
     def load1(self) -> float:
         """One-minute load average (the paper's ``load1``)."""
-        return self._loads[0]
-
-    @property
-    def load5(self) -> float:
-        """Five-minute load average."""
-        return self._loads[1]
-
-    @property
-    def load15(self) -> float:
-        """Fifteen-minute load average."""
-        return self._loads[2]
+        return self._load1
 
     def sample(self, runnable: float, dt: float) -> None:
-        """Fold one observation of the run-queue length into the averages.
+        """Fold one observation of the run-queue length into the average.
 
         ``dt`` is the time since the previous sample (the kernel uses a
         fixed 5 s tick; our Ganglia monitor does too, but the math is
@@ -52,11 +40,9 @@ class LoadAverage:
         """
         if dt <= 0:
             return
-        decays = _DECAY_CACHE.get(dt)
-        if decays is None:
-            decays = tuple(math.exp(-dt / period) for period in self.PERIODS)
+        decay = _DECAY_CACHE.get(dt)
+        if decay is None:
+            decay = math.exp(-dt / 60.0)
             if len(_DECAY_CACHE) < 4096:  # bound growth under adversarial dt spreads
-                _DECAY_CACHE[dt] = decays
-        loads = self._loads
-        for i, decay in enumerate(decays):
-            loads[i] = loads[i] * decay + runnable * (1.0 - decay)
+                _DECAY_CACHE[dt] = decay
+        self._load1 = self._load1 * decay + runnable * (1.0 - decay)

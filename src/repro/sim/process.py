@@ -4,15 +4,14 @@ A process wraps a Python generator: every value the generator yields must
 be an :class:`~repro.sim.events.Event` (processes themselves are events, so
 ``yield other_process`` waits for it).  When the generator returns, the
 process event succeeds with the return value; an uncaught exception fails
-it.  Processes may be interrupted, which throws
-:class:`~repro.errors.InterruptError` at the current yield point.
+it.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.errors import InterruptError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.events import PROCESSED, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -24,7 +23,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running generator inside the simulation; also an awaitable event."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_alive", "_resume_cb")
+    __slots__ = ("name", "_generator", "_alive", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: _t.Generator, name: str | None = None) -> None:
         if not hasattr(generator, "send"):
@@ -35,7 +34,6 @@ class Process(Event):
         super().__init__(sim)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Event | None = None
         self._alive = True
         # One bound method for the process's whole life: every yield would
         # otherwise allocate a fresh ``self._resume`` bound-method object.
@@ -51,31 +49,8 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._alive
 
-    def interrupt(self, cause: _t.Any = None) -> None:
-        """Throw :class:`InterruptError` into the process at its yield point.
-
-        Interrupting a finished process is a no-op (the usual race when a
-        watchdog fires just as the work completes).
-        """
-        if not self._alive:
-            return
-        target = self._waiting_on
-        if target is not None:
-            # Stop listening to whatever we were waiting for.
-            try:
-                target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        wake = Event(self.sim)
-        wake.callbacks.append(self._resume_cb)
-        wake.fail(InterruptError(cause))
-
     # -- engine callback ----------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        if not self._alive:
-            return
-        self._waiting_on = None
         generator = self._generator
         try:
             if trigger._ok:
@@ -108,5 +83,4 @@ class Process(Event):
             else:
                 relay.fail(target._value)
             return
-        self._waiting_on = target
         target.callbacks.append(self._resume_cb)

@@ -1,11 +1,11 @@
-"""Shared-resource primitives: counted resources, mutexes and stores.
+"""The one shared resource: a FIFO mutex.
 
-A :class:`Resource` models a pool of identical slots acquired in FIFO
-order.  Processes blocked on a resource are *not runnable* — they do not
-appear in the host's run queue — which is exactly the mechanism behind
-the paper's observation that host load1 *drops* past the saturation
-threshold ("a large percentage of the processes were blocked waiting for
-resources", Section 3.3).
+Every server in the study serialises its back end on one lock, so a
+:class:`Mutex` is the only resource the models need.  Processes blocked
+on it are *not runnable* — they do not appear in the host's run queue —
+which is exactly the mechanism behind the paper's observation that host
+load1 *drops* past the saturation threshold ("a large percentage of the
+processes were blocked waiting for resources", Section 3.3).
 """
 
 from __future__ import annotations
@@ -19,111 +19,48 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["Resource", "Mutex", "Store"]
+__all__ = ["Mutex"]
 
 
-class Resource:
-    """A pool of ``capacity`` identical slots, granted in FIFO order.
+class Mutex:
+    """A single-slot lock granted in FIFO order — the serialized back end
+    of the cost models.
 
     Usage inside a process::
 
-        yield resource.acquire()
+        yield mutex.acquire()
         try:
             ...critical section...
         finally:
-            resource.release()
+            mutex.release()
     """
 
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
-        self._in_use = 0
+        self._held = False
         self._waiters: deque[Event] = deque()
-        # Aggregate statistics for analysis.
-        self.total_acquired = 0
-        self._wait_time_total = 0.0
-        self._wait_started: dict[int, float] = {}
-
-    # -- inspection -----------------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
 
     @property
     def queue_length(self) -> int:
-        """Number of processes blocked waiting for a slot."""
+        """Number of processes blocked waiting for the lock."""
         return len(self._waiters)
 
-    @property
-    def mean_wait(self) -> float:
-        """Mean time spent queueing per successful acquisition."""
-        if self.total_acquired == 0:
-            return 0.0
-        return self._wait_time_total / self.total_acquired
-
-    # -- operations -------------------------------------------------------------
     def acquire(self) -> Event:
-        """Event that fires once a slot is granted to the caller."""
+        """Event that fires once the lock is granted to the caller."""
         event = Event(self.sim)
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            self.total_acquired += 1
+        if not self._held and not self._waiters:
+            self._held = True
             event.succeed()
         else:
-            self._wait_started[id(event)] = self.sim.now
             self._waiters.append(event)
         return event
 
     def release(self) -> None:
-        """Return a slot; grants it to the longest waiter, if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() of resource {self.name!r} that is not held")
+        """Give the lock up; hands it straight to the longest waiter, if any."""
+        if not self._held:
+            raise SimulationError(f"release() of mutex {self.name!r} that is not held")
         if self._waiters:
-            event = self._waiters.popleft()
-            self._wait_time_total += self.sim.now - self._wait_started.pop(id(event))
-            self.total_acquired += 1
-            event.succeed()
+            self._waiters.popleft().succeed()
         else:
-            self._in_use -= 1
-
-
-class Mutex(Resource):
-    """A single-slot resource — the serialized back-end of the cost models."""
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        super().__init__(sim, capacity=1, name=name)
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: deque[_t.Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    @property
-    def size(self) -> int:
-        """Number of items currently buffered."""
-        return len(self._items)
-
-    def put(self, item: _t.Any) -> None:
-        """Deposit ``item``; wakes the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if buffered)."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
+            self._held = False

@@ -6,11 +6,9 @@ import pytest
 from repro.errors import ServiceCrashError
 from repro.hawkeye import (
     MAX_MODULES,
-    AdvertiserFleet,
     Agent,
     Manager,
     Module,
-    advertise,
     make_default_modules,
     replicated_modules,
     synthesize_startd_ad,
@@ -155,6 +153,13 @@ def test_manager_expiry(pool):
     assert manager.pool_size == 0
 
 
+def advertise(manager, machine, rng, now):
+    """One ``hawkeye_advertise`` run: a synthetic Startd ad, delivered."""
+    ad = synthesize_startd_ad(machine, rng, now)
+    manager.receive_ad(ad, now=now)
+    return ad
+
+
 def test_manager_query_follows_receive_expire_and_remove(pool):
     """A repeated constraint is answered from the pool as it is now."""
     manager, _ = pool
@@ -237,16 +242,9 @@ def test_synthesize_startd_ad_shape():
 
 def test_advertise_delivers_to_manager():
     manager = Manager("m")
-    advertise(manager, "fake1", np.random.default_rng(0), now=0.0)
+    rng = np.random.default_rng(0)
+    advertise(manager, "fake1", rng, now=0.0)
     assert manager.pool_size == 1
-
-
-def test_advertiser_fleet_round():
-    manager = Manager("m")
-    fleet = AdvertiserFleet(manager, count=50, seed=1, interval=30.0)
-    assert fleet.advertise_round(now=0.0) == 50
-    assert manager.pool_size == 50
-    assert fleet.ads_per_second == pytest.approx(50 / 30.0)
-    fleet.advertise_round(now=30.0)
-    assert manager.pool_size == 50  # replacement, not growth
-    assert manager.ads_received == 100
+    advertise(manager, "fake1", rng, now=30.0)
+    assert manager.pool_size == 1  # replacement, not growth
+    assert manager.ads_received == 2

@@ -80,8 +80,6 @@ def _sql_batch():
             )
         )
     table.create_index("site")
-    table.create_sorted_index("load1")
-    table.create_sorted_index("cpus")
     statements = [
         "SELECT host, load1 FROM cpuLoad WHERE load1 > 3.8",
         "SELECT host FROM cpuLoad WHERE load1 < 0.2",

@@ -4,7 +4,7 @@ Random rows (including NULLs and numeric strings) and random WHERE
 clauses run through ``select_rowids`` and through the oracle's
 first-bucket-or-scan interpreter (``tests/queryplane/oracles.py``);
 rowids, result rows and ORDER BY/LIMIT output must be identical whether
-the executor pruned with hash/sorted indexes and a compiled row closure
+the executor pruned with hash indexes and a compiled row closure
 or the oracle walked the tree per row.
 """
 
@@ -39,9 +39,6 @@ def _build_db(rng, rows: int) -> Database:
     table.create_index("host")
     table.create_index("site")
     table.create_index("note")
-    table.create_sorted_index("load1")
-    table.create_sorted_index("cpus")
-    table.create_sorted_index("note")
     return db
 
 _COLUMNS = ("host", "load1", "cpus", "site", "note")
@@ -151,13 +148,12 @@ def test_numeric_string_index_matches_scan():
 
 
 def test_range_candidates_cover_text_rows():
-    """Sorted-index range pruning keeps rows that only match lexicographically."""
+    """Range comparisons keep rows that only match lexicographically."""
     db = Database()
     db.execute("CREATE TABLE t (v VARCHAR(8))")
     table = db.table("t")
     for v in ("1", "50", "9", "abc", "zzz", None):
         table.insert((v,))
-    table.create_sorted_index("v")
     for where in ("v > 10", "v >= '5'", "v < 100", "v <= 'b'"):
         stmt = parse_sql(f"SELECT * FROM t WHERE {where}")
         got, _, _ = select_rowids(table, stmt.where)
@@ -201,7 +197,6 @@ def test_differential_int_float_twins():
     table = db.table("t")
     for note in _BETWEEN:
         table.insert((note, int(rng.integers(0, 12))))
-    table.create_sorted_index("note")
     mismatches = 0
     for trial in range(200):
         where, twin = _twin_where(rng)

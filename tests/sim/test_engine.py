@@ -171,21 +171,6 @@ def test_fail_requires_exception_instance():
         event.fail("not an exception")  # type: ignore[arg-type]
 
 
-def test_call_at_runs_callback():
-    sim = Simulator()
-    hits = []
-    sim.call_at(4.0, lambda: hits.append(sim.now))
-    sim.run()
-    assert hits == [4.0]
-
-
-def test_call_at_past_rejected():
-    sim = Simulator()
-    sim.run(until=10.0)
-    with pytest.raises(SimulationError):
-        sim.call_at(5.0, lambda: None)
-
-
 def test_events_processed_counter():
     sim = Simulator()
 
@@ -240,8 +225,3 @@ def test_all_of_empty_fires_immediately():
     sim.run()
     assert seen == [0.0]
 
-
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()

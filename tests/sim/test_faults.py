@@ -18,7 +18,6 @@ from repro.errors import (
 )
 from repro.sim import (
     CircuitBreaker,
-    DropInjector,
     FaultInjector,
     Host,
     Network,
@@ -26,7 +25,6 @@ from repro.sim import (
     RetryPolicy,
     Service,
     Simulator,
-    StallInjector,
     call,
 )
 
@@ -266,35 +264,54 @@ def test_schedule_validation():
         FaultModel(stall=0.5, stall_seconds=-1.0).validate()
 
 
+def seeded(seed):
+    """A ``streams`` callable handing every stream the same seeded generator."""
+    return lambda _stream: np.random.default_rng(seed)
+
+
 def test_drop_injector_deterministic():
-    decisions = lambda seed: [  # noqa: E731
-        DropInjector(0.5, np.random.default_rng(seed)).should_drop() for _ in range(1)
-    ]
-    a = DropInjector(0.5, np.random.default_rng(3))
-    b = DropInjector(0.5, np.random.default_rng(3))
-    seq_a = [a.should_drop() for _ in range(50)]
-    seq_b = [b.should_drop() for _ in range(50)]
+    a = FaultInjector(seeded(3), drop=0.5)
+    b = FaultInjector(seeded(3), drop=0.5)
+    seq_a = [a.drop_request() for _ in range(50)]
+    seq_b = [b.drop_request() for _ in range(50)]
     assert seq_a == seq_b
-    assert a.dropped + a.passed == 50
-    assert 0 < a.dropped < 50
-    assert decisions(3) == seq_a[:1]
+    assert 0 < sum(seq_a) < 50
+    # One uniform draw per arriving request, in order.
+    rng = np.random.default_rng(3)
+    assert seq_a == [bool(rng.random() < 0.5) for _ in range(50)]
 
 
 def test_stall_injector_always_and_never():
-    always = StallInjector(1.0, 2.5, np.random.default_rng(0))
-    never = StallInjector(0.0, 2.5, np.random.default_rng(0))
-    assert [always.sample() for _ in range(3)] == [2.5, 2.5, 2.5]
-    assert always.stalled == 3
-    assert [never.sample() for _ in range(3)] == [0.0, 0.0, 0.0]
-    assert never.stalled == 0
+    always = FaultInjector(seeded(0), stall=1.0, stall_seconds=2.5)
+    never = FaultInjector(seeded(0), stall=0.0, stall_seconds=2.5)
+    assert [always.stall_delay() for _ in range(3)] == [2.5, 2.5, 2.5]
+    assert [never.stall_delay() for _ in range(3)] == [0.0, 0.0, 0.0]
+
+
+def test_injector_draws_only_from_the_faults_it_injects():
+    asked = []
+
+    def streams(name):
+        asked.append(name)
+        return np.random.default_rng(0)
+
+    stall_only = FaultInjector(streams, stall=0.5, stall_seconds=1.0)
+    assert asked == ["stall"]
+    assert [stall_only.drop_request() for _ in range(5)] == [False] * 5
+    both = FaultInjector(streams, drop=0.5, stall=0.5, stall_seconds=1.0)
+    assert asked == ["stall", "drop", "stall"]
+    assert not FaultInjector(streams).drop_request()
+    assert asked == ["stall", "drop", "stall"]
+    assert both.stall_delay() in (0.0, 1.0)
 
 
 def test_injector_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(SimulationError):
-        DropInjector(1.5, rng)
+        FaultInjector(seeded(0), drop=1.5)
     with pytest.raises(SimulationError):
-        StallInjector(0.5, -1.0, rng)
+        FaultInjector(seeded(0), stall=1.5)
+    with pytest.raises(SimulationError):
+        FaultInjector(seeded(0), stall=0.5, stall_seconds=-1.0)
 
 
 # -- injected faults ----------------------------------------------------------
@@ -325,7 +342,7 @@ def test_outage_window_refuses_then_recovers():
 def test_drop_plan_resets_connections():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim)
-    svc.faults = FaultInjector(drop=DropInjector(1.0, np.random.default_rng(1)))
+    svc.faults = FaultInjector(seeded(1), drop=1.0)
     outcomes = []
 
     def user(sim):
@@ -344,8 +361,7 @@ def test_drop_plan_resets_connections():
 def test_stall_plan_holds_handler_thread():
     sim = Simulator()
     net, _, client, svc = setup_pair(sim, dwell=0.0, max_threads=1, backlog=10)
-    stall = StallInjector(1.0, 2.0, np.random.default_rng(1))
-    svc.faults = FaultInjector(stall=stall)
+    svc.faults = FaultInjector(seeded(1), stall=1.0, stall_seconds=2.0)
     done = []
 
     def user(sim):
@@ -359,4 +375,3 @@ def test_stall_plan_holds_handler_thread():
     # the first's stall, so completions land near 2 s and 4 s.
     assert done[0] == pytest.approx(2.0, abs=0.1)
     assert done[1] == pytest.approx(4.0, abs=0.1)
-    assert stall.stalled == 2

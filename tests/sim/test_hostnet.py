@@ -174,7 +174,6 @@ def test_loadavg_converges_to_constant_load():
     for _ in range(1000):
         la.sample(3.0, 5.0)
     assert la.load1 == pytest.approx(3.0, rel=1e-6)
-    assert la.load5 == pytest.approx(3.0, rel=1e-3)
 
 
 def test_loadavg_decay_rate_matches_kernel_formula():

@@ -1,8 +1,8 @@
-"""Tests for generator-based processes: return values, interrupts, waiting."""
+"""Tests for generator-based processes: return values, failures, waiting."""
 
 import pytest
 
-from repro.errors import InterruptError, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Simulator
 
 
@@ -88,84 +88,6 @@ def test_yielding_non_event_fails_process():
     sim.run()
     assert not proc.ok
     assert isinstance(proc.value, SimulationError)
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except InterruptError as exc:
-            log.append((sim.now, exc.cause))
-
-    def interrupter(sim, victim):
-        yield sim.timeout(3.0)
-        victim.interrupt("wake up")
-
-    victim = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, victim))
-    sim.run()
-    assert log == [(3.0, "wake up")]
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.spawn(quick(sim))
-    sim.run()
-    proc.interrupt("too late")  # must not raise
-    assert proc.ok
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def tenacious(sim):
-        try:
-            yield sim.timeout(100.0)
-        except InterruptError:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(2.0)
-        victim.interrupt()
-
-    victim = sim.spawn(tenacious(sim))
-    sim.spawn(interrupter(sim, victim))
-    sim.run()
-    assert log == [3.0]
-
-
-def test_interrupt_detaches_from_original_event():
-    """After an interrupt, the original timeout firing must not re-resume."""
-    sim = Simulator()
-    resumes = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(10.0)
-            resumes.append("timeout")
-        except InterruptError:
-            resumes.append("interrupt")
-        yield sim.timeout(20.0)
-        resumes.append("second")
-
-    def interrupter(sim, victim):
-        yield sim.timeout(1.0)
-        victim.interrupt()
-
-    victim = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, victim))
-    sim.run()
-    assert resumes == ["interrupt", "second"]
 
 
 def test_alive_flag():

@@ -1,26 +1,9 @@
-"""Tests for Resource/Mutex/Store semantics."""
+"""Tests for Mutex semantics."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Mutex, Resource, Simulator, Store
-
-
-def test_resource_grants_up_to_capacity_immediately():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    log = []
-
-    def worker(sim, tag):
-        yield res.acquire()
-        log.append((tag, sim.now))
-        yield sim.timeout(10.0)
-        res.release()
-
-    for tag in ("a", "b", "c"):
-        sim.spawn(worker(sim, tag))
-    sim.run()
-    assert log == [("a", 0.0), ("b", 0.0), ("c", 10.0)]
+from repro.sim import Mutex, Simulator
 
 
 def test_mutex_serializes():
@@ -62,114 +45,66 @@ def test_fifo_ordering():
     assert order == ["first", "second", "third"]
 
 
+def test_release_hands_off_to_waiter_without_barging():
+    """A release with waiters passes the lock straight on: an acquire in
+    the same instant queues behind the waiter instead of taking it."""
+    sim = Simulator()
+    mtx = Mutex(sim)
+    order = []
+
+    def holder(sim):
+        yield mtx.acquire()
+        yield sim.timeout(5.0)
+        mtx.release()
+        yield mtx.acquire()
+        order.append(("holder again", sim.now))
+        mtx.release()
+
+    def waiter(sim):
+        yield sim.timeout(1.0)
+        yield mtx.acquire()
+        order.append(("waiter", sim.now))
+        yield sim.timeout(5.0)
+        mtx.release()
+
+    sim.spawn(holder(sim))
+    sim.spawn(waiter(sim))
+    sim.run()
+    assert order == [("waiter", 5.0), ("holder again", 10.0)]
+
+
 def test_release_without_hold_raises():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    mtx = Mutex(sim)
     with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_capacity_must_be_positive():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
+        mtx.release()
 
 
 def test_queue_length_and_in_use():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    mtx = Mutex(sim)
     observed = []
 
     def holder(sim):
-        yield res.acquire()
+        yield mtx.acquire()
         yield sim.timeout(10.0)
-        res.release()
+        mtx.release()
 
     def waiter(sim):
-        yield res.acquire()
-        res.release()
+        yield mtx.acquire()
+        mtx.release()
 
     def observer(sim):
         yield sim.timeout(5.0)
-        observed.append((res.in_use, res.queue_length))
+        observed.append(mtx.queue_length)
+        yield sim.timeout(10.0)
+        observed.append(mtx.queue_length)
+        probe = mtx.acquire()  # free again: granted on the spot
+        observed.append(probe.triggered)
+        mtx.release()
 
     sim.spawn(holder(sim))
     sim.spawn(waiter(sim))
     sim.spawn(observer(sim))
     sim.run()
-    assert observed == [(1, 1)]
-
-
-def test_mean_wait_accounting():
-    sim = Simulator()
-    mtx = Mutex(sim)
-
-    def worker(sim):
-        yield mtx.acquire()
-        yield sim.timeout(2.0)
-        mtx.release()
-
-    for _ in range(3):
-        sim.spawn(worker(sim))
-    sim.run()
-    # Waits: 0, 2, 4 -> mean 2.0 over 3 acquisitions.
-    assert mtx.total_acquired == 3
-    assert mtx.mean_wait == pytest.approx(2.0)
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        store.put("x")
-
-    def consumer(sim):
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    sim.spawn(consumer(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert got == [(1.0, "x")]
-
-
-def test_store_buffered_get_is_immediate():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    got = []
-
-    def consumer(sim):
-        a = yield store.get()
-        b = yield store.get()
-        got.append((a, b, sim.now))
-
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert got == [(1, 2, 0.0)]
-    assert store.size == 0
-
-
-def test_store_fifo_order_across_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim, tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        store.put("first")
-        store.put("second")
-
-    sim.spawn(consumer(sim, "g1"))
-    sim.spawn(consumer(sim, "g2"))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert got == [("g1", "first"), ("g2", "second")]
+    assert observed == [1, 0, True]

@@ -23,18 +23,11 @@ def test_substrate_errors_are_distinguishable():
 
 def test_simulation_errors():
     for cls in (
-        errors.InterruptError,
         errors.ServiceUnavailableError,
         errors.RequestTimeoutError,
         errors.ServiceCrashError,
     ):
         assert issubclass(cls, errors.SimulationError)
-
-
-def test_interrupt_error_carries_cause():
-    err = errors.InterruptError(cause={"reason": "shutdown"})
-    assert err.cause == {"reason": "shutdown"}
-    assert "shutdown" in str(err)
 
 
 def test_catching_the_base_class_catches_everything():
