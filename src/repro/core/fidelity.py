@@ -447,7 +447,7 @@ def _tree_model(
                     service=max(0, depth - 2) * int_cost)
         )
     # Child replies funnel through the top node's NIC while the handler
-    # thread is held (the fan-out happens inside _serve).
+    # thread is held (the fan-out happens inside the handler).
     stations.append(Station("top-nic-in", demand=top.inbound / _NIC_RATE, servers=1))
     assert top.reply is not None
     wan = (clients == "uc") != _on_uc(top.server.host)

@@ -248,7 +248,9 @@ def _run_spec(spec: PointSpec) -> tuple[_t.Any, float]:
     reference cycle that only a full collection frees.  Collecting here,
     once the point has returned, frees it before the next point starts,
     so a sweep's peak memory is its largest point, not whichever points
-    the collector's own thresholds happened to leave behind.
+    the collector's own thresholds happened to leave behind.  Under
+    :func:`run_specs` everything older than the sweep is frozen, so this
+    collection walks only what the point allocated.
     """
     start = perf_counter()
     result = spec.resolve()(*spec.args, **dict(spec.kwargs))
@@ -411,6 +413,13 @@ def run_specs(
     The returned list is index-aligned with ``specs`` whatever mix of
     cache hits, worker results and inline runs produced it, so callers
     observe exactly the serial path's output.
+
+    While points execute, the objects that existed before them are
+    frozen out of the cyclic collector (``gc.freeze``, after one full
+    collection), so the collection after each point does not re-walk
+    them; the freeze is released before returning, also on error.  A
+    sweep with nothing to execute, a nested sweep and a caller's own
+    freeze leave the collector as they found it.
     """
     global _last_stats
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
@@ -435,17 +444,29 @@ def run_specs(
     parallelizable = [i for i in pending if jobs > 1 and specs[i].canonical_call() is not None]
     inline = [i for i in pending if i not in set(parallelizable)]
 
-    if parallelizable:
-        with _pool(jobs) as pool:
-            futures = {i: pool.submit(_run_spec, specs[i]) for i in parallelizable}
-            for i, future in futures.items():
-                results[i], busy = future.result()
-                stats.busy_seconds += busy
-                stats.executed += 1
-    for i in inline:
-        results[i], busy = _run_spec(specs[i])
-        stats.busy_seconds += busy
-        stats.executed += 1
+    # Collect before freezing, or the garbage left since the last sweep is
+    # frozen too.  A nested sweep (adaptive replications inside a point)
+    # sees a non-zero count and leaves the outer freeze alone.
+    freeze = bool(pending) and gc.get_freeze_count() == 0
+    if freeze:
+        gc.collect()
+        gc.freeze()
+    try:
+        if parallelizable:
+            # Workers fork after the freeze and inherit it.
+            with _pool(jobs) as pool:
+                futures = {i: pool.submit(_run_spec, specs[i]) for i in parallelizable}
+                for i, future in futures.items():
+                    results[i], busy = future.result()
+                    stats.busy_seconds += busy
+                    stats.executed += 1
+        for i in inline:
+            results[i], busy = _run_spec(specs[i])
+            stats.busy_seconds += busy
+            stats.executed += 1
+    finally:
+        if freeze:
+            gc.unfreeze()
 
     if store is not None:
         for i in pending:

@@ -21,6 +21,7 @@ from repro.core.cliversion import add_version_argument
 from repro.core.experiments import exp1, exp2, exp3, exp4
 from repro.core.experiments.common import adaptive_point
 from repro.core.runner import PointResult
+from repro.errors import ReproError
 
 __all__ = ["Claim", "CLAIMS", "ClaimOutcome", "run_report", "main"]
 
@@ -243,6 +244,12 @@ def _c21(ctx: _Context) -> tuple[bool, str]:
     return all(x < 2.5 for x in xs.values()), ", ".join(f"{k}={v:.2f}" for k, v in xs.items())
 
 
+# What a check can fail with on a measured point: a simulation or substrate
+# error, an empty series, a missing point, a degenerate ratio.  Each is one
+# FAIL line with its context; anything else is a bug and propagates.
+_CHECK_FAILURES = (ReproError, ArithmeticError, LookupError, ValueError)
+
+
 def run_report(
     seed: int = 1,
     warmup: float | None = None,
@@ -263,7 +270,7 @@ def run_report(
     for claim in CLAIMS:
         try:
             passed, detail = claim.check(ctx)
-        except Exception as exc:  # a crash in a check is a failure with context
+        except _CHECK_FAILURES as exc:
             passed, detail = False, f"check raised {type(exc).__name__}: {exc}"
         outcomes.append(ClaimOutcome(claim=claim, passed=passed, detail=detail))
     return outcomes

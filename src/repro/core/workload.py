@@ -156,7 +156,7 @@ def user_process(
             continue
         except RequestTimeoutError:
             log.add(user_id, started, sim.now, OUTCOME_TIMEOUT)
-        except Exception:
+        except Exception:  # an error reply re-raises whatever the handler raised
             log.add(user_id, started, sim.now, OUTCOME_ERROR)
         # The paper's 1-second wait by default (with a little jitter so
         # hundreds of identical closed loops don't phase-lock into

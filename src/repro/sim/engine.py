@@ -48,7 +48,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        # Entries are ``(time, seq, item)``; an item is an Event or a PS
+        # queue's timer, anything with a ``_process()`` the loop calls.
+        self._heap: list[tuple[float, int, _t.Any]] = []
         self._seq = 0
         self._processed = 0
 

@@ -49,6 +49,13 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._alive
 
+    def _finish(self) -> None:
+        # The bound method is the one reference cycle a process holds;
+        # dropping it lets a finished process fall to reference counting
+        # instead of waiting for the cyclic collector.
+        self._alive = False
+        self._resume_cb = None
+
     # -- engine callback ----------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         generator = self._generator
@@ -58,15 +65,15 @@ class Process(Event):
             else:
                 target = generator.throw(trigger._value)
         except StopIteration as stop:
-            self._alive = False
+            self._finish()
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._alive = False
+            self._finish()
             self.fail(exc)
             return
         if not isinstance(target, Event):
-            self._alive = False
+            self._finish()
             err = SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield events"
             )

@@ -12,6 +12,13 @@ that may yield any simulation event (CPU work, mutex acquisition, nested
 RPCs...).  Client-side deadlines are supported: on timeout the *client*
 stops waiting but the server keeps burning resources on the abandoned
 request, exactly like a real overloaded server.
+
+A request is one generator frame, :func:`_lifecycle`.  Without a
+deadline it runs inside the client's own frame, between two plain events
+at the keys a worker process would take (its boot and its completion),
+so it spawns nothing and leaves no garbage for the cyclic collector.  An
+attempt with a deadline spawns the lifecycle as a worker process, which
+is what lets the server outlive the client's wait.
 """
 
 from __future__ import annotations
@@ -323,48 +330,6 @@ class Service:
         """Whether a new connection would even be considered."""
         return not (self.crashed or self.down)
 
-    # -- internals ------------------------------------------------------------
-    def _serve(self, request: Request) -> _t.Generator:
-        """Full server-side lifecycle of one admitted connection."""
-        admission = self.admission
-        slot = Event(self.sim)
-        if admission.enter(slot):
-            slot.succeed()
-        yield slot
-        started = self.sim.now
-        ok = False
-        try:
-            faults = self.faults
-            if faults is not None:
-                # Injected stall: the handler thread is held the whole
-                # time, so stalls eat pool capacity like real hung
-                # providers do.
-                stall = faults.stall_delay()
-                if stall > 0:
-                    yield self.sim.timeout(stall)
-            delay = admission.overhead()
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            response = yield from self.handler(self, request)
-            if not isinstance(response, Response):
-                raise SimulationError(
-                    f"handler of service {self.name!r} returned {type(response).__name__}, "
-                    "expected Response"
-                )
-            ok = True
-            return response
-        except SimulationError:
-            # Crashes, upstream refusals/timeouts mid-handler (mediator
-            # chains during faults or churn) and engine errors end the
-            # connection as an error and propagate to the client.
-            raise
-        except Exception as exc:  # handler-level application error
-            return Response(value=exc, size=256)
-        finally:
-            waiter = admission.leave(ok, self.sim.now - started)
-            if waiter is not None:
-                waiter.succeed()
-
 
 def call(
     sim: "Simulator",
@@ -391,7 +356,26 @@ def call(
     :class:`CircuitOpenError` without touching the wire.
     """
     if retry is None:
-        value = yield from _attempt(sim, net, client, service, payload, size, timeout)
+        if timeout is not None:
+            value = yield from _attempt(sim, net, client, service, payload, size, timeout)
+            return value
+        # Without a deadline only this client waits on the request, so it
+        # runs in this frame, between two events at the keys a spawned
+        # worker would take: its boot and its completion.
+        yield Event(sim).succeed()
+        done = Event(sim)
+        try:
+            value = yield from _lifecycle(sim, net, client, service, payload, size)
+        except Exception as exc:  # any request failure, delivered as the worker's was
+            done.fail(exc)
+        else:
+            done.succeed(value)
+        try:
+            value = yield done
+        finally:
+            # A failed ``done`` holds the error, whose traceback holds this
+            # frame: drop it so a refusal falls to reference counting.
+            del done
         return value
 
     per_try = retry.per_try_timeout if retry.per_try_timeout is not None else timeout
@@ -408,7 +392,7 @@ def call(
             )
         stats.attempts += 1
         try:
-            value = yield from _attempt(sim, net, client, service, payload, size, per_try)
+            value = yield from call(sim, net, client, service, payload, size=size, timeout=per_try)
         except (ServiceUnavailableError, RequestTimeoutError) as exc:
             if breaker is not None:
                 breaker.record_failure(sim.now)
@@ -435,13 +419,14 @@ def _attempt(
     service: Service,
     payload: _t.Any,
     size: int,
-    timeout: float | None,
+    timeout: float,
 ) -> _t.Generator:
-    """One wire attempt: the pre-retry semantics of :func:`call`."""
+    """One wire attempt under a client deadline.
+
+    The request runs in a worker process of its own, so that when the
+    deadline wins the server keeps burning on the abandoned request.
+    """
     worker = sim.spawn(_lifecycle(sim, net, client, service, payload, size), name=f"rpc:{service.name}")
-    if timeout is None:
-        value = yield worker
-        return value
     deadline = sim.timeout(timeout)
     try:
         yield sim.any_of((worker, deadline))
@@ -462,13 +447,15 @@ def _lifecycle(
     payload: _t.Any,
     size: int,
 ) -> _t.Generator:
+    """One request end to end: out, admission, handler, reply back."""
     request = Request(payload=payload, size=size, client=client, issued_at=sim.now)
     yield from net.transfer(client, service.host, size)
     admission = service.admission
     admission.arrive()
     # Fast path: a healthy service with no fault injector attached skips
     # the per-condition checks (and the injector's RNG draw) entirely.
-    if service.crashed or service.down or service.faults is not None:
+    faults = service.faults
+    if service.crashed or service.down or faults is not None:
         if service.crashed:
             admission.refuse()
             raise ServiceUnavailableError(
@@ -479,7 +466,7 @@ def _lifecycle(
             raise ServiceUnavailableError(
                 f"service {service.name} down: {service.down_reason}"
             )
-        if service.faults.drop_request():
+        if faults.drop_request():
             admission.stats.dropped += 1
             raise ServiceUnavailableError(f"service {service.name} dropped the connection")
     if admission.full():
@@ -487,7 +474,45 @@ def _lifecycle(
         # TCP RST back to the client is effectively free but not instant.
         yield from net.transfer(service.host, client, 64)
         raise ServiceUnavailableError(f"service {service.name} refused connection (backlog full)")
-    response = yield from service._serve(request)
+
+    # Admitted: wait for a handler thread, then hold it until the handler
+    # returns.
+    slot = Event(sim)
+    if admission.enter(slot):
+        slot.succeed()
+    yield slot
+    started = sim.now
+    ok = False
+    try:
+        if faults is not None:
+            # Injected stall: the handler thread is held the whole time,
+            # so stalls eat pool capacity like real hung providers do.
+            stall = faults.stall_delay()
+            if stall > 0:
+                yield sim.timeout(stall)
+        delay = admission.overhead()
+        if delay > 0:
+            yield sim.timeout(delay)
+        response = yield from service.handler(service, request)
+        if not isinstance(response, Response):
+            raise SimulationError(
+                f"handler of service {service.name!r} returned {type(response).__name__}, "
+                "expected Response"
+            )
+        ok = True
+    except SimulationError:
+        # Crashes, upstream refusals/timeouts mid-handler (mediator
+        # chains during faults or churn) and engine errors end the
+        # connection as an error and propagate to the client.
+        raise
+    except Exception as exc:
+        # A handler is arbitrary code: anything else it raises is the error
+        # reply a real server sends back (the live runtime does the same).
+        response = Response(value=exc, size=256)
+    finally:
+        waiter = admission.leave(ok, sim.now - started)
+        if waiter is not None:
+            waiter.succeed()
     yield from net.transfer(service.host, client, response.size)
     if isinstance(response.value, Exception):
         raise response.value

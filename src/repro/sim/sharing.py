@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.errors import SimulationError
-from repro.sim.events import PENDING, PROCESSED, Event, Timeout
+from repro.sim.events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -34,27 +34,20 @@ __all__ = ["ProcessorSharing", "PsSnapshot"]
 _VT_EPS = 1e-9
 
 
-class _PsTimer(Timeout):
+class _PsTimer:
     """Completion timer that dispatches straight into its PS queue.
 
-    Replaces the old ``sim.call_at(when, lambda: ps._on_timer(token))``
-    arrangement — two closures and an extra frame per (re)arm on the
-    single hottest scheduling path in the simulation.  Scheduling
-    behaviour is identical: one timer event at the same ``(time, seq)``
-    key; only the dispatch is direct.
+    Nothing ever waits on a PS timer, so it is not an event: it carries
+    no callbacks, value or state, only the queue and the token it was
+    armed with.  It still takes one ``(time, seq)`` schedule entry per
+    (re)arm, and a stale timer still fires, and is counted, as a no-op.
     """
 
     __slots__ = ("_ps", "_token")
 
     def __init__(self, sim: "Simulator", delay: float, ps: "ProcessorSharing", token: int) -> None:
-        # Timeout.__init__ unrolled (one timer per queue re-arm; the
-        # constructor chain is pure overhead).  ``delay`` is >= 0 by
-        # construction at the re-arm sites in serve()/_on_timer().
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._state = PENDING
+        # ``delay`` is >= 0 by construction at the re-arm sites in
+        # serve()/_on_timer().
         self._ps = ps
         self._token = token
         seq = sim._seq
@@ -62,13 +55,7 @@ class _PsTimer(Timeout):
         heappush(sim._heap, (sim._now + delay, seq, self))
 
     def _process(self) -> None:
-        self._state = PROCESSED
         self._ps._on_timer(self._token)
-        callbacks = self.callbacks
-        if callbacks:  # nothing normally waits on a PS timer
-            self.callbacks = []
-            for callback in callbacks:
-                callback(self)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -131,6 +132,70 @@ def test_run_specs_stats_accounting():
     assert stats.executed == 2
     assert stats.cache_hits == 0
     assert stats.wall_seconds > 0
+
+
+def frozen_count_point(system: str, x: int, seed: int = 1) -> PointResult:
+    """A point that reports how many objects the collector had frozen."""
+    return make_point(system, gc.get_freeze_count())
+
+
+def failing_point(system: str, x: int, seed: int = 1) -> PointResult:
+    raise RuntimeError("point failed")
+
+
+def test_run_specs_freezes_only_while_points_execute():
+    gc.unfreeze()
+    specs = [PointSpec.from_call(frozen_count_point, ("s", 1))]
+    (inline,) = run_specs(specs, jobs=1, cache=None)
+    assert inline.x > 0  # the point ran with the sweep's elders frozen
+    assert gc.get_freeze_count() == 0
+    (pooled,) = run_specs(specs, jobs=2, cache=None)
+    assert pooled.x > 0  # workers fork after the freeze
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_specs_releases_the_freeze_when_a_point_raises():
+    gc.unfreeze()
+    with pytest.raises(RuntimeError, match="point failed"):
+        run_specs([PointSpec.from_call(failing_point, ("s", 1))], jobs=1, cache=None)
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_specs_leaves_a_callers_freeze_alone():
+    gc.freeze()
+    try:
+        held = gc.get_freeze_count()
+        (point,) = run_specs(
+            [PointSpec.from_call(frozen_count_point, ("s", 1))], jobs=1, cache=None
+        )
+        # Frozen objects may still die by reference counting, so the
+        # count can only shrink: neither re-frozen nor released.
+        assert 0 < gc.get_freeze_count() <= held
+        assert 0 < point.x <= held
+    finally:
+        gc.unfreeze()
+
+
+def test_all_hit_sweep_collects_nothing(tmp_path):
+    cache = PointCache(tmp_path)
+    specs = [PointSpec.from_call(make_point, ("s", x)) for x in (1, 2)]
+    run_specs(specs, jobs=1, cache=cache)
+    collections: list[dict] = []
+
+    def observe(phase, info):
+        if phase == "start":
+            collections.append(info)
+
+    gc.disable()  # only explicit collections would show
+    gc.callbacks.append(observe)
+    try:
+        run_specs(specs, jobs=1, cache=cache)
+    finally:
+        gc.callbacks.remove(observe)
+        gc.enable()
+    assert parallel.last_stats().cache_hits == 2
+    assert collections == []
+    assert gc.get_freeze_count() == 0
 
 
 # -- the cache ----------------------------------------------------------------

@@ -65,3 +65,20 @@ def test_check_exception_becomes_failure():
     finally:
         report_mod.CLAIMS.clear()
         report_mod.CLAIMS.extend(original)
+
+
+def test_check_bug_propagates():
+    """Only measured-data failures become FAIL lines; a bug in a check surfaces."""
+    from repro.core import report as report_mod
+    from repro.core.report import Claim
+
+    def buggy(ctx):
+        return None + 1
+
+    original = list(report_mod.CLAIMS)
+    report_mod.CLAIMS[:] = [Claim(id="bug", figure=5, text="buggy", check=buggy)]
+    try:
+        with pytest.raises(TypeError):
+            run_report(seed=1, warmup=1.0, window=2.0)
+    finally:
+        report_mod.CLAIMS[:] = original
