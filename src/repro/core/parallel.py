@@ -7,10 +7,10 @@ seed)`` points, and each point builds its own
 on any worker, and still produce bit-identical results.  This module
 exploits that twice:
 
-* :func:`run_specs` fans a list of :class:`PointSpec` out over a
-  process pool (``jobs`` workers) and merges the results back **in
-  submission order**, so output ordering, figure tables and bench JSON
-  are byte-identical to the serial path;
+* :func:`run_specs` fans a list of :class:`PointSpec` out over this
+  process's one pool of ``jobs`` workers, largest point first, and
+  merges the results back **by index**, so output ordering, figure
+  tables and bench JSON are byte-identical to the serial path;
 * a content-addressed :class:`PointCache` (keyed by the fully-resolved
   call — function, arguments, :class:`~repro.core.params.StudyParams`
   contents — plus a source-version stamp) lets repeated figure or
@@ -33,6 +33,7 @@ Configuration: :func:`configure` sets process-wide defaults; the
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import gc
 import hashlib
@@ -242,7 +243,7 @@ class PointSpec:
 
 
 def _run_spec(spec: PointSpec) -> tuple[_t.Any, float]:
-    """Worker entry point: execute one spec, timing its busy seconds.
+    """Execute one spec, timing its busy seconds.
 
     A finished point's simulator, deployment and processes form one large
     reference cycle that only a full collection frees.  Collecting here,
@@ -256,6 +257,15 @@ def _run_spec(spec: PointSpec) -> tuple[_t.Any, float]:
     result = spec.resolve()(*spec.args, **dict(spec.kwargs))
     gc.collect()
     return result, perf_counter() - start
+
+
+def _run_pooled(spec: PointSpec) -> tuple[_t.Any, float]:
+    """Pool entry point: :func:`_run_spec` in an empty context.
+
+    A worker's own context is whatever the sweep that forked it had set,
+    which a later sweep must not see.
+    """
+    return contextvars.Context().run(_run_spec, spec)
 
 
 # -- the point cache ----------------------------------------------------------
@@ -325,8 +335,11 @@ def configure(
     ``jobs=None`` leaves the worker count to the environment
     (``REPRO_JOBS``, else serial); ``cache_dir=None`` likewise defers to
     ``REPRO_POINTCACHE``; ``cache_dir=""`` disables caching explicitly.
+    Every call also shuts down this process's worker pool, so the next
+    pooled sweep forks workers that see the process as it is now.
     """
     global _DEFAULT_JOBS, _DEFAULT_CACHE, _CACHE_CONFIGURED
+    _drop_pool()
     if jobs is not None:
         _DEFAULT_JOBS = max(1, int(jobs))
     if cache_dir is not None:
@@ -392,14 +405,53 @@ def last_stats() -> SweepStats:
     return _last_stats
 
 
-def _pool(jobs: int) -> ProcessPoolExecutor:
-    try:
-        import multiprocessing
+# This process's worker pool and the (jobs, pid) it was forked for.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_KEY: tuple[int, int] | None = None
+_IN_WORKER = False  # set in pool workers, whose own sweeps run inline
 
-        ctx = multiprocessing.get_context("fork")  # cheap start, shared imports
-    except ValueError:  # pragma: no cover - platforms without fork
-        ctx = None
-    return ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+def _pool(jobs: int) -> ProcessPoolExecutor:
+    """This process's pool of ``jobs`` fork workers, forked on first use.
+
+    One pool serves every pooled sweep of the process.  It is replaced
+    when ``jobs`` changes, when it is broken (a worker died) and in a
+    forked child, whose inherited executor belongs to its parent; the
+    old pool is shut down first, so a new one never forks beside a
+    live one's threads.  :func:`configure` drops it, and
+    ``concurrent.futures`` joins it at exit.
+
+    Workers are forked once, so they do not see what the parent changes
+    later: a point must be a pure function of its :class:`PointSpec` and
+    the source, the same contract the point-cache key relies on.
+    """
+    global _POOL, _POOL_KEY
+    key = (jobs, os.getpid())
+    if _POOL is not None and (_POOL_KEY != key or getattr(_POOL, "_broken", False)):
+        _drop_pool()
+    if _POOL is None:
+        try:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")  # cheap start, shared imports
+        except ValueError:  # pragma: no cover - platforms without fork
+            ctx = None
+        _POOL = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx, initializer=_mark_worker)
+        _POOL_KEY = key
+    return _POOL
+
+
+def _drop_pool() -> None:
+    """Shut this process's pool down, or forget a parent's after a fork."""
+    global _POOL, _POOL_KEY
+    if _POOL is not None and _POOL_KEY[1] == os.getpid():
+        _POOL.shutdown(wait=True, cancel_futures=True)
+    _POOL = _POOL_KEY = None
 
 
 def run_specs(
@@ -412,7 +464,16 @@ def run_specs(
 
     The returned list is index-aligned with ``specs`` whatever mix of
     cache hits, worker results and inline runs produced it, so callers
-    observe exactly the serial path's output.
+    observe exactly the serial path's output.  Pooled points go to the
+    process's one pool (:func:`_pool`) in reverse order: every study
+    grid ascends in x and a point's cost grows with x, so the largest
+    starts first and the sweep does not end waiting on it.  A point must
+    be a pure function of its spec and the source, because a reused
+    worker does not see what the parent changed after it forked; it runs
+    each point in an empty ``contextvars`` context.  When
+    a pooled point raises, the sweep's points not yet started are
+    cancelled.  Uncacheable specs, and every spec in a pool worker, run
+    inline in submission order.
 
     While points execute, the objects that existed before them are
     frozen out of the cyclic collector (``gc.freeze``, after one full
@@ -422,7 +483,7 @@ def run_specs(
     freeze leave the collector as they found it.
     """
     global _last_stats
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    jobs = 1 if _IN_WORKER else default_jobs() if jobs is None else max(1, int(jobs))
     store = default_cache() if cache == "default" else cache
     start = perf_counter()
     stats = SweepStats(jobs=jobs, points=len(specs))
@@ -441,8 +502,9 @@ def run_specs(
                 continue
         pending.append(i)
 
-    parallelizable = [i for i in pending if jobs > 1 and specs[i].canonical_call() is not None]
-    inline = [i for i in pending if i not in set(parallelizable)]
+    # Largest (last) point first; results still land by index.
+    pooled = [i for i in reversed(pending) if jobs > 1 and specs[i].canonical_call() is not None]
+    inline = [i for i in pending if i not in set(pooled)]
 
     # Collect before freezing, or the garbage left since the last sweep is
     # frozen too.  A nested sweep (adaptive replications inside a point)
@@ -452,14 +514,19 @@ def run_specs(
         gc.collect()
         gc.freeze()
     try:
-        if parallelizable:
-            # Workers fork after the freeze and inherit it.
-            with _pool(jobs) as pool:
-                futures = {i: pool.submit(_run_spec, specs[i]) for i in parallelizable}
+        if pooled:
+            # Workers fork inside the first pooled sweep's freeze and keep it.
+            pool = _pool(jobs)
+            futures = {i: pool.submit(_run_pooled, specs[i]) for i in pooled}
+            try:
                 for i, future in futures.items():
                     results[i], busy = future.result()
                     stats.busy_seconds += busy
                     stats.executed += 1
+            except BaseException:
+                for future in futures.values():
+                    future.cancel()  # or they would run ahead of the next sweep
+                raise
         for i in inline:
             results[i], busy = _run_spec(specs[i])
             stats.busy_seconds += busy

@@ -28,6 +28,8 @@ FAST = dict(warmup=2.0, window=10.0)
 
 @pytest.fixture(autouse=True)
 def _serial_default():
+    # configure() also drops the worker pool: a pooled test here forks
+    # workers that see this test's patches, and leaves none behind.
     parallel.configure(jobs=1, cache_dir=None)
     yield
     parallel.configure(jobs=None, cache_dir=None)

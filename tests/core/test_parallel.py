@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import gc
 import json
+import multiprocessing
+import os
+import threading
+import time
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -43,6 +50,14 @@ def make_point(
         latency_p95=0.0456,
     )
     return PointResult(system=system, x=float(x), summary=summary, sim_events=100 * x)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_pool():
+    """Every test forks its own workers and leaves none behind."""
+    parallel.configure()
+    yield
+    parallel.configure()
 
 
 def stateful_point(system: str, x: int, seed: int = 1, *, retry=None) -> PointResult:
@@ -149,9 +164,10 @@ def test_run_specs_freezes_only_while_points_execute():
     (inline,) = run_specs(specs, jobs=1, cache=None)
     assert inline.x > 0  # the point ran with the sweep's elders frozen
     assert gc.get_freeze_count() == 0
-    (pooled,) = run_specs(specs, jobs=2, cache=None)
-    assert pooled.x > 0  # workers fork after the freeze
-    assert gc.get_freeze_count() == 0
+    for _ in range(2):  # the second sweep reuses the first one's workers
+        (pooled,) = run_specs(specs, jobs=2, cache=None)
+        assert pooled.x > 0  # workers fork inside the first sweep's freeze
+        assert gc.get_freeze_count() == 0
 
 
 def test_run_specs_releases_the_freeze_when_a_point_raises():
@@ -196,6 +212,171 @@ def test_all_hit_sweep_collects_nothing(tmp_path):
     assert parallel.last_stats().cache_hits == 2
     assert collections == []
     assert gc.get_freeze_count() == 0
+
+
+# -- the worker pool ----------------------------------------------------------
+
+
+def pid_point(system: str, x: int, seed: int = 1) -> PointResult:
+    """A point that reports the process it ran in."""
+    return make_point(system, os.getpid())
+
+
+def exiting_point(system: str, x: int, seed: int = 1) -> PointResult:
+    os._exit(3)
+
+
+def marker_point(system: str, x: int, seed: int = 1, *, where: str = "") -> PointResult:
+    """A slow point that leaves a file behind as soon as it starts."""
+    open(os.path.join(where, str(x)), "w").close()
+    time.sleep(0.2)
+    return make_point(system, x)
+
+
+def started_point(system: str, x: int, seed: int = 1) -> PointResult:
+    """A point that reports when it started (CLOCK_MONOTONIC, same in every process)."""
+    started = time.monotonic()
+    time.sleep(0.05)
+    return dataclasses.replace(make_point(system, x), sim_events=int(started * 1e9))
+
+
+def counting_point(system: str, x: int, seed: int = 1, *, retry=None) -> PointResult:
+    """An inline point that reports how many inline points ran before it."""
+    retry.stats.attempts += 1
+    return make_point(system, retry.stats.attempts)
+
+
+def nested_point(system: str, x: int, seed: int = 1) -> PointResult:
+    """A point that runs a pooled sweep of its own and reports where it ran."""
+    inner = run_specs([PointSpec.from_call(pid_point, ("s", 1))] * 2, jobs=2, cache=None)
+    return make_point(system, int(all(p.x == os.getpid() for p in inner)))
+
+
+def pids_of(jobs: int, n: int = 4) -> set[int]:
+    specs = [PointSpec.from_call(pid_point, ("s", x)) for x in range(n)]
+    return {int(p.x) for p in run_specs(specs, jobs=jobs, cache=None)}
+
+
+def test_pooled_sweeps_share_one_set_of_workers():
+    first = pids_of(2)
+    second = pids_of(2)
+    workers = {child.pid for child in multiprocessing.active_children()}
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert first | second <= workers
+
+
+def test_a_dead_worker_fails_its_sweep_and_the_next_gets_a_fresh_pool():
+    before = pids_of(2)
+    with pytest.raises(BrokenProcessPool):
+        run_specs([PointSpec.from_call(exiting_point, ("s", 1))], jobs=2, cache=None)
+    after = pids_of(2)
+    assert after and not after & before
+
+
+# Python threads alive at each fork of this process.  Python 3.12+ warns
+# on a fork beside other threads, but it counts OS threads, and numpy's
+# BLAS threads alone trip it; the Python threads are the pools' own.
+_threads_at_fork: list[int] = []
+os.register_at_fork(before=lambda: _threads_at_fork.append(threading.active_count()))
+
+
+def test_changing_jobs_shuts_the_old_pool_down_before_forking():
+    alone = threading.active_count()
+    old = pids_of(2)
+    assert threading.active_count() > alone  # the pool's own threads
+    del _threads_at_fork[:]
+    new = pids_of(3, n=6)
+    assert _threads_at_fork == [alone] * 3
+    workers = {child.pid for child in multiprocessing.active_children()}
+    assert len(workers) == 3 and new <= workers and not old & workers
+
+
+def test_a_failing_sweep_cancels_its_unstarted_points(tmp_path):
+    specs = [
+        PointSpec.from_call(marker_point, ("s", x), {"where": str(tmp_path)}) for x in range(12)
+    ]
+    # Submitted last-first, so the failing point goes out first.
+    specs.append(PointSpec.from_call(failing_point, ("s", 1)))
+    with pytest.raises(RuntimeError, match="point failed"):
+        run_specs(specs, jobs=2, cache=None)
+    pids_of(2, n=1)  # queued behind whatever the failed sweep had started
+    assert len(list(tmp_path.iterdir())) < 12
+
+
+def test_a_forked_child_never_reuses_the_parents_pool():
+    parents = pids_of(2)
+    reader, writer = multiprocessing.Pipe(duplex=False)
+
+    def child() -> None:
+        writer.send((pids_of(2), parallel._POOL_KEY, os.getpid()))
+        parallel.configure()
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forking beside the pool's thread
+        process.start()
+    try:
+        assert reader.poll(60), "the child's sweep never finished"
+        workers, key, pid = reader.recv()
+    finally:
+        process.join(timeout=10)
+        process.kill()
+    assert process.exitcode == 0
+    assert key == (2, pid)
+    assert workers and not workers & parents and pid not in workers
+    assert pids_of(2) <= parents  # the parent's pool is still its own
+
+
+_sweep_tag: contextvars.ContextVar[int] = contextvars.ContextVar("sweep_tag", default=0)
+
+
+def tag_point(system: str, x: int, seed: int = 1) -> PointResult:
+    return make_point(system, _sweep_tag.get())
+
+
+def test_pooled_points_run_in_an_empty_context():
+    spec = PointSpec.from_call(tag_point, ("s", 1))
+    token = _sweep_tag.set(7)  # set while the first sweep forks the workers
+    try:
+        (first,) = run_specs([spec], jobs=2, cache=None)
+    finally:
+        _sweep_tag.reset(token)
+    (second,) = run_specs([spec], jobs=2, cache=None)
+    (inline,) = run_specs([spec], jobs=1, cache=None)
+    assert first.x == second.x == inline.x == 0
+
+
+def test_a_sweep_inside_a_worker_runs_inline():
+    (point,) = run_specs([PointSpec.from_call(nested_point, ("s", 1))], jobs=2, cache=None)
+    assert point.x == 1
+
+
+def test_pooled_points_start_largest_first_and_merge_by_index():
+    xs = range(1, 7)
+    specs = [PointSpec.from_call(started_point, ("s", x)) for x in xs]
+    started = run_specs(specs, jobs=2, cache=None)
+    assert [p.x for p in started] == list(map(float, xs))
+    assert started[-1].sim_events < started[0].sim_events
+
+    specs = [PointSpec.from_call(make_point, ("s", x)) for x in xs]
+    fifo = run_specs(specs, jobs=1, cache=None)
+    fifo_stats = parallel.last_stats()
+    pooled = run_specs(specs, jobs=2, cache=None)
+    stats = parallel.last_stats()
+    assert pooled == fifo
+    assert (stats.points, stats.executed, stats.cache_hits) == (
+        fifo_stats.points, fifo_stats.executed, fifo_stats.cache_hits
+    )
+
+
+def test_inline_specs_run_in_submission_order_beside_pooled_ones():
+    retry = RetryPolicy(max_attempts=2, base_backoff=0.1, rng=RngHub(1).stream("t"))
+    specs = []
+    for x in (7, 8, 9):
+        specs.append(PointSpec.from_call(counting_point, ("s", x), {"retry": retry}))
+        specs.append(PointSpec.from_call(make_point, ("s", x)))
+    results = run_specs(specs, jobs=2, cache=None)
+    assert [p.x for p in results] == [1.0, 7.0, 2.0, 8.0, 3.0, 9.0]
 
 
 # -- the cache ----------------------------------------------------------------
