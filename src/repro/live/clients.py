@@ -7,6 +7,21 @@ body (LDIF / ClassAd text / encoded SQL result).  Refusals raise
 :class:`~repro.errors.ServiceUnavailableError` so load generators can
 count them the same way the DES workload does; any other malformed
 exchange raises :class:`ProtocolError`.
+
+Each exchange is one :class:`asyncio.Protocol`: it writes the whole
+request when the connection is made and frames the reply as it
+arrives, in whatever chunks.  The head — an ``OK``/``ERR`` line, or an
+HTTP status line and headers — is at most ``MAX_LINE`` bytes a line;
+the body is counted by the head, collected chunk by chunk and joined
+once when the count is reached, which completes the reply (the server's
+close is not awaited, and neither is ours).  EOF before the reply is
+complete, a head that does not parse, a length that is not a
+non-negative decimal, a value that is not JSON and a body that is not
+UTF-8 all raise :class:`ProtocolError`.
+
+``timeout`` (wall seconds; ``None`` waits forever) is one deadline for
+the whole reply, counted from the moment the connection is up; it
+raises :class:`asyncio.TimeoutError`.
 """
 
 from __future__ import annotations
@@ -16,12 +31,168 @@ import json
 import typing as _t
 
 from repro.errors import ReproError, ServiceUnavailableError
+from repro.live.protocols import MAX_LINE
 
 __all__ = ["ProtocolError", "line_query", "http_query"]
 
 
 class ProtocolError(ReproError):
     """The server's reply did not parse as the expected dialect."""
+
+
+def _length(text: str) -> int:
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()) or len(text) > 18:
+        raise ProtocolError(f"bad body length {text!r}")
+    return int(text)
+
+
+def _json(text: str, what: str) -> _t.Any:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"bad {what}: {exc}") from exc
+
+
+class _Reply(asyncio.Protocol):
+    """Send one request when connected; frame the reply into ``result``.
+
+    Subclasses parse the head in :meth:`head_done` (``True`` once it is
+    complete, with ``need`` and ``value`` set) and may override how
+    :meth:`answer` turns the body into the result.
+    """
+
+    def __init__(self, request: bytes) -> None:
+        self.request = request
+        self.result: asyncio.Future = asyncio.get_running_loop().create_future()
+        self.head = bytearray()  # reply bytes until the body starts
+        self.pos = 0  # start of the first unparsed line in ``head``
+        self.chunks: list[bytes] = []  # body bytes, joined once at the count
+        self.have = 0
+        self.need = -1  # the body length, once the head is parsed
+        self.value: _t.Any = None  # the structured answer the head carries
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        _t.cast(asyncio.Transport, transport).write(self.request)
+
+    def data_received(self, data: bytes) -> None:
+        if self.result.done():
+            return
+        try:
+            if self.need < 0:
+                self.head += data
+                if not self.head_done():
+                    return
+                extra = len(self.head) - self.pos  # body bytes, all from this chunk
+                data = data[len(data) - extra :] if extra else b""
+            if data:
+                self.chunks.append(data)
+                self.have += len(data)
+            if self.have >= self.need:
+                body = b"".join(self.chunks)[: self.need]
+                try:
+                    text = body.decode()
+                except UnicodeDecodeError as exc:
+                    raise ProtocolError(f"body is not UTF-8: {exc}") from exc
+                self.result.set_result(self.answer(text))
+        except ReproError as exc:
+            self.result.set_exception(exc)
+
+    def eof_received(self) -> None:
+        self.connection_lost(None)  # before the count, EOF is as bad as a close
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self.result.done():
+            if exc is None:
+                where = "a response" if not self.head else "the reply was complete"
+                exc = ProtocolError(f"connection closed before {where}")
+            self.result.set_exception(exc)
+
+    def line(self) -> bytearray | None:
+        """Consume the next complete line of the head; ``None`` until there is one."""
+        end = self.head.find(b"\n", self.pos)
+        if end < 0:
+            if len(self.head) - self.pos > MAX_LINE:
+                raise ProtocolError("reply line too long")
+            return None
+        line = self.head[self.pos : end + 1]
+        self.pos = end + 1
+        return line
+
+    def head_done(self) -> bool:
+        raise NotImplementedError
+
+    def answer(self, body: str) -> tuple[_t.Any, str]:
+        return self.value, body
+
+
+class _LineReply(_Reply):
+    """``OK <json-value> <nbytes>\\n`` plus the body, or ``ERR <kind> <message>\\n``."""
+
+    def head_done(self) -> bool:
+        line = self.line()
+        if line is None:
+            return False
+        text = line.decode("utf-8", "replace").rstrip("\n")
+        if text.startswith("ERR "):
+            _err, _, detail = text.partition(" ")
+            kind, _, message = detail.partition(" ")
+            if kind in ("refused", "crashed"):
+                raise ServiceUnavailableError(message or kind)
+            raise ProtocolError(f"{kind}: {message}")
+        if not text.startswith("OK "):
+            raise ProtocolError(f"unexpected response line {text!r}")
+        head, _, nbytes = text.rpartition(" ")
+        self.value = _json(head[3:], "OK frame")  # strip the "OK " prefix
+        self.need = _length(nbytes)
+        return True
+
+
+class _HttpReply(_Reply):
+    """A status line, headers, a blank line, then ``Content-Length`` bytes."""
+
+    status: int | None = None
+    length = 0
+
+    def head_done(self) -> bool:
+        while (line := self.line()) is not None:
+            text = line.decode("latin-1")
+            if self.status is None:
+                parts = text.split(None, 2)
+                if len(parts) < 2 or not (parts[1].isascii() and parts[1].isdigit()):
+                    raise ProtocolError(f"bad status line {bytes(line)!r}")
+                self.status = int(parts[1])
+            elif text in ("\r\n", "\n"):
+                self.need = self.length
+                return True
+            else:
+                name, _, header_value = text.partition(":")
+                name = name.strip().lower()
+                if name == "content-length":
+                    self.length = _length(header_value)
+                elif name == "x-repro-value":
+                    self.value = _json(header_value.strip(), "X-Repro-Value")
+        return False
+
+    def answer(self, body: str) -> tuple[_t.Any, str]:
+        if self.status == 503:
+            raise ServiceUnavailableError(body.strip() or "refused")
+        if self.status != 200:
+            raise ProtocolError(f"HTTP {self.status}: {body.strip()}")
+        return self.value, body
+
+
+async def _exchange(
+    host: str, port: int, reply: _Reply, timeout: float | None
+) -> tuple[_t.Any, str]:
+    loop = asyncio.get_running_loop()
+    transport, _ = await loop.create_connection(lambda: reply, host, port)
+    try:
+        if timeout is None:
+            return await reply.result
+        return await asyncio.wait_for(reply.result, timeout)
+    finally:
+        transport.close()
 
 
 async def line_query(
@@ -33,36 +204,8 @@ async def line_query(
     timeout: float | None = None,
 ) -> tuple[_t.Any, str]:
     """One exchange against an MDS/Hawkeye line-framed listener."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        request = f"{verb} {json.dumps(payload, separators=(',', ':'))}\n".encode()
-        writer.write(request)
-        await writer.drain()
-        header = await asyncio.wait_for(reader.readline(), timeout)
-        if not header:
-            raise ProtocolError("connection closed before a response")
-        text = header.decode("utf-8", "replace").rstrip("\n")
-        if text.startswith("ERR "):
-            _err, _, detail = text.partition(" ")
-            kind, _, message = detail.partition(" ")
-            if kind in ("refused", "crashed"):
-                raise ServiceUnavailableError(message or kind)
-            raise ProtocolError(f"{kind}: {message}")
-        if not text.startswith("OK "):
-            raise ProtocolError(f"unexpected response line {text!r}")
-        try:
-            head, _, nbytes = text.rpartition(" ")
-            value = json.loads(head[3:])  # strip the "OK " prefix
-            body = await asyncio.wait_for(reader.readexactly(int(nbytes)), timeout)
-        except (ValueError, asyncio.IncompleteReadError) as exc:
-            raise ProtocolError(f"bad OK frame: {exc}") from exc
-        return value, body.decode()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    request = f"{verb} {json.dumps(payload, separators=(',', ':'))}\n".encode()
+    return await _exchange(host, port, _LineReply(request), timeout)
 
 
 async def http_query(
@@ -74,50 +217,12 @@ async def http_query(
     timeout: float | None = None,
 ) -> tuple[_t.Any, str]:
     """One HTTP POST against an R-GMA servlet listener."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        body = json.dumps(payload, separators=(",", ":")).encode()
-        writer.write(
-            (
-                f"POST {path} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode()
-            + body
-        )
-        await writer.drain()
-        status_line = await asyncio.wait_for(reader.readline(), timeout)
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ProtocolError(f"bad status line {status_line!r}")
-        status = int(parts[1])
-        value: _t.Any = None
-        content_length = 0
-        while True:
-            header = await asyncio.wait_for(reader.readline(), timeout)
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, header_value = header.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "content-length":
-                content_length = int(header_value)
-            elif name == "x-repro-value":
-                value = json.loads(header_value.strip())
-        response_body = (
-            await asyncio.wait_for(reader.readexactly(content_length), timeout)
-            if content_length
-            else b""
-        )
-        if status == 503:
-            raise ServiceUnavailableError(response_body.decode().strip() or "refused")
-        if status != 200:
-            raise ProtocolError(f"HTTP {status}: {response_body.decode().strip()}")
-        return value, response_body.decode()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    request = (
+        f"POST {path} HTTP/1.1\r\n"
+        f"Host: {host}:{port}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode() + body
+    return await _exchange(host, port, _HttpReply(request), timeout)

@@ -19,6 +19,29 @@ listener speaking the idiom of the system it reproduces:
 Every exchange is one request per connection — connection setup is part
 of the studied cost model, so clients reconnect per query exactly like
 the paper's harness did.
+
+**Framing.**  Each connection is one :class:`asyncio.Protocol` that
+gathers bytes in a ``bytearray`` and frames the request itself, in
+whatever chunks the bytes arrive:
+
+* line dialects: one request line, at most ``MAX_LINE`` bytes before its
+  ``\\n`` (else ``ERR protocol line too long``);
+* HTTP: a request line and header lines of at most ``MAX_LINE`` bytes
+  each (else 400), a blank line, then exactly ``Content-Length`` body
+  bytes.  A length that is not a non-negative decimal is answered 400,
+  one over ``MAX_BODY`` 413.
+
+EOF ends the last line, so a final line without ``\\n`` is still served;
+EOF before any byte, or inside a counted body, closes with no reply.
+Bytes after a complete request are read and ignored.  Once a request is
+framed, one task awaits ``LiveService.request``; the reply is one write
+of header and body (the kernel's own bytes, not re-encoded) followed by
+a close, which flushes it — nothing waits on a drain.
+
+**Read deadline.**  A connection has ``READ_TIMEOUT`` wall seconds from
+accept to a complete request.  A peer that stalls is aborted with no
+reply and never reaches the service.  Serving the request is not under
+the deadline: how long that takes is what the model studies.
 """
 
 from __future__ import annotations
@@ -33,11 +56,13 @@ from repro.errors import ClassAdSyntaxError, ServiceCrashError, ServiceUnavailab
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.live.runtime import LiveService
 
-__all__ = ["server_for", "MAX_LINE", "MAX_BODY"]
+__all__ = ["server_for", "MAX_LINE", "MAX_BODY", "READ_TIMEOUT"]
 
 #: Framing limits: a request line and an HTTP body we are willing to read.
 MAX_LINE = 64 * 1024
 MAX_BODY = 4 * 1024 * 1024
+#: Wall seconds from accept to a complete request; a slower peer is aborted.
+READ_TIMEOUT = 30.0
 
 _HAWKEYE_INGEST_VERB = "ADVERTISE"
 
@@ -55,63 +80,6 @@ def _encode_value(value: _t.Any) -> str:
         return json.dumps({"repr": repr(value)}, separators=(",", ":"))
 
 
-async def _serve_line(
-    service: "LiveService",
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    verbs: frozenset[str] = frozenset(),
-) -> None:
-    """One line-framed exchange (MDS and Hawkeye dialects)."""
-    try:
-        try:
-            line = await reader.readline()
-        except ValueError:  # longer than the stream limit, MAX_LINE
-            writer.write(b"ERR protocol line too long\n")
-            return
-        if not line:
-            return
-        text = line.decode("utf-8", "replace").strip()
-        verb, _, rest = text.partition(" ")
-        if not verb:
-            writer.write(b"ERR protocol empty request\n")
-            return
-        if verbs and verb not in verbs:
-            writer.write(f"ERR protocol unknown verb {verb!r}\n".encode())
-            return
-        try:
-            payload = json.loads(rest) if rest else {}
-        except (ValueError, RecursionError) as exc:  # malformed, or nested too deep
-            writer.write(f"ERR protocol bad json: {exc}\n".encode())
-            return
-        if verb == _HAWKEYE_INGEST_VERB and isinstance(payload, dict):
-            try:
-                payload = _decode_ad_payload(payload)
-            except (ClassAdSyntaxError, ValueError, RecursionError) as exc:
-                # not ClassAd text, an integer too long to convert, or nested too deep
-                writer.write(f"ERR protocol bad ad: {exc}\n".encode())
-                return
-        try:
-            kr = await service.request(payload)
-        except ServiceUnavailableError as exc:
-            writer.write(f"ERR refused {exc}\n".encode())
-            return
-        except ServiceCrashError as exc:
-            writer.write(f"ERR crashed {exc}\n".encode())
-            return
-        except Exception as exc:
-            writer.write(f"ERR error {type(exc).__name__}: {exc}\n".encode())
-            return
-        body = kr.wire or b""
-        writer.write(f"OK {_encode_value(kr.value)} {len(body)}\n".encode())
-        writer.write(body)  # the kernel's own bytes: not re-encoded, not copied
-    finally:
-        try:
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        writer.close()
-
-
 def _decode_ad_payload(payload: dict) -> dict:
     """ADVERTISE carries a ClassAd as serialized text; managers want the object."""
     ad_text = payload.get("ad")
@@ -123,78 +91,229 @@ def _decode_ad_payload(payload: dict) -> dict:
     return payload
 
 
-async def _serve_http(
-    service: "LiveService", reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
+class _LineTooLong(Exception):
+    """A line ran past ``MAX_LINE`` bytes without its ``\\n``."""
+
+
+class _Exchange(asyncio.Protocol):
+    """One connection: frame one request, answer it once, close.
+
+    Subclasses implement :meth:`frame`, which ends the framing either
+    with :meth:`serve` (the request goes to the service) or with
+    :meth:`reply` (answered without the service; ``b""`` closes with no
+    reply), and :meth:`reply_to`, which turns the service's answer or
+    error into reply bytes.
+    """
+
+    transport: asyncio.Transport
+
+    def __init__(self, service: "LiveService") -> None:
+        self.service = service
+        self.buf = bytearray()
+        self.pos = 0  # start of the first unconsumed line in ``buf``
+        self.scan = 0  # ``buf`` before this holds no ``\n`` past ``pos``
+        self.deadline: asyncio.TimerHandle | None = None  # armed until framed
+        self.task: asyncio.Task | None = None  # held: the loop keeps tasks weakly
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = _t.cast(asyncio.Transport, transport)
+        self.deadline = asyncio.get_running_loop().call_later(READ_TIMEOUT, self.expire)
+
+    def data_received(self, data: bytes) -> None:
+        if self.deadline is not None:  # once framed, later bytes are ignored
+            self.buf += data
+            self.frame(eof=False)
+
+    def eof_received(self) -> bool:
+        if self.deadline is not None:
+            self.frame(eof=True)
+        return True  # keep the transport: the reply may still be on its way
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.framed()
+
+    def expire(self) -> None:
+        self.deadline = None
+        self.transport.abort()
+
+    def framed(self) -> None:
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+
+    def line(self, eof: bool) -> bytearray | None:
+        """Consume the next line (with its ``\\n``); ``None`` until it is complete.
+
+        EOF ends a final line that has no ``\\n``; ``b""`` then means
+        nothing was left.  The limit is the one the stream reader's
+        ``readline`` applied: more than ``MAX_LINE`` bytes before the
+        ``\\n`` raises :class:`_LineTooLong`.
+        """
+        buf, pos = self.buf, self.pos
+        end = buf.find(b"\n", max(pos, self.scan))
+        if end < 0:
+            self.scan = len(buf)
+            if len(buf) - pos > MAX_LINE:
+                raise _LineTooLong
+            if not eof:
+                return None
+            end = len(buf)
+        elif end - pos > MAX_LINE:
+            raise _LineTooLong
+        else:
+            end += 1
+        self.pos = end
+        return buf[pos:end]
+
+    def frame(self, eof: bool) -> None:
+        raise NotImplementedError
+
+    def serve(self, payload: _t.Any) -> None:
+        self.framed()
+        self.task = asyncio.get_running_loop().create_task(self.answer(payload))
+
+    async def answer(self, payload: _t.Any) -> None:
+        try:
+            self.reply(await self.reply_to(payload))
+        except asyncio.CancelledError:  # the loop is going away mid-request
+            self.transport.abort()
+            raise
+
+    async def reply_to(self, payload: _t.Any) -> bytes:
+        raise NotImplementedError
+
+    def reply(self, data: bytes) -> None:
+        """Answer and close: one write, flushed by the close."""
+        self.framed()
+        self.transport.write(data)
+        self.transport.close()
+
+
+class _LineExchange(_Exchange):
+    """One line-framed exchange (MDS and Hawkeye dialects)."""
+
+    def __init__(self, service: "LiveService", verbs: frozenset[str]) -> None:
+        super().__init__(service)
+        self.verbs = verbs
+
+    def frame(self, eof: bool) -> None:
+        try:
+            line = self.line(eof)
+        except _LineTooLong:
+            return self.reply(b"ERR protocol line too long\n")
+        if line is None:
+            return None
+        if not line:
+            return self.reply(b"")
+        text = line.decode("utf-8", "replace").strip()
+        verb, _, rest = text.partition(" ")
+        if not verb:
+            return self.reply(b"ERR protocol empty request\n")
+        if verb not in self.verbs:
+            return self.reply(f"ERR protocol unknown verb {verb!r}\n".encode())
+        try:
+            payload = json.loads(rest) if rest else {}
+        except (ValueError, RecursionError) as exc:  # malformed, or nested too deep
+            return self.reply(f"ERR protocol bad json: {exc}\n".encode())
+        if verb == _HAWKEYE_INGEST_VERB and isinstance(payload, dict):
+            try:
+                payload = _decode_ad_payload(payload)
+            except (ClassAdSyntaxError, ValueError, RecursionError) as exc:
+                # not ClassAd text, an integer too long to convert, or nested too deep
+                return self.reply(f"ERR protocol bad ad: {exc}\n".encode())
+        return self.serve(payload)
+
+    async def reply_to(self, payload: _t.Any) -> bytes:
+        try:
+            kr = await self.service.request(payload)
+        except ServiceUnavailableError as exc:
+            return f"ERR refused {exc}\n".encode()
+        except ServiceCrashError as exc:
+            return f"ERR crashed {exc}\n".encode()
+        except Exception as exc:
+            # One of two broad catches (one per dialect), on purpose: a kernel may
+            # raise anything, its own bugs included, and the client still gets an
+            # answer rather than a dropped connection and a logged traceback.
+            return f"ERR error {type(exc).__name__}: {exc}\n".encode()
+        body = kr.wire or b""  # the kernel's own bytes: not re-encoded
+        return f"OK {_encode_value(kr.value)} {len(body)}\n".encode() + body
+
+
+def _http_response(status: str, body: bytes, value: _t.Any = None) -> bytes:
+    head = (
+        f"HTTP/1.1 {status}\r\n"
+        "Content-Type: text/plain; charset=utf-8\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Connection: close\r\n"
+    )
+    if value is not None:
+        head += f"X-Repro-Value: {_encode_value(value)}\r\n"
+    return (head + "\r\n").encode() + body  # the kernel's own bytes: not re-encoded
+
+
+class _HttpExchange(_Exchange):
     """One HTTP/1.1 exchange (the R-GMA servlet dialect)."""
 
-    def respond(status: str, body: bytes, value: _t.Any = None) -> None:
-        headers = [
-            f"HTTP/1.1 {status}",
-            "Content-Type: text/plain; charset=utf-8",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
-        if value is not None:
-            headers.append(f"X-Repro-Value: {_encode_value(value)}")
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode())
-        writer.write(body)  # the kernel's own bytes: not re-encoded, not copied
+    method: str | None = None  # from the request line
+    declared = 0  # the last Content-Length header
+    length = -1  # the body length, once the head is complete
 
-    async def read_line() -> bytes | None:
-        try:
-            return await reader.readline()
-        except ValueError:  # longer than the stream limit, MAX_LINE
-            respond("400 Bad Request", b"line too long\n")
-            return None
+    def respond(self, status: str, body: bytes) -> None:
+        self.reply(_http_response(status, body))
 
-    try:
-        request_line = await read_line()
-        if not request_line:
-            return
-        try:
-            method, _path, _version = request_line.decode().split(None, 2)
-        except ValueError:
-            respond("400 Bad Request", b"malformed request line\n")
-            return
-        content_length = 0
-        while True:
-            header = await read_line()
-            if header is None:
-                return
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, header_value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
+    def frame(self, eof: bool) -> None:
+        while self.length < 0:
+            try:
+                line = self.line(eof)
+            except _LineTooLong:
+                return self.respond("400 Bad Request", b"line too long\n")
+            if line is None:
+                return None
+            if self.method is None:
+                if not line:
+                    return self.reply(b"")
                 try:
-                    content_length = min(int(header_value), MAX_BODY)
+                    self.method, _path, _version = line.decode().split(None, 2)
                 except ValueError:
-                    content_length = 0
-        raw = await reader.readexactly(content_length) if content_length else b""
-        if method.upper() != "POST":
-            respond("405 Method Not Allowed", b"POST a JSON query\n")
-            return
+                    return self.respond("400 Bad Request", b"malformed request line\n")
+            elif line in (b"\r\n", b"\n", b""):
+                self.length = self.declared
+            else:
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    value = value.strip()
+                    if not (value.isascii() and value.isdigit()):
+                        return self.respond("400 Bad Request", b"bad content-length\n")
+                    # (no length of more than 18 digits is within MAX_BODY)
+                    if len(value) > 18 or int(value) > MAX_BODY:
+                        body = f"body over {MAX_BODY} bytes\n".encode()
+                        return self.respond("413 Payload Too Large", body)
+                    self.declared = int(value)
+        end = self.pos + self.length
+        if len(self.buf) < end:
+            return self.reply(b"") if eof else None
+        if self.method.upper() != "POST":
+            return self.respond("405 Method Not Allowed", b"POST a JSON query\n")
+        raw = self.buf[self.pos : end]
         try:
             payload = json.loads(raw) if raw else {}
         except (ValueError, RecursionError) as exc:  # malformed, or nested too deep
-            respond("400 Bad Request", f"bad json: {exc}\n".encode())
-            return
+            return self.respond("400 Bad Request", f"bad json: {exc}\n".encode())
+        return self.serve(payload)
+
+    async def reply_to(self, payload: _t.Any) -> bytes:
         try:
-            kr = await service.request(payload)
+            kr = await self.service.request(payload)
         except ServiceUnavailableError as exc:
-            respond("503 Service Unavailable", f"{exc}\n".encode())
-            return
+            return _http_response("503 Service Unavailable", f"{exc}\n".encode())
         except Exception as exc:
-            respond("500 Internal Server Error", f"{type(exc).__name__}: {exc}\n".encode())
-            return
-        respond("200 OK", kr.wire or b"", value=kr.value)
-    except asyncio.IncompleteReadError:
-        pass
-    finally:
-        try:
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        writer.close()
+            # One of two broad catches (one per dialect), on purpose: a kernel may
+            # raise anything, its own bugs included, and the client still gets an
+            # answer rather than a dropped connection and a logged traceback.
+            return _http_response(
+                "500 Internal Server Error", f"{type(exc).__name__}: {exc}\n".encode()
+            )
+        return _http_response("200 OK", kr.wire or b"", value=kr.value)
 
 
 async def server_for(
@@ -202,23 +321,12 @@ async def server_for(
 ) -> asyncio.base_events.Server:
     """Bind ``service`` on an OS-assigned port speaking its system's dialect."""
     if system is System.RGMA:
-        async def handler(reader, writer):
-            await _serve_http(service, reader, writer)
+        def factory() -> _Exchange:
+            return _HttpExchange(service)
     else:
         verbs = _LINE_VERBS[system]
 
-        async def handler(reader, writer):
-            await _serve_line(service, reader, writer, verbs)
+        def factory() -> _Exchange:
+            return _LineExchange(service, verbs)
 
-    async def on_connection(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            await handler(reader, writer)
-        except (ConnectionError, OSError):  # client went away mid-exchange
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    return await asyncio.start_server(on_connection, host, 0, limit=MAX_LINE)
+    return await asyncio.get_running_loop().create_server(factory, host, 0)

@@ -18,7 +18,8 @@ from repro.hawkeye import synthesize_startd_ad
 from repro.ldap.ldif import from_ldif, to_ldif
 from repro.live.clients import ProtocolError, http_query, line_query
 from repro.live.loadgen import query_once
-from repro.live.protocols import MAX_LINE
+from repro.live import protocols
+from repro.live.protocols import MAX_BODY, MAX_LINE
 from repro.live.runtime import AsyncioRuntime
 from repro.mds import InformationProvider
 
@@ -107,6 +108,58 @@ def test_an_over_long_http_line_gets_a_400_and_the_listener_lives_on():
                 assert reply.endswith(b"\r\n\r\nline too long\n")
             value, _body = await http_query(dep.host, port, {"sql": "SELECT * FROM cpuLoad"})
             assert value["rows"] >= 0
+        assert errors == []
+
+    in_loop(main())
+
+
+def test_a_bad_content_length_gets_a_400_or_413_and_the_listener_lives_on():
+    async def main():
+        errors = loop_errors()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("rgma-ps-lucky"))
+        async with dep:
+            port = dep.ports[dep.entry]
+            for length, status in (
+                (b"-5", b"400 Bad Request"),
+                (b"five", b"400 Bad Request"),
+                (b"1e3", b"400 Bad Request"),
+                (b"%d" % (MAX_BODY + 1), b"413 Payload Too Large"),
+                (b"9" * 5000, b"413 Payload Too Large"),  # more digits than int() converts
+            ):
+                request = b"POST /query HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n{}"
+                reply = await raw_exchange(dep.host, port, request)
+                assert reply.startswith(b"HTTP/1.1 " + status + b"\r\n"), (length[:20], reply)
+            value, _body = await http_query(dep.host, port, {"sql": "SELECT * FROM cpuLoad"})
+            assert value["rows"] >= 0
+            assert dep.services[dep.entry].requests == 1  # only the well-formed one got in
+        assert errors == []
+
+    in_loop(main())
+
+
+@pytest.mark.parametrize("name", ["mds-gris-cache", "rgma-ps-lucky"])
+def test_a_stalled_peer_is_cut_off_and_the_listener_lives_on(name, monkeypatch):
+    monkeypatch.setattr(protocols, "READ_TIMEOUT", 0.1)
+
+    async def main():
+        errors = loop_errors()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan(name))
+        service = dep.services[dep.entry]
+        async with dep:
+            port = dep.ports[dep.entry]
+            half = b'SEARCH {"filter":' if name.startswith("mds") else b"POST /query HTTP/1.1\r\n"
+            reader, writer = await asyncio.open_connection(dep.host, port)
+            writer.write(half)
+            await writer.drain()
+            try:
+                # The server closes with no reply; nothing here closes first.
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            finally:
+                writer.close()
+            assert service.requests == 0 and service.admission.open == 0
+            value, _body = await query_once(dep)
+            assert value
+            assert service.requests == 1 and service.admission.open == 0
         assert errors == []
 
     in_loop(main())
