@@ -35,8 +35,9 @@ EOF ends the last line, so a final line without ``\\n`` is still served;
 EOF before any byte, or inside a counted body, closes with no reply.
 Bytes after a complete request are read and ignored.  Once a request is
 framed, one task awaits ``LiveService.request``; the reply is one write
-of header and body (the kernel's own bytes, not re-encoded) followed by
-a close, which flushes it — nothing waits on a drain.
+of header and body, or two when the body is over 64 KiB, so a large
+body is never copied (the kernel's own bytes, not re-encoded).  A close
+follows, which flushes it — nothing waits on a drain.
 
 **Read deadline.**  A connection has ``READ_TIMEOUT`` wall seconds from
 accept to a complete request.  A peer that stalls is aborted with no
@@ -63,6 +64,11 @@ MAX_LINE = 64 * 1024
 MAX_BODY = 4 * 1024 * 1024
 #: Wall seconds from accept to a complete request; a slower peer is aborted.
 READ_TIMEOUT = 30.0
+# A reply body up to this size is copied behind its header and leaves in
+# one write; a bigger one is written on its own.  Copying a large body
+# (460 KB of LDIF on a GIIS query-all) costs a fresh allocation, and its
+# page faults, on every request.
+_JOINED_BODY = 64 * 1024
 
 _HAWKEYE_INGEST_VERB = "ADVERTISE"
 
@@ -102,7 +108,7 @@ class _Exchange(asyncio.Protocol):
     with :meth:`serve` (the request goes to the service) or with
     :meth:`reply` (answered without the service; ``b""`` closes with no
     reply), and :meth:`reply_to`, which turns the service's answer or
-    error into reply bytes.
+    error into the reply's header and body bytes.
     """
 
     transport: asyncio.Transport
@@ -174,18 +180,22 @@ class _Exchange(asyncio.Protocol):
 
     async def answer(self, payload: _t.Any) -> None:
         try:
-            self.reply(await self.reply_to(payload))
+            self.reply(*await self.reply_to(payload))
         except asyncio.CancelledError:  # the loop is going away mid-request
             self.transport.abort()
             raise
 
-    async def reply_to(self, payload: _t.Any) -> bytes:
+    async def reply_to(self, payload: _t.Any) -> tuple[bytes, bytes]:
         raise NotImplementedError
 
-    def reply(self, data: bytes) -> None:
-        """Answer and close: one write, flushed by the close."""
+    def reply(self, head: bytes, body: bytes = b"") -> None:
+        """Answer and close, flushed by the close: one write, or two past ``_JOINED_BODY``."""
         self.framed()
-        self.transport.write(data)
+        if len(body) > _JOINED_BODY:
+            self.transport.write(head)
+            self.transport.write(body)
+        else:
+            self.transport.write(head + body)
         self.transport.close()
 
 
@@ -223,23 +233,24 @@ class _LineExchange(_Exchange):
                 return self.reply(f"ERR protocol bad ad: {exc}\n".encode())
         return self.serve(payload)
 
-    async def reply_to(self, payload: _t.Any) -> bytes:
+    async def reply_to(self, payload: _t.Any) -> tuple[bytes, bytes]:
         try:
             kr = await self.service.request(payload)
         except ServiceUnavailableError as exc:
-            return f"ERR refused {exc}\n".encode()
+            return f"ERR refused {exc}\n".encode(), b""
         except ServiceCrashError as exc:
-            return f"ERR crashed {exc}\n".encode()
+            return f"ERR crashed {exc}\n".encode(), b""
         except Exception as exc:
             # One of two broad catches (one per dialect), on purpose: a kernel may
             # raise anything, its own bugs included, and the client still gets an
             # answer rather than a dropped connection and a logged traceback.
-            return f"ERR error {type(exc).__name__}: {exc}\n".encode()
+            return f"ERR error {type(exc).__name__}: {exc}\n".encode(), b""
         body = kr.wire or b""  # the kernel's own bytes: not re-encoded
-        return f"OK {_encode_value(kr.value)} {len(body)}\n".encode() + body
+        return f"OK {_encode_value(kr.value)} {len(body)}\n".encode(), body
 
 
-def _http_response(status: str, body: bytes, value: _t.Any = None) -> bytes:
+def _http_response(status: str, body: bytes, value: _t.Any = None) -> tuple[bytes, bytes]:
+    """The response's head, and its body as it is."""
     head = (
         f"HTTP/1.1 {status}\r\n"
         "Content-Type: text/plain; charset=utf-8\r\n"
@@ -248,7 +259,7 @@ def _http_response(status: str, body: bytes, value: _t.Any = None) -> bytes:
     )
     if value is not None:
         head += f"X-Repro-Value: {_encode_value(value)}\r\n"
-    return (head + "\r\n").encode() + body  # the kernel's own bytes: not re-encoded
+    return (head + "\r\n").encode(), body  # the kernel's own bytes: not re-encoded
 
 
 class _HttpExchange(_Exchange):
@@ -259,7 +270,7 @@ class _HttpExchange(_Exchange):
     length = -1  # the body length, once the head is complete
 
     def respond(self, status: str, body: bytes) -> None:
-        self.reply(_http_response(status, body))
+        self.reply(*_http_response(status, body))
 
     def frame(self, eof: bool) -> None:
         while self.length < 0:
@@ -301,7 +312,7 @@ class _HttpExchange(_Exchange):
             return self.respond("400 Bad Request", f"bad json: {exc}\n".encode())
         return self.serve(payload)
 
-    async def reply_to(self, payload: _t.Any) -> bytes:
+    async def reply_to(self, payload: _t.Any) -> tuple[bytes, bytes]:
         try:
             kr = await self.service.request(payload)
         except ServiceUnavailableError as exc:

@@ -22,7 +22,7 @@ from repro.core.metrics import OUTCOME_ERROR
 from repro.core.params import WorkloadParams
 from repro.core.topology.catalog import exp1_plan
 from repro.errors import ServiceUnavailableError
-from repro.live import protocols
+from repro.live import clients, protocols
 from repro.live.clients import ProtocolError, http_query, line_query
 from repro.live.loadgen import default_payload, query_once, run_load
 from repro.live.runtime import AsyncioRuntime, LiveClock
@@ -227,6 +227,12 @@ MALFORMED_REPLIES = {
     "http: bad status line": (System.RGMA, b"HTTP/1.1 OK\r\n\r\n"),
     "http: not http": (System.RGMA, b"garbage\r\n\r\n"),
     "http: body not utf-8": (System.RGMA, b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe"),
+    # A length the head only claims reserves no memory before the bytes arrive.
+    "line: huge length, short body": (System.MDS, b"OK {} 999999999999999999\nabc"),
+    "http: huge length, short body": (
+        System.RGMA,
+        b"HTTP/1.1 200 OK\r\nContent-Length: 999999999999999999\r\n\r\nabc",
+    ),
 }
 
 
@@ -256,6 +262,55 @@ def test_refusals_stay_refusals_in_both_dialects():
                     await query_stub(system, port)
 
     in_loop(main())
+
+
+def test_large_replies_reuse_one_receive_buffer_and_failed_ones_keep_theirs():
+    body = "0123456789abcdef" * 20_000  # 320 KB, several reads
+    ok = b"OK {} %d\n" % len(body) + body.encode()
+
+    async def main():
+        ok_server, ok_port = await stub_server(ok)
+        refusing, refused_port = await stub_server(b"ERR refused busy\n")
+        async with ok_server, refusing:
+            assert await query_stub(System.MDS, ok_port) == ({}, body)
+            await asyncio.sleep(0)  # the close gives the buffer back
+            spare = clients._spares[asyncio.get_running_loop()]
+            [buf] = spare
+            assert len(buf) >= len(ok)
+            assert await query_stub(System.MDS, ok_port) == ({}, body)
+            await asyncio.sleep(0)
+            assert len(spare) == 1 and spare[0] is buf
+            # A failed reply's exception can hold a view of its buffer, which
+            # could then never grow: it is not lent again.
+            with pytest.raises(ServiceUnavailableError):
+                await query_stub(System.MDS, refused_port)
+            await asyncio.sleep(0)
+            assert spare == []
+            assert await query_stub(System.MDS, ok_port) == ({}, body)
+
+    in_loop(main())
+
+
+def test_a_large_reply_body_is_written_as_it_is():
+    class Transport:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+        def close(self):
+            pass
+
+    for size, joined in ((protocols._JOINED_BODY, True), (protocols._JOINED_BODY + 1, False)):
+        conn = protocols._LineExchange(service=None, verbs=frozenset())
+        conn.transport = transport = Transport()
+        head, body = b"OK {} %d\n" % size, b"x" * size
+        conn.reply(head, body)
+        if joined:
+            assert transport.writes == [head + body]
+        else:
+            assert transport.writes == [head, body] and transport.writes[1] is body
 
 
 def test_a_load_run_counts_bad_replies_and_finishes():
