@@ -1,6 +1,6 @@
 """Regenerate Figures 9-12 (directory server vs. users)."""
 
-from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, BENCH_X_USERS, emit
+from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, BENCH_X_USERS, assert_claims, emit
 from repro.core.figures import reproduce_figure
 
 FAST = dict(warmup=BENCH_WARMUP, window=BENCH_WINDOW)
@@ -15,15 +15,5 @@ def test_figures_9_to_12():
     ]
     for figure in figures:
         emit(f"figure{figure.number:02d}", figure.to_table())
-    # Headline checks: GIIS/Manager scale well; Registry is slower and hotter.
-    fig9, fig10, fig11, fig12 = figures
-    assert fig9.series_by_label("mds-giis").y_at(600) > 80
-    assert fig9.series_by_label("hawkeye-manager").y_at(600) > 80
-    assert fig9.series_by_label("rgma-registry-lucky").y_at(600) < 40
-    assert fig10.series_by_label("mds-giis").y_at(600) < 2.0
-    assert fig11.series_by_label("rgma-registry-lucky").y_at(600) > 2.0
-    # "the load of GIIS is nearly twice as bad as Hawkeye Manager"
-    assert (
-        fig12.series_by_label("mds-giis").y_at(600)
-        > 1.7 * fig12.series_by_label("hawkeye-manager").y_at(600)
-    )
+    # GIIS/Manager scale well; the Registry is slower and hotter.
+    assert_claims(cache, at_least=6)

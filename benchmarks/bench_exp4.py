@@ -1,6 +1,6 @@
 """Regenerate Figures 17-20 (aggregate server scalability)."""
 
-from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, emit
+from benchmarks.conftest import BENCH_WARMUP, BENCH_WINDOW, assert_claims, emit
 from repro.core.experiments import exp4
 from repro.core.figures import FIGURES, points_to_series
 from repro.core.results import Figure
@@ -33,10 +33,6 @@ def test_figures_17_to_20():
         figures.append(fig)
     for figure in figures:
         emit(f"figure{figure.number:02d}", figure.to_table())
-    fig17 = figures[0]
-    # Query-all crashes at 300 registered GRIS, exactly as observed.
-    assert 300 in fig17.series_by_label("mds-giis-all").dnf
-    # Nothing aggregates >100 information servers at useful throughput.
-    assert fig17.series_by_label("mds-giis-all").y_at(200) < 1.0
-    assert fig17.series_by_label("hawkeye-manager").y_at(1000) < 1.0
-    assert fig17.series_by_label("mds-giis-part").y_at(500) < 1.0
+    # Query-all crashes at 300 registered GRIS, exactly as observed, and
+    # nothing aggregates >100 information servers at useful throughput.
+    assert_claims({(exp4.__name__, s, 1): pts for s, pts in points.items()}, at_least=4)

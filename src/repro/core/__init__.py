@@ -14,7 +14,9 @@ testbed into the benchmark methodology of the paper:
 * :mod:`repro.core.desruntime` — kernels bound to the simulated runtime;
 * :mod:`repro.core.runner` — per-point orchestration;
 * :mod:`repro.core.experiments` — the four experiment sets (§3.3-§3.6);
+* :mod:`repro.core.study` — the experiment sets and claims, declared;
 * :mod:`repro.core.figures` — Figures 5-20 registry and CLI;
+* :mod:`repro.core.report` — the claim scorecard and CLI;
 * :mod:`repro.core.results` — series/figure containers and renderers.
 
 The re-exports below resolve lazily (PEP 562) so that sim-free modules

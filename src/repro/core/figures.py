@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import pathlib
 import sys
 import typing as _t
@@ -19,19 +20,12 @@ from time import perf_counter
 
 from repro.core import parallel
 from repro.core.cliversion import add_version_argument
-from repro.core.experiments import exp1, exp2, exp3, exp4
+from repro.core.experiments import exp4
 from repro.core.results import Figure, Series
 from repro.core.runner import PointResult
+from repro.core.study import METRICS, SETS
 
 __all__ = ["FIGURES", "FigureSpec", "quick_x_values", "reproduce_figure", "main"]
-
-# Metric extracted per figure (the paper cycles the same four).
-_METRICS = {
-    "throughput": ("Throughput (queries/sec)", lambda r: r.throughput),
-    "response_time": ("Response Time (sec)", lambda r: r.response_time),
-    "load1": ("Load1", lambda r: r.load1),
-    "cpu_load": ("CPU Load (%)", lambda r: r.cpu_load),
-}
 
 
 @dataclass(frozen=True)
@@ -45,45 +39,14 @@ class FigureSpec:
     xlabel: str
 
 
-FIGURES: dict[int, FigureSpec] = {}
-
-
-def _register(number: int, title: str, experiment: _t.Any, metric: str, xlabel: str) -> None:
-    FIGURES[number] = FigureSpec(number, title, experiment, metric, xlabel)
-
-
-for _n, _metric in zip((5, 6, 7, 8), ("throughput", "response_time", "load1", "cpu_load")):
-    _register(
-        _n,
-        f"Information Server {_METRICS[_metric][0]} vs. No. of Concurrent Users",
-        exp1,
-        _metric,
-        "No. of Users",
+# Each experiment set plots the four metrics as four consecutive figures.
+FIGURES: dict[int, FigureSpec] = {
+    s.first_figure + i: FigureSpec(
+        s.first_figure + i, f"{s.server} {label} vs. {s.axis}", s.experiment, metric, s.xlabel
     )
-for _n, _metric in zip((9, 10, 11, 12), ("throughput", "response_time", "load1", "cpu_load")):
-    _register(
-        _n,
-        f"Directory Server {_METRICS[_metric][0]} vs. No. of Concurrent Users",
-        exp2,
-        _metric,
-        "No. of Users",
-    )
-for _n, _metric in zip((13, 14, 15, 16), ("throughput", "response_time", "load1", "cpu_load")):
-    _register(
-        _n,
-        f"Information Server {_METRICS[_metric][0]} vs. No. of Information Collectors",
-        exp3,
-        _metric,
-        "No. of Information Collectors",
-    )
-for _n, _metric in zip((17, 18, 19, 20), ("throughput", "response_time", "load1", "cpu_load")):
-    _register(
-        _n,
-        f"Aggregate Information Server {_METRICS[_metric][0]} vs. No. of Information Servers",
-        exp4,
-        _metric,
-        "No. of Information Servers",
-    )
+    for s in SETS
+    for i, (metric, label) in enumerate(METRICS.items())
+}
 
 
 # CI half-widths exist for the two client-side metrics the adaptive
@@ -101,7 +64,7 @@ def points_to_series(label: str, points: _t.Sequence[PointResult], metric: str) 
     their CI half-widths; exact-mode series carry none, keeping the
     committed tables byte-identical.
     """
-    extract = _METRICS[metric][1]
+    extract = operator.attrgetter(metric)
     ci_extract = _CI_EXTRACT.get(metric)
     series = Series(label=label)
     for point in points:
@@ -134,7 +97,7 @@ def reproduce_figure(
         number=number,
         title=spec.title,
         xlabel=spec.xlabel,
-        ylabel=_METRICS[spec.metric][0],
+        ylabel=METRICS[spec.metric],
     )
     for system in systems or exp.SYSTEMS:
         cache_key = (exp.__name__, system, seed)

@@ -1,81 +1,30 @@
 """The reproduction scorecard: every headline claim, checked live.
 
-Encodes the paper's quantitative claims (one per row of EXPERIMENTS.md)
-as executable checks over freshly-run sweeps, and prints a PASS/FAIL
-table.  This is the artifact to run after touching any cost model::
+Checks the paper's quantitative claims — the :data:`~repro.core.study.CLAIMS`
+rows of :mod:`repro.core.study` — against freshly-run sweeps, and prints a
+PASS/FAIL table.  This is the artifact to run after touching any cost model::
 
-    python -m repro.core.report            # ~2-4 minutes
-    python -m repro.core.report --fast     # coarse windows, ~1 minute
+    python -m repro.core.report            # ~10 s on a 2-core box
+    python -m repro.core.report --fast     # coarse windows, ~4 s
 
-Sweeps are shared across claims, so the whole scorecard costs about as
-much as one full figure regeneration per experiment set.
+Each series the claims read is swept once through its experiment's
+``sweep()`` (the path the figures take, so ``REPRO_JOBS`` and the point
+cache apply), and only at the x values the claims read.
 """
 
 from __future__ import annotations
 
 import argparse
+import operator
 import typing as _t
 from dataclasses import dataclass
 
 from repro.core.cliversion import add_version_argument
-from repro.core.experiments import exp1, exp2, exp3, exp4
-from repro.core.experiments.common import adaptive_point
 from repro.core.runner import PointResult
+from repro.core.study import CLAIMS, Claim
 from repro.errors import ReproError
 
-__all__ = ["Claim", "CLAIMS", "ClaimOutcome", "run_report", "main"]
-
-
-class _Context:
-    """Lazily-run, shared experiment points.
-
-    With ``adaptive`` set, every point is estimated by replication
-    until its CI converges (:mod:`repro.core.stats`) instead of a
-    single fixed-window run; claims then check replication means.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        warmup: float | None,
-        window: float | None,
-        adaptive: bool = False,
-    ) -> None:
-        self.seed = seed
-        self.warmup = warmup
-        self.window = window
-        self.adaptive = adaptive
-        self._points: dict[tuple, PointResult] = {}
-
-    def point(self, exp: _t.Any, system: str, x: int) -> PointResult:
-        key = (exp.__name__, system, x)
-        if key not in self._points:
-            if self.adaptive:
-                self._points[key] = adaptive_point(
-                    exp.run_point, system, x, self.seed, warmup=self.warmup, window=self.window
-                )
-            else:
-                self._points[key] = exp.run_point(
-                    system, x, self.seed, warmup=self.warmup, window=self.window
-                )
-        return self._points[key]
-
-    def measured_points(self) -> dict[tuple, PointResult]:
-        """Every point the claims touched (for the adaptive appendix)."""
-        return dict(self._points)
-
-
-CheckFn = _t.Callable[[_Context], tuple[bool, str]]
-
-
-@dataclass(frozen=True)
-class Claim:
-    """One published claim and its executable check."""
-
-    id: str
-    figure: int
-    text: str  # the paper's claim, paraphrased
-    check: CheckFn
+__all__ = ["Claim", "CLAIMS", "ClaimOutcome", "evaluate", "measure", "run_report", "main"]
 
 
 @dataclass(frozen=True)
@@ -85,169 +34,74 @@ class ClaimOutcome:
     detail: str
 
 
-def _claim(id: str, figure: int, text: str) -> _t.Callable[[CheckFn], CheckFn]:
-    def register(fn: CheckFn) -> CheckFn:
-        CLAIMS.append(Claim(id=id, figure=figure, text=text, check=fn))
-        return fn
-
-    return register
-
-
-CLAIMS: list[Claim] = []
-
-
-@_claim("gris-cache-linear", 5, "cached GRIS throughput near-linear with users")
-def _c1(ctx: _Context) -> tuple[bool, str]:
-    low = ctx.point(exp1, "mds-gris-cache", 100).throughput
-    high = ctx.point(exp1, "mds-gris-cache", 600).throughput
-    return high > 4 * low and high > 60, f"X(100)={low:.1f}, X(600)={high:.1f} q/s"
-
-
-@_claim("gris-nocache-cap", 5, "uncached GRIS never exceeds 2 queries/second")
-def _c2(ctx: _Context) -> tuple[bool, str]:
-    x = ctx.point(exp1, "mds-gris-nocache", 300).throughput
-    return 0.5 < x < 2.0, f"X(300)={x:.2f} q/s"
-
-
-@_claim("caching-decisive", 5, "caching buys the GRIS >20x throughput at scale")
-def _c3(ctx: _Context) -> tuple[bool, str]:
-    cached = ctx.point(exp1, "mds-gris-cache", 600).throughput
-    uncached = ctx.point(exp1, "mds-gris-nocache", 600).throughput
-    ratio = cached / max(uncached, 1e-9)
-    return ratio > 20, f"{ratio:.0f}x"
-
-
-@_claim("gris-cache-plateau", 6, "cached GRIS responses ~4 s and stable for >=50 users")
-def _c4(ctx: _Context) -> tuple[bool, str]:
-    r200 = ctx.point(exp1, "mds-gris-cache", 200).response_time
-    r600 = ctx.point(exp1, "mds-gris-cache", 600).response_time
-    ok = 2.5 < r200 < 5.5 and 2.5 < r600 < 5.5 and abs(r600 - r200) < 1.5
-    return ok, f"R(200)={r200:.2f}s, R(600)={r600:.2f}s"
-
-
-@_claim("rgma-response-linear", 6, "ProducerServlet response grows with users")
-def _c5(ctx: _Context) -> tuple[bool, str]:
-    r100 = ctx.point(exp1, "rgma-ps-lucky", 100).response_time
-    r600 = ctx.point(exp1, "rgma-ps-lucky", 600).response_time
-    return r600 > 1.8 * r100, f"R(100)={r100:.1f}s, R(600)={r600:.1f}s"
-
-
-@_claim("agent-mid-pack", 5, "Agent saturates between the GRIS variants (~40-60 q/s)")
-def _c6(ctx: _Context) -> tuple[bool, str]:
-    x = ctx.point(exp1, "hawkeye-agent", 300).throughput
-    return 25 < x < 70, f"X(300)={x:.1f} q/s"
-
-
-@_claim("gris-cache-cpu", 8, "cached GRIS host reaches ~60% CPU at 600 users")
-def _c7(ctx: _Context) -> tuple[bool, str]:
-    cpu = ctx.point(exp1, "mds-gris-cache", 600).cpu_load
-    return 40 < cpu < 80, f"cpu={cpu:.0f}%"
-
-
-@_claim("giis-scales", 9, "GIIS saturates near 100 q/s with good scalability")
-def _c8(ctx: _Context) -> tuple[bool, str]:
-    x = ctx.point(exp2, "mds-giis", 600).throughput
-    return x > 80, f"X(600)={x:.0f} q/s"
-
-
-@_claim("manager-scales", 9, "Manager scales comparably to the GIIS")
-def _c9(ctx: _Context) -> tuple[bool, str]:
-    x = ctx.point(exp2, "hawkeye-manager", 600).throughput
-    return x > 80, f"X(600)={x:.0f} q/s"
-
-
-@_claim("registry-slower", 9, "Registry throughput well below GIIS/Manager")
-def _c10(ctx: _Context) -> tuple[bool, str]:
-    reg = ctx.point(exp2, "rgma-registry-lucky", 600).throughput
-    giis = ctx.point(exp2, "mds-giis", 600).throughput
-    return reg < giis / 3, f"registry={reg:.0f}, giis={giis:.0f} q/s"
-
-
-@_claim("giis-fast-responses", 10, "GIIS responses stay <2 s even at 600 users")
-def _c11(ctx: _Context) -> tuple[bool, str]:
-    r = ctx.point(exp2, "mds-giis", 600).response_time
-    return r < 2.0, f"R(600)={r:.2f}s"
-
-
-@_claim("registry-hot", 11, "Registry load1 far above GIIS/Manager")
-def _c12(ctx: _Context) -> tuple[bool, str]:
-    reg = ctx.point(exp2, "rgma-registry-lucky", 600).load1
-    giis = ctx.point(exp2, "mds-giis", 600).load1
-    return reg > 2 * giis and reg > 2.0, f"registry={reg:.1f}, giis={giis:.1f}"
-
-
-@_claim("giis-cpu-2x-manager", 12, "GIIS CPU load nearly twice the Manager's")
-def _c13(ctx: _Context) -> tuple[bool, str]:
-    giis = ctx.point(exp2, "mds-giis", 600).cpu_load
-    manager = ctx.point(exp2, "hawkeye-manager", 600).cpu_load
-    return giis > 1.7 * manager, f"giis={giis:.0f}%, manager={manager:.0f}%"
-
-
-@_claim("gris-cache-90-collectors", 13, "cached GRIS still ~7 q/s, <1 s at 90 collectors")
-def _c14(ctx: _Context) -> tuple[bool, str]:
-    p = ctx.point(exp3, "mds-gris-cache", 90)
-    return p.throughput > 5 and p.response_time < 1.0, (
-        f"X={p.throughput:.1f} q/s, R={p.response_time:.2f}s"
-    )
-
-
-@_claim("collectors-collapse", 13, "Agent/ProducerServlet/uncached GRIS <1 q/s at 90 collectors")
-def _c15(ctx: _Context) -> tuple[bool, str]:
-    xs = {
-        s: ctx.point(exp3, s, 90).throughput
-        for s in ("mds-gris-nocache", "hawkeye-agent", "rgma-ps")
-    }
-    return all(x < 1.0 for x in xs.values()), ", ".join(
-        f"{s}={x:.2f}" for s, x in xs.items()
-    )
-
-
-@_claim("collectors-slow", 14, "those servers also exceed ~10 s responses at 90 collectors")
-def _c16(ctx: _Context) -> tuple[bool, str]:
-    rs = {
-        s: ctx.point(exp3, s, 90).response_time
-        for s in ("mds-gris-nocache", "hawkeye-agent", "rgma-ps")
-    }
-    return all(r > 8.0 for r in rs.values()), ", ".join(f"{s}={r:.1f}s" for s, r in rs.items())
-
-
-@_claim("giis-all-degrades", 17, "GIIS query-all below 1 q/s by 200 registered GRIS")
-def _c17(ctx: _Context) -> tuple[bool, str]:
-    x = ctx.point(exp4, "mds-giis-all", 200).throughput
-    return 0 < x < 1.0, f"X(200)={x:.2f} q/s"
-
-
-@_claim("giis-crash", 17, "GIIS crashes on query-all past 200 registered GRIS")
-def _c18(ctx: _Context) -> tuple[bool, str]:
-    p = ctx.point(exp4, "mds-giis-all", 300)
-    return p.crashed, f"crashed={p.crashed} ({p.crash_reason or 'no reason'})"
-
-
-@_claim("querypart-survives", 17, "query-part reaches 500 registered GRIS without crashing")
-def _c19(ctx: _Context) -> tuple[bool, str]:
-    p = ctx.point(exp4, "mds-giis-part", 500)
-    return (not p.crashed) and p.throughput < 1.0, f"X(500)={p.throughput:.2f} q/s"
-
-
-@_claim("manager-agg-degrades", 17, "Manager below 1 q/s with 1000 advertising machines")
-def _c20(ctx: _Context) -> tuple[bool, str]:
-    x = ctx.point(exp4, "hawkeye-manager", 1000).throughput
-    return 0 < x < 1.0, f"X(1000)={x:.2f} q/s"
-
-
-@_claim("no-aggregation-past-100", 17, "no aggregate server is useful beyond ~100 registrants")
-def _c21(ctx: _Context) -> tuple[bool, str]:
-    xs = {
-        "giis-all@200": ctx.point(exp4, "mds-giis-all", 200).throughput,
-        "manager@400": ctx.point(exp4, "hawkeye-manager", 400).throughput,
-    }
-    return all(x < 2.5 for x in xs.values()), ", ".join(f"{k}={v:.2f}" for k, v in xs.items())
-
-
 # What a check can fail with on a measured point: a simulation or substrate
-# error, an empty series, a missing point, a degenerate ratio.  Each is one
-# FAIL line with its context; anything else is a bug and propagates.
+# error, an empty series, a missing point.  Each is one FAIL line with its
+# context; anything else (a malformed row among them) is a bug and propagates.
 _CHECK_FAILURES = (ReproError, ArithmeticError, LookupError, ValueError)
+
+_COMPARE = {"<": operator.lt, ">": operator.gt}
+_DERIVE = {"/": lambda a, b: a / max(b, 1e-9), "-": operator.sub}
+
+Points = _t.Mapping[tuple, PointResult | Exception]
+
+
+def measure(
+    seed: int = 1,
+    warmup: float | None = None,
+    window: float | None = None,
+    adaptive: bool = False,
+) -> dict[tuple, PointResult | Exception]:
+    """Every point the :data:`CLAIMS` read, keyed ``(experiment name, system, x)``.
+
+    A series whose sweep raises one of the check failures maps each of
+    its points to that exception.  ``adaptive`` measures every point by
+    replication until its CI converges (:mod:`repro.core.stats`).
+    """
+    series: dict[tuple, set[int]] = {}
+    for claim in CLAIMS:
+        for exp, system, x in claim.points():
+            series.setdefault((exp, system), set()).add(x)
+    points: dict[tuple, PointResult | Exception] = {}
+    for (exp, system), xs in series.items():
+        try:
+            swept = exp.sweep(
+                system, x_values=sorted(xs), seed=seed, warmup=warmup, window=window,
+                adaptive=adaptive,
+            )
+        except _CHECK_FAILURES as exc:
+            points.update(dict.fromkeys([(exp.__name__, system, x) for x in xs], exc))
+        else:
+            points.update({(exp.__name__, system, p.x): p for p in swept})
+    return points
+
+
+def evaluate(claim: Claim, points: Points) -> ClaimOutcome:
+    """Check one claim row against measured points (see :mod:`repro.core.study`)."""
+    values: dict[str, _t.Any] = {}
+    try:
+        for name, spec in claim.readings.items():
+            if len(spec) == 4:
+                exp, system, x, attr = spec
+                point = points[(exp.__name__, system, x)]
+                if isinstance(point, Exception):
+                    raise point
+                values[name] = getattr(point, attr)
+    except _CHECK_FAILURES as exc:
+        return ClaimOutcome(claim, False, f"check raised {type(exc).__name__}: {exc}")
+
+    def value(term: str | float) -> _t.Any:
+        return values[term] if isinstance(term, str) else term
+
+    for name, spec in claim.readings.items():
+        if len(spec) == 3:
+            a, op, b = spec
+            values[name] = _DERIVE[op](value(a), value(b))
+    # Every bound is computed, so a malformed one surfaces even after a miss.
+    held = [
+        _COMPARE[op](values[name], rhs[0] * values[rhs[1]] if len(rhs) == 2 else value(rhs[0]))
+        for name, op, *rhs in claim.bounds
+    ]
+    return ClaimOutcome(claim, all(held), claim.detail.format(**values))
 
 
 def run_report(
@@ -255,25 +109,10 @@ def run_report(
     warmup: float | None = None,
     window: float | None = None,
     adaptive: bool = False,
-    context_out: list | None = None,
 ) -> list[ClaimOutcome]:
-    """Evaluate every claim; returns the outcomes in registration order.
-
-    ``adaptive`` switches point estimation to replicated steady-state
-    measurements; ``context_out``, when a list, receives the shared
-    :class:`_Context` so callers can render the measured points.
-    """
-    ctx = _Context(seed, warmup, window, adaptive)
-    if context_out is not None:
-        context_out.append(ctx)
-    outcomes = []
-    for claim in CLAIMS:
-        try:
-            passed, detail = claim.check(ctx)
-        except _CHECK_FAILURES as exc:
-            passed, detail = False, f"check raised {type(exc).__name__}: {exc}"
-        outcomes.append(ClaimOutcome(claim=claim, passed=passed, detail=detail))
-    return outcomes
+    """Evaluate every claim; returns the outcomes in declaration order."""
+    points = measure(seed, warmup, window, adaptive)
+    return [evaluate(claim, points) for claim in CLAIMS]
 
 
 def render_report(outcomes: _t.Sequence[ClaimOutcome]) -> str:
@@ -292,12 +131,12 @@ def render_report(outcomes: _t.Sequence[ClaimOutcome]) -> str:
     return "\n".join(lines)
 
 
-def render_adaptive_appendix(points: dict[tuple, PointResult]) -> str:
+def render_adaptive_appendix(points: Points) -> str:
     """Mean ± CI table of every adaptively-measured point."""
     lines = ["", "Adaptive measurements (mean ± 95% CI half-width over replications)"]
     lines.append("-" * len(lines[-1]))
     for (exp_name, system, x), p in sorted(points.items()):
-        ci = p.ci
+        ci = getattr(p, "ci", None)
         if ci is None:
             continue
         mark = "" if ci.converged else "  [CI not converged at replication cap]"
@@ -323,17 +162,11 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     warmup, window = (5.0, 20.0) if args.fast else (None, None)
-    contexts: list = []
-    outcomes = run_report(
-        seed=args.seed,
-        warmup=warmup,
-        window=window,
-        adaptive=args.adaptive,
-        context_out=contexts,
-    )
+    points = measure(args.seed, warmup, window, args.adaptive)
+    outcomes = [evaluate(claim, points) for claim in CLAIMS]
     print(render_report(outcomes))
-    if args.adaptive and contexts:
-        print(render_adaptive_appendix(contexts[0].measured_points()))
+    if args.adaptive:
+        print(render_adaptive_appendix(points))
     return 0 if all(o.passed for o in outcomes) else 1
 
 

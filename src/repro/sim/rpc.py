@@ -150,11 +150,6 @@ class RetryStats:
     breaker_rejections: int = 0  # calls fast-failed by an open breaker
     backoff_time: float = 0.0  # total seconds slept between attempts
 
-    @property
-    def amplification(self) -> float:
-        """Wire attempts per logical call (1.0 = no retries needed)."""
-        return self.attempts / self.calls if self.calls else 0.0
-
 
 class RetryPolicy:
     """Pluggable client-side resilience for :func:`call`.

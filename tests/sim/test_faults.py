@@ -113,7 +113,6 @@ def test_retry_exhausts_against_down_service():
     assert policy.stats.retries == 2
     assert policy.stats.exhausted == 1
     assert policy.stats.succeeded == 0
-    assert policy.stats.amplification == 3.0
 
 
 def test_retry_recovers_after_restart():
