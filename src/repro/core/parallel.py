@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import gc
 import hashlib
 import importlib
@@ -140,7 +141,9 @@ def source_stamp() -> str:
 # Cached results round-trip through JSON via registered dataclasses.
 # json floats round-trip exactly (repr-based), so a decoded PointResult
 # compares equal, field for field, to the one the simulator produced.
-_CODECS: dict[str, type] = {}
+# Each tag maps to its class and the exact set of field names an entry
+# must carry.
+_CODECS: dict[str, tuple[type, frozenset[str]]] = {}
 
 
 def register_codec(cls: type) -> type:
@@ -148,9 +151,13 @@ def register_codec(cls: type) -> type:
 
     Experiment modules register their own wrappers (``ScalePoint``,
     ``FaultPointResult``) at import time; unknown tags found on decode
-    degrade to cache misses.
+    degrade to cache misses.  A cached instance is rebuilt by filling its
+    ``__dict__`` without calling ``__init__``, so a codec class may have
+    neither ``__slots__`` nor ``__post_init__``.
     """
-    _CODECS[cls.__name__] = cls
+    if hasattr(cls, "__post_init__") or any("__slots__" in vars(k) for k in cls.__mro__):
+        raise TypeError(f"{cls.__name__}: a codec class has no __slots__ or __post_init__")
+    _CODECS[cls.__name__] = (cls, frozenset(f.name for f in dataclasses.fields(cls)))
     return cls
 
 
@@ -159,7 +166,7 @@ for _cls in (PointResult, MetricsSummary, ResilienceSummary, ReplicationInfo, St
 
 
 class CacheDecodeError(ValueError):
-    """A cache entry references a codec this process does not know."""
+    """A cache entry holds a result this process cannot rebuild."""
 
 
 def encode_result(value: _t.Any) -> _t.Any:
@@ -183,20 +190,26 @@ def encode_result(value: _t.Any) -> _t.Any:
     raise CacheDecodeError(f"no codec for {type(value).__name__}")
 
 
-def decode_result(data: _t.Any) -> _t.Any:
-    """Inverse of :func:`encode_result`."""
-    if isinstance(data, list):
-        return [decode_result(v) for v in data]
-    if isinstance(data, dict):
-        tag = data.get("__type__")
-        if tag is None:
-            return {k: decode_result(v) for k, v in data.items()}
-        cls = _CODECS.get(tag)
-        if cls is None:
-            raise CacheDecodeError(f"unknown cached result type {tag!r}")
-        fields = {k: decode_result(v) for k, v in data.items() if k != "__type__"}
-        return cls(**fields)
-    return data
+def _revive(obj: dict) -> _t.Any:
+    """JSON object hook: a ``"__type__"``-tagged object becomes its dataclass.
+
+    An unknown tag raises KeyError (TypeError for an unhashable one) and
+    a field set other than the class's raises CacheDecodeError, so the
+    whole entry is a miss.
+    """
+    tag = obj.pop("__type__", None)
+    if tag is None:
+        return obj
+    cls, names = _CODECS[tag]
+    if obj.keys() != names:
+        raise CacheDecodeError(f"cached {tag} fields {sorted(obj)} are not {sorted(names)}")
+    value = object.__new__(cls)
+    value.__dict__.update(obj)
+    return value
+
+
+# One decoder for every entry: json.loads(..., object_hook=...) builds a new one per call.
+_DECODER = json.JSONDecoder(object_hook=_revive)
 
 
 # -- point specs --------------------------------------------------------------
@@ -271,6 +284,16 @@ def _run_pooled(spec: PointSpec) -> tuple[_t.Any, float]:
 # -- the point cache ----------------------------------------------------------
 
 
+# One encoder for every key: json.dumps(..., sort_keys=True) builds a new one per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _key_tail(stamp: str) -> str:
+    """The key payload's text after its call: ``, "schema": 1, "stamp": "..."}``."""
+    return f', "schema": {CACHE_SCHEMA}, "stamp": {json.dumps(stamp)}}}'
+
+
 class PointCache:
     """Content-addressed store of sweep results under one directory.
 
@@ -281,27 +304,43 @@ class PointCache:
 
     def __init__(self, root: pathlib.Path | str) -> None:
         self.root = pathlib.Path(root)
+        self._dir = os.fspath(self.root)
 
     def key_for(self, spec: PointSpec) -> str | None:
+        """SHA-256 of ``json.dumps({"call", "schema", "stamp"}, sort_keys=True)``.
+
+        The keys sort as ``call`` < ``schema`` < ``stamp``, so the text
+        after the call is the same for every key of a process and is
+        built once per stamp (:func:`_key_tail`).
+        """
         call = spec.canonical_call()
         if call is None:
             return None
-        payload = json.dumps(
-            {"schema": CACHE_SCHEMA, "stamp": source_stamp(), "call": call},
-            sort_keys=True,
-        )
+        payload = '{"call": ' + _KEY_ENCODER.encode(call) + _key_tail(source_stamp())
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._dir}/{key[:2]}/{key}.json"
 
     def get(self, key: str) -> tuple[bool, _t.Any]:
-        """(hit, result) — any decode problem is a miss, never an error."""
+        """(hit, result) — any read or decode problem is a miss, never an error.
+
+        One read sized by ``fstat``: entries are replaced by rename, never
+        rewritten in place, so a short read could only cut the text, and a
+        cut object fails to parse.  The bytes decode as UTF-8 (bad UTF-8 is a
+        ValueError), then one JSON decode rebuilds each tagged object
+        through :func:`_revive`.
+        """
         try:
-            data = json.loads(self._path(key).read_text())
-            if data.get("schema") != CACHE_SCHEMA:
+            fd = os.open(self._path(key), os.O_RDONLY)
+            try:
+                raw = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+            data = _DECODER.decode(raw.decode())
+            if type(data) is not dict or data.get("schema") != CACHE_SCHEMA:
                 return False, None
-            return True, decode_result(data["result"])
+            return True, data["result"]
         except (OSError, ValueError, KeyError, TypeError):
             return False, None
 
@@ -311,7 +350,7 @@ class PointCache:
             encoded = encode_result(result)
         except CacheDecodeError:
             return False
-        path = self._path(key)
+        path = pathlib.Path(self._path(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"schema": CACHE_SCHEMA, "fn": spec.fn_ref, "result": encoded}
         tmp = path.with_suffix(".tmp")
@@ -431,8 +470,7 @@ def _pool(jobs: int) -> ProcessPoolExecutor:
     the source, the same contract the point-cache key relies on.
     """
     global _POOL, _POOL_KEY
-    key = (jobs, os.getpid())
-    if _POOL is not None and (_POOL_KEY != key or getattr(_POOL, "_broken", False)):
+    if _POOL is not None and not _pool_ready(jobs):
         _drop_pool()
     if _POOL is None:
         try:
@@ -442,8 +480,21 @@ def _pool(jobs: int) -> ProcessPoolExecutor:
         except ValueError:  # pragma: no cover - platforms without fork
             ctx = None
         _POOL = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx, initializer=_mark_worker)
-        _POOL_KEY = key
+        _POOL_KEY = (jobs, os.getpid())
     return _POOL
+
+
+def _pool_ready(jobs: int) -> bool:
+    """Whether :func:`_pool` would hand back this process's live pool of ``jobs`` workers.
+
+    A fork pool forks all its workers at its first submit, and a pool
+    is kept only from a sweep that submitted to it.
+    """
+    return (
+        _POOL is not None
+        and _POOL_KEY == (jobs, os.getpid())
+        and not getattr(_POOL, "_broken", False)
+    )
 
 
 def _drop_pool() -> None:
@@ -479,8 +530,9 @@ def run_specs(
     frozen out of the cyclic collector (``gc.freeze``, after one full
     collection), so the collection after each point does not re-walk
     them; the freeze is released before returning, also on error.  A
-    sweep with nothing to execute, a nested sweep and a caller's own
-    freeze leave the collector as they found it.
+    sweep with nothing to execute, a sweep whose points all go to an
+    already-forked pool, a nested sweep and a caller's own freeze leave
+    the collector as they found it.
     """
     global _last_stats
     jobs = 1 if _IN_WORKER else default_jobs() if jobs is None else max(1, int(jobs))
@@ -504,12 +556,17 @@ def run_specs(
 
     # Largest (last) point first; results still land by index.
     pooled = [i for i in reversed(pending) if jobs > 1 and specs[i].canonical_call() is not None]
-    inline = [i for i in pending if i not in set(pooled)]
+    pooled_set = set(pooled)
+    inline = [i for i in pending if i not in pooled_set]
 
     # Collect before freezing, or the garbage left since the last sweep is
-    # frozen too.  A nested sweep (adaptive replications inside a point)
-    # sees a non-zero count and leaves the outer freeze alone.
-    freeze = bool(pending) and gc.get_freeze_count() == 0
+    # frozen too.  Only points run here and workers forked here gain from
+    # it: a live pool's workers keep the freeze they forked under.  A
+    # nested sweep (adaptive replications inside a point) sees a non-zero
+    # count and leaves the outer freeze alone.
+    freeze = (
+        bool(inline or (pooled and not _pool_ready(jobs))) and gc.get_freeze_count() == 0
+    )
     if freeze:
         gc.collect()
         gc.freeze()

@@ -117,13 +117,16 @@ def test_figure_series_annotates_ci_only_in_adaptive_mode():
     assert series.ci == {10: adaptive.ci.throughput_ci}
 
 
-def test_adaptive_point_result_round_trips_json_codec():
-    # Adaptive results flow through the parallel layer's codec (pool
-    # transport and point cache), so the new nested dataclasses must
-    # survive a JSON round trip exactly.
+def test_adaptive_point_result_round_trips_json_codec(tmp_path):
+    # Adaptive results flow through the point cache's JSON codec, so the
+    # new nested dataclasses must survive a put and a get exactly.
     point = adaptive_point(exp1.run_point, "mds-gris-cache", 5, 1, **FAST)
-    payload = parallel.encode_result(point)
-    restored = parallel.decode_result(payload)
+    cache = parallel.PointCache(tmp_path)
+    spec = parallel.PointSpec.from_call(exp1.run_point, ("mds-gris-cache", 5, 1), FAST)
+    key = cache.key_for(spec)
+    assert cache.put(key, spec, point)
+    hit, restored = cache.get(key)
+    assert hit
     assert isinstance(restored, PointResult)
     assert restored == point
     assert dataclasses.asdict(restored.ci) == dataclasses.asdict(point.ci)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import gc
+import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
 import threading
 import time
 import warnings
@@ -16,18 +18,21 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.core import parallel
-from repro.core.metrics import MetricsSummary
+from repro.core.experiments.faults import FaultPointResult
+from repro.core.experiments.scale import ScalePoint
+from repro.core.experiments.scenarios import RunAudit, ScenarioPointResult, ServiceAudit
+from repro.core.metrics import MetricsSummary, ResilienceSummary
 from repro.core.params import default_params
 from repro.core.parallel import (
     PointCache,
     PointSpec,
     Uncanonicalizable,
     canonical,
-    decode_result,
     encode_result,
     run_specs,
 )
 from repro.core.runner import PointResult
+from repro.core.stats import ReplicationInfo, SteadyStateInfo
 from repro.sim.randomness import RngHub
 from repro.sim.rpc import RetryPolicy
 
@@ -94,6 +99,20 @@ def test_canonical_rejects_stateful_objects():
 # -- codecs -------------------------------------------------------------------
 
 
+def decode_result(data):
+    """The recursive decoder ``PointCache.get`` replaced: the reference it must match."""
+    if isinstance(data, list):
+        return [decode_result(v) for v in data]
+    if isinstance(data, dict):
+        tag = data.get("__type__")
+        if tag is None:
+            return {k: decode_result(v) for k, v in data.items()}
+        cls, _names = parallel._CODECS[tag]
+        fields = {k: decode_result(v) for k, v in data.items() if k != "__type__"}
+        return cls(**fields)
+    return data
+
+
 def test_codec_roundtrip_is_exact():
     point = make_point("mds-gris-cache", 37)
     data = json.loads(json.dumps(encode_result(point)))
@@ -110,13 +129,169 @@ def test_unknown_codec_tag_degrades_to_miss(tmp_path):
     cache = PointCache(tmp_path)
     spec = PointSpec.from_call(make_point, ("s", 1))
     key = cache.key_for(spec)
-    path = cache._path(key)
+    path = pathlib.Path(cache._path(key))
     path.parent.mkdir(parents=True)
     path.write_text(
         json.dumps({"schema": 1, "result": {"__type__": "NoSuchClass", "x": 1}})
     )
     hit, _value = cache.get(key)
     assert not hit
+
+
+def rich_point(system: str = "mds-gris-cache", x: int = 50) -> PointResult:
+    """A PointResult carrying every nested summary the codec knows."""
+    return dataclasses.replace(
+        make_point(system, x),
+        crashed=True,
+        crash_reason="accept queue full",
+        resilience=ResilienceSummary(
+            goodput=41.5, pre_outage_rate=50.0, during_outage_rate=0.0,
+            post_outage_rate=49.0, recovery_time=None, downtime=12.0, logical_calls=900,
+            attempts=1400, retries=500, exhausted=3, breaker_rejections=7, backoff_time=0.1,
+        ),
+        steady_state=SteadyStateInfo(
+            window_start=5.0, window_end=65.0, stable=False, changepoints=2
+        ),
+        ci=ReplicationInfo(
+            replications=4, converged=True, throughput_ci=0.5, response_time_ci=1e-17
+        ),
+        fidelity="cohort",
+        population=12345,
+    )
+
+
+def every_codec() -> list:
+    """One value per registered codec class, nested as the experiments nest them."""
+    service = ServiceAudit(
+        arrived=10, refused=1, completed=8, errors=0, dropped=0, open_at_end=1,
+        max_concurrent=4, capacity=20, down_at_end=False,
+    )
+    audit = RunAudit(
+        horizon=80.0, window_start=20.0, window_end=80.0,
+        services={"gris": service, "giis": dataclasses.replace(service, down_at_end=True)},
+        control={"re_registrations": 2.0}, ok_after_recovery=7,
+    )
+    return [
+        rich_point(),
+        ScalePoint(system="mds-giis", depth=2, fanout=10, servers=100, result=rich_point()),
+        FaultPointResult(
+            system="rgma-ps-lucky", x=100.0, schedule="outage", baseline=make_point("r", 100),
+            faulted=rich_point("r", 100), extras={"recovery_time": 3.25},
+        ),
+        ScenarioPointResult(
+            system="mds-gris-cache", scenario="churn", x=50.0, result=rich_point(), audit=audit
+        ),
+        {"nested": [service, audit, None], "plain": {"__not_a_tag__": 1}},
+    ]
+
+
+def codec_names(value) -> set[str]:
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(codec_names, value))
+    if isinstance(value, dict):
+        return set().union(*map(codec_names, value.values()))
+    if dataclasses.is_dataclass(value):
+        return {type(value).__name__}.union(
+            *(codec_names(getattr(value, f.name)) for f in dataclasses.fields(value))
+        )
+    return set()
+
+
+def test_get_decodes_every_codec_as_the_recursive_decoder_does(tmp_path):
+    values = every_codec()
+    assert codec_names(values) == set(parallel._CODECS)  # a new codec joins every_codec()
+    cache = PointCache(tmp_path)
+    for i, value in enumerate(values):
+        spec = PointSpec.from_call(make_point, ("s", i))
+        key = cache.key_for(spec)
+        assert cache.put(key, spec, value)
+        reference = decode_result(json.loads(pathlib.Path(cache._path(key)).read_text())["result"])
+        hit, got = cache.get(key)
+        assert hit
+        assert got == reference
+        assert repr(got) == repr(reference)
+        assert codec_names(got) == codec_names(value)
+
+
+def malformed(entry: dict, case: str) -> bytes:
+    """A cache file made from a valid ``entry`` by one kind of damage."""
+    result = entry["result"]
+    if case == "unknown tag":
+        result["summary"]["__type__"] = "NoSuchClass"
+    elif case == "unhashable tag":
+        result["__type__"] = ["PointResult"]
+    elif case == "missing field":
+        del result["crashed"]  # has a default, so PointResult(**fields) would accept it
+    elif case == "extra field":
+        result["summary"]["bogus"] = 1
+    elif case == "schema 2":
+        entry["schema"] = 2
+    elif case == "no result":
+        del entry["result"]
+    elif case == "not an object":
+        entry = [entry]
+    text = json.dumps(entry, sort_keys=True).encode()
+    if case == "truncated JSON":
+        return text[: len(text) // 2]
+    if case == "invalid UTF-8":
+        return text.replace(b'"mds-gris-cache"', b'"mds-gris-\xff"')
+    if case == "empty file":
+        return b""
+    return text
+
+
+MALFORMED = (
+    "unknown tag", "unhashable tag", "missing field", "extra field", "schema 2", "no result",
+    "not an object", "truncated JSON", "invalid UTF-8", "empty file",
+)
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_entry_is_a_miss(tmp_path, case):
+    cache = PointCache(tmp_path)
+    spec = PointSpec.from_call(make_point, ("s", 1))
+    key = cache.key_for(spec)
+    cache.put(key, spec, rich_point())
+    path = pathlib.Path(cache._path(key))
+    damaged = malformed(json.loads(path.read_text()), case)
+    path.write_bytes(damaged)
+    assert cache.get(key) == (False, None)
+    assert (run_specs([spec], jobs=1, cache=cache), parallel.last_stats().executed) == (
+        [make_point("s", 1)], 1
+    )
+
+
+def test_an_entry_larger_than_one_read_is_read_whole(tmp_path):
+    cache = PointCache(tmp_path)
+    spec = PointSpec.from_call(make_point, ("s", 1))
+    key = cache.key_for(spec)
+    value = {"points": [rich_point(x=x) for x in range(1200)]}
+    cache.put(key, spec, value)
+    path = pathlib.Path(cache._path(key))
+    text = path.read_bytes()
+    assert len(text) > 1 << 20  # past any fixed read buffer
+    assert cache.get(key) == (True, value)
+    path.write_bytes(text[: 1 << 16])
+    assert cache.get(key) == (False, None)
+
+
+def test_a_codec_class_must_be_rebuildable_without_init():
+    @dataclasses.dataclass(frozen=True)
+    class Slotted:
+        __slots__ = ("a",)
+        a: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Checked:
+        a: int
+
+        def __post_init__(self):  # pragma: no cover - never constructed
+            pass
+
+    for cls in (Slotted, Checked):
+        with pytest.raises(TypeError, match=cls.__name__):
+            parallel.register_codec(cls)
+        assert cls.__name__ not in parallel._CODECS
 
 
 # -- specs and execution ------------------------------------------------------
@@ -214,6 +389,32 @@ def test_all_hit_sweep_collects_nothing(tmp_path):
     assert gc.get_freeze_count() == 0
 
 
+def test_a_sweep_on_a_live_pool_leaves_the_parents_collector_alone():
+    specs = [PointSpec.from_call(make_point, ("s", x)) for x in (1, 2, 3)]
+    serial = run_specs(specs, jobs=1, cache=None)
+    assert run_specs(specs, jobs=2, cache=None) == serial  # forks the workers
+    retry = RetryPolicy(max_attempts=2, base_backoff=0.1, rng=RngHub(1).stream("t"))
+    inline = PointSpec.from_call(counting_point, ("s", 1), {"retry": retry})
+    collections: list[int] = []
+
+    def observe(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.disable()  # only explicit collections would show
+    gc.callbacks.append(observe)
+    try:
+        pooled = run_specs(specs, jobs=2, cache=None)
+        freeze_after_pooled = gc.get_freeze_count()
+        run_specs([*specs, inline], jobs=2, cache=None)  # one point runs here
+    finally:
+        gc.callbacks.remove(observe)
+        gc.enable()
+    assert pooled == serial
+    assert freeze_after_pooled == 0
+    assert collections == [2, 2]  # before the inline point and after it
+
+
 # -- the worker pool ----------------------------------------------------------
 
 
@@ -304,7 +505,10 @@ def test_a_failing_sweep_cancels_its_unstarted_points(tmp_path):
 
 
 def test_a_forked_child_never_reuses_the_parents_pool():
-    parents = pids_of(2)
+    pids_of(2)
+    # Every worker of the pool, not only those that happened to take a point.
+    parents = {child.pid for child in multiprocessing.active_children()}
+    assert len(parents) == 2
     reader, writer = multiprocessing.Pipe(duplex=False)
 
     def child() -> None:
@@ -425,6 +629,26 @@ def test_source_stamp_invalidates(tmp_path, monkeypatch):
     key_now = cache.key_for(spec)
     monkeypatch.setattr(parallel, "_SOURCE_STAMP", "deadbeef")
     assert cache.key_for(spec) != key_now
+
+
+def test_cache_key_bytes_are_pinned(monkeypatch):
+    """The key is sha256 of json.dumps({"call", "schema", "stamp"}, sort_keys=True)."""
+    monkeypatch.setattr(parallel, "_SOURCE_STAMP", "0" * 64)
+    kwargs = {
+        "warmup": 2.0, "window": 0.1, "label": "caf\u00e9", "xs": (1, None),
+        "steady": SteadyStateInfo(1.5, 61.5, True, 0),
+    }
+    spec = PointSpec(
+        fn_ref="repro.core.experiments.exp1:run_point",
+        args=("mds-gris-cache", 100, 1),
+        kwargs=tuple(sorted(kwargs.items())),
+    )
+    expected = "b98bb9f43ab4fb3f520bceb237e39f31fc7eec1b38ec699be3c840632dfe13b8"
+    formula = json.dumps(
+        {"schema": 1, "stamp": "0" * 64, "call": spec.canonical_call()}, sort_keys=True
+    )
+    assert hashlib.sha256(formula.encode()).hexdigest() == expected
+    assert PointCache("unused").key_for(spec) == expected
 
 
 def test_uncacheable_spec_runs_inline_and_skips_cache(tmp_path):
