@@ -8,20 +8,24 @@ body (LDIF / ClassAd text / encoded SQL result).  Refusals raise
 count them the same way the DES workload does; any other malformed
 exchange raises :class:`ProtocolError`.
 
-Each exchange is one :class:`asyncio.BufferedProtocol`: it writes the
-whole request when the connection is made and frames the reply as it
-arrives, in whatever chunks.  The reply is received into one buffer,
-borrowed from a few kept for reuse and grown to the reply's size; head
-and body are framed in place.  The head — an ``OK``/``ERR`` line, or an
-HTTP status line and headers — is at most ``MAX_LINE`` bytes a line;
-the body is counted by the head and decoded straight from the buffer
-once the count is reached, which completes the reply (the server's
-close is not awaited, and neither is ours).  Reusing the buffers keeps
-a large reply (460 KB on a GIIS query-all) from costing a fresh
-allocation, and its page faults, on every request.  EOF before the
-reply is complete, a head that does not parse, a length that is not a
-non-negative decimal, a value that is not JSON and a body that is not
-UTF-8 all raise :class:`ProtocolError`.
+Each exchange is one non-blocking socket (``TCP_NODELAY``, as at the
+listeners) that the running loop drives: ``sock_connect``, one
+``sock_sendall`` of the whole request, then ``sock_recv_into`` until the
+reply is framed.  The socket's family comes from the host
+(:func:`~repro.live.protocols.address_family`); ``sock_connect``
+resolves a name such as ``localhost`` through ``loop.getaddrinfo``.
+The reply is received into one buffer, borrowed from a few kept for
+reuse and grown to the reply's size; head and body are framed in place.
+The head — an ``OK``/``ERR`` line, or an HTTP status line and headers —
+is at most ``MAX_LINE`` bytes a line; the body is counted by the head
+and decoded straight from the buffer once the count is reached, which
+completes the reply (the server's close is not awaited).  Reusing the
+buffers keeps a large reply (460 KB on a GIIS query-all) from costing a
+fresh allocation, and its page faults, on every request.  EOF before
+the reply is complete, a head that does not parse, a length that is not
+a non-negative decimal, a value that is not JSON and a body that is not
+UTF-8 all raise :class:`ProtocolError`; a refused connect raises
+:class:`OSError`.
 
 ``timeout`` (wall seconds; ``None`` waits forever) is one deadline for
 the whole reply, counted from the moment the connection is up; it
@@ -32,11 +36,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import typing as _t
 import weakref
 
 from repro.errors import ReproError, ServiceUnavailableError
-from repro.live.protocols import MAX_LINE
+from repro.live.protocols import MAX_LINE, address_family
 
 __all__ = ["ProtocolError", "line_query", "http_query"]
 
@@ -70,14 +75,14 @@ _spares: weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, list[bytearray]] =
 )
 
 
-class _Reply(asyncio.BufferedProtocol):
-    """Send one request when connected; frame the reply into ``result``.
+class _Reply:
+    """One request's bytes, and its reply framed into ``result``.
 
     The reply lands in one buffer, borrowed at the first read and given
-    back when the connection closes, after the transport's last use of
-    it.  Subclasses parse the head in :meth:`head_done` (``True`` once it
-    is complete, with ``need`` and ``value`` set) and may override how
-    :meth:`answer` turns the body into the result.
+    back by :meth:`release` once the exchange is over.  Subclasses parse
+    the head in :meth:`head_done` (``True`` once it is complete, with
+    ``need`` and ``value`` set) and may override how :meth:`answer`
+    turns the body into the result.
     """
 
     def __init__(self, request: bytes) -> None:
@@ -96,25 +101,18 @@ class _Reply(asyncio.BufferedProtocol):
         self.value: _t.Any = None  # the structured answer the head carries
         self.complete = False  # the result is the answer, not an error
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        _t.cast(asyncio.Transport, transport).write(self.request)
-
-    def get_buffer(self, sizehint: int) -> memoryview:
+    def get_buffer(self) -> memoryview:
         if self.buf is None:
             self.buf = self.spare.pop() if self.spare else bytearray(_FIRST_READ)
         buf = self.buf
-        if self.result.done():
-            return memoryview(buf)  # bytes past the reply: read and dropped
         if len(buf) == self.filled:
-            # Grown here, never in buffer_updated, while the transport holds a
-            # view; and as bytes arrive, never to a length the head only claims.
+            # Grown here, never in buffer_updated, while no read holds a view;
+            # and as bytes arrive, never to a length the head only claims.
             more = len(buf) if self.need < 0 else self.start + self.need - self.filled
             buf.extend(bytes(min(len(buf), more)))
         return memoryview(buf)[self.filled :]
 
     def buffer_updated(self, nbytes: int) -> None:
-        if self.result.done():
-            return
         self.filled += nbytes
         try:
             if self.need < 0:
@@ -134,24 +132,17 @@ class _Reply(asyncio.BufferedProtocol):
             self.result.set_exception(exc)
 
     def eof_received(self) -> None:
-        self.fail(None)  # before the count, EOF is as bad as a close
+        where = "a response" if not self.filled else "the reply was complete"
+        self.result.set_exception(ProtocolError(f"connection closed before {where}"))
 
-    def connection_lost(self, exc: Exception | None) -> None:
-        # Only a reply that completed, on a clean close, gives its buffer back:
-        # an exception's traceback holds the frames, and so the views, that
-        # read into it, and a buffer with a live view cannot grow.
+    def release(self) -> None:
+        # Only a reply that completed gives its buffer back: an exception's
+        # traceback holds the frames, and so the views, that read into it,
+        # and a buffer with a live view cannot grow.
         buf, self.buf = self.buf, None
-        if buf is not None and self.complete and exc is None and len(buf) <= _SPARE_BYTES:
+        if buf is not None and self.complete and len(buf) <= _SPARE_BYTES:
             if len(self.spare) < _SPARES:
                 self.spare.append(buf)
-        self.fail(exc)
-
-    def fail(self, exc: Exception | None) -> None:
-        if not self.result.done():
-            if exc is None:
-                where = "a response" if not self.filled else "the reply was complete"
-                exc = ProtocolError(f"connection closed before {where}")
-            self.result.set_exception(exc)
 
     def line(self) -> bytearray | None:
         """Consume the next complete line of the head; ``None`` until there is one."""
@@ -228,17 +219,35 @@ class _HttpReply(_Reply):
         return self.value, body
 
 
+async def _receive(
+    loop: asyncio.AbstractEventLoop, sock: socket.socket, reply: _Reply
+) -> tuple[_t.Any, str]:
+    await loop.sock_sendall(sock, reply.request)
+    result = reply.result
+    while not result.done():
+        nbytes = await loop.sock_recv_into(sock, reply.get_buffer())
+        if nbytes:
+            reply.buffer_updated(nbytes)
+        else:
+            reply.eof_received()
+    return result.result()
+
+
 async def _exchange(
     host: str, port: int, reply: _Reply, timeout: float | None
 ) -> tuple[_t.Any, str]:
     loop = asyncio.get_running_loop()
-    transport, _ = await loop.create_connection(lambda: reply, host, port)
+    sock = socket.socket(address_family(host), socket.SOCK_STREAM)
     try:
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        await loop.sock_connect(sock, (host, port))
         if timeout is None:
-            return await reply.result
-        return await asyncio.wait_for(reply.result, timeout)
+            return await _receive(loop, sock, reply)
+        return await asyncio.wait_for(_receive(loop, sock, reply), timeout)
     finally:
-        transport.close()
+        sock.close()
+        reply.release()
 
 
 async def line_query(

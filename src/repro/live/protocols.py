@@ -20,9 +20,12 @@ Every exchange is one request per connection — connection setup is part
 of the studied cost model, so clients reconnect per query exactly like
 the paper's harness did.
 
-**Framing.**  Each connection is one :class:`asyncio.Protocol` that
-gathers bytes in a ``bytearray`` and frames the request itself, in
-whatever chunks the bytes arrive:
+**Framing.**  The running loop drives each accepted socket, non-blocking,
+from its reader and writer callbacks (``add_reader``/``add_writer``, so
+the live plane needs a selector event loop: the Windows proactor loop
+has neither).  One small object per connection gathers the bytes in a
+``bytearray`` and frames the request itself, in whatever chunks the
+bytes arrive:
 
 * line dialects: one request line, at most ``MAX_LINE`` bytes before its
   ``\\n`` (else ``ERR protocol line too long``);
@@ -34,10 +37,12 @@ whatever chunks the bytes arrive:
 EOF ends the last line, so a final line without ``\\n`` is still served;
 EOF before any byte, or inside a counted body, closes with no reply.
 Bytes after a complete request are read and ignored.  Once a request is
-framed, one task awaits ``LiveService.request``; the reply is one write
-of header and body, or two when the body is over 64 KiB, so a large
-body is never copied (the kernel's own bytes, not re-encoded).  A close
-follows, which flushes it — nothing waits on a drain.
+framed, one task awaits ``LiveService.request``; the reply leaves in one
+``sendmsg`` of header and body, the kernel's own bytes (not re-encoded,
+never copied).  What the kernel does not take at once is kept as views
+of those bytes and finished from the writer callback; then the socket
+closes.  A peer that resets, or a send that fails, closes it at once,
+and whatever would be written after that is dropped.
 
 **Read deadline.**  A connection has ``READ_TIMEOUT`` wall seconds from
 accept to a complete request.  A peer that stalls is aborted with no
@@ -48,7 +53,10 @@ the deadline: how long that takes is what the model studies.
 from __future__ import annotations
 
 import asyncio
+import errno
+import functools
 import json
+import socket
 import typing as _t
 
 from repro.core.components import System
@@ -57,18 +65,19 @@ from repro.errors import ClassAdSyntaxError, ServiceCrashError, ServiceUnavailab
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.live.runtime import LiveService
 
-__all__ = ["server_for", "MAX_LINE", "MAX_BODY", "READ_TIMEOUT"]
+__all__ = ["Listener", "server_for", "address_family", "MAX_LINE", "MAX_BODY", "READ_TIMEOUT"]
 
 #: Framing limits: a request line and an HTTP body we are willing to read.
 MAX_LINE = 64 * 1024
 MAX_BODY = 4 * 1024 * 1024
 #: Wall seconds from accept to a complete request; a slower peer is aborted.
 READ_TIMEOUT = 30.0
-# A reply body up to this size is copied behind its header and leaves in
-# one write; a bigger one is written on its own.  Copying a large body
-# (460 KB of LDIF on a GIIS query-all) costs a fresh allocation, and its
-# page faults, on every request.
-_JOINED_BODY = 64 * 1024
+#: Wall seconds a listener stops accepting after the process ran out of
+#: descriptors or buffers (``accept`` keeps failing until some are freed).
+ACCEPT_RETRY_DELAY = 0.1
+_BACKLOG = 100  # also the most connections one reader callback accepts
+_RECV_BYTES = 64 * 1024
+_OUT_OF_RESOURCES = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 
 _HAWKEYE_INGEST_VERB = "ADVERTISE"
 
@@ -101,17 +110,20 @@ class _LineTooLong(Exception):
     """A line ran past ``MAX_LINE`` bytes without its ``\\n``."""
 
 
-class _Exchange(asyncio.Protocol):
-    """One connection: frame one request, answer it once, close.
+class _Exchange:
+    """One accepted connection: frame one request, answer it once, close.
 
-    Subclasses implement :meth:`frame`, which ends the framing either
-    with :meth:`serve` (the request goes to the service) or with
-    :meth:`reply` (answered without the service; ``b""`` closes with no
-    reply), and :meth:`reply_to`, which turns the service's answer or
-    error into the reply's header and body bytes.
+    The loop calls :meth:`readable` and, while a reply is only partly
+    sent, :meth:`writable`.  Subclasses implement :meth:`frame`, which
+    ends the framing either with :meth:`serve` (the request goes to the
+    service) or with :meth:`reply` (answered without the service; ``b""``
+    closes with no reply), and :meth:`reply_to`, which turns the
+    service's answer or error into the reply's header and body bytes.
     """
 
-    transport: asyncio.Transport
+    loop: asyncio.AbstractEventLoop
+    sock: socket.socket | None  # ``None`` once closed
+    fd: int
 
     def __init__(self, service: "LiveService") -> None:
         self.service = service
@@ -120,27 +132,43 @@ class _Exchange(asyncio.Protocol):
         self.scan = 0  # ``buf`` before this holds no ``\n`` past ``pos``
         self.deadline: asyncio.TimerHandle | None = None  # armed until framed
         self.task: asyncio.Task | None = None  # held: the loop keeps tasks weakly
+        self.unsent: list = []  # the reply's bytes, or views of them, not yet sent
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = _t.cast(asyncio.Transport, transport)
-        self.deadline = asyncio.get_running_loop().call_later(READ_TIMEOUT, self.expire)
+    def start(self, sock: socket.socket, loop: asyncio.AbstractEventLoop) -> None:
+        self.sock, self.loop, self.fd = sock, loop, sock.fileno()
+        self.deadline = loop.call_later(READ_TIMEOUT, self.close)
+        loop.add_reader(self.fd, self.readable)
+
+    def readable(self) -> None:
+        try:
+            data = _t.cast(socket.socket, self.sock).recv(_RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # reset by the peer
+            return self.close()
+        if data:
+            self.data_received(data)
+        else:
+            self.eof_received()
 
     def data_received(self, data: bytes) -> None:
         if self.deadline is not None:  # once framed, later bytes are ignored
             self.buf += data
             self.frame(eof=False)
 
-    def eof_received(self) -> bool:
+    def eof_received(self) -> None:
+        self.loop.remove_reader(self.fd)  # the reply may still be on its way
         if self.deadline is not None:
             self.frame(eof=True)
-        return True  # keep the transport: the reply may still be on its way
 
-    def connection_lost(self, exc: Exception | None) -> None:
+    def close(self) -> None:
+        """Close once, sent or not; anything written after that is dropped."""
         self.framed()
-
-    def expire(self) -> None:
-        self.deadline = None
-        self.transport.abort()
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            self.loop.remove_reader(self.fd)
+            self.loop.remove_writer(self.fd)
+            sock.close()
 
     def framed(self) -> None:
         if self.deadline is not None:
@@ -176,27 +204,41 @@ class _Exchange(asyncio.Protocol):
 
     def serve(self, payload: _t.Any) -> None:
         self.framed()
-        self.task = asyncio.get_running_loop().create_task(self.answer(payload))
+        self.task = self.loop.create_task(self.answer(payload))
 
     async def answer(self, payload: _t.Any) -> None:
         try:
             self.reply(*await self.reply_to(payload))
         except asyncio.CancelledError:  # the loop is going away mid-request
-            self.transport.abort()
+            self.close()
             raise
 
     async def reply_to(self, payload: _t.Any) -> tuple[bytes, bytes]:
         raise NotImplementedError
 
     def reply(self, head: bytes, body: bytes = b"") -> None:
-        """Answer and close, flushed by the close: one write, or two past ``_JOINED_BODY``."""
+        """Answer and close: one ``sendmsg``, finished from the writer callback if need be."""
         self.framed()
-        if len(body) > _JOINED_BODY:
-            self.transport.write(head)
-            self.transport.write(body)
-        else:
-            self.transport.write(head + body)
-        self.transport.close()
+        if self.sock is not None:
+            self.unsent = [head, body]
+            self.writable()
+            if self.sock is not None:  # the kernel took only part of it
+                self.loop.add_writer(self.fd, self.writable)
+
+    def writable(self) -> None:
+        unsent = self.unsent
+        try:
+            sent = _t.cast(socket.socket, self.sock).sendmsg(unsent)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # the peer is gone
+            return self.close()
+        for i, data in enumerate(unsent):
+            if sent < len(data):  # a view of the same bytes: nothing is copied
+                self.unsent = [memoryview(data)[sent:], *unsent[i + 1 :]]
+                return
+            sent -= len(data)
+        self.close()
 
 
 class _LineExchange(_Exchange):
@@ -327,17 +369,77 @@ class _HttpExchange(_Exchange):
         return _http_response("200 OK", kr.wire or b"", value=kr.value)
 
 
-async def server_for(
-    system: System, service: "LiveService", host: str
-) -> asyncio.base_events.Server:
+def address_family(host: str) -> socket.AddressFamily:
+    """IPv6 for an IPv6 literal; IPv4 for anything else, names included, at both ends."""
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
+class Listener:
+    """A listening socket the running loop accepts on from a reader callback.
+
+    The part of :class:`asyncio.Server` the deployment uses: ``sockets``,
+    :meth:`close`, :meth:`wait_closed` and ``async with``.  Accepted
+    connections are not tracked: each one closes itself once answered,
+    cut off or reset.
+    """
+
+    def __init__(self, sock: socket.socket, factory: _t.Callable[[], _Exchange]) -> None:
+        self.sockets: tuple[socket.socket, ...] = (sock,)
+        self.factory = factory
+        self.loop = asyncio.get_running_loop()
+        self.retry: asyncio.TimerHandle | None = None
+        self.serve()
+
+    def serve(self) -> None:
+        self.retry = None
+        self.loop.add_reader(self.sockets[0].fileno(), self.accept)
+
+    def accept(self) -> None:
+        sock, loop = self.sockets[0], self.loop
+        for _ in range(_BACKLOG):
+            try:
+                conn, _addr = sock.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:  # reset while it waited to be accepted
+                continue
+            except OSError as exc:
+                if exc.errno not in _OUT_OF_RESOURCES:
+                    raise
+                # The socket stays readable while accept fails: pause, not spin.
+                loop.remove_reader(sock.fileno())
+                self.retry = loop.call_later(ACCEPT_RETRY_DELAY, self.serve)
+                return
+            conn.setblocking(False)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.factory().start(conn, loop)
+
+    def close(self) -> None:
+        if self.retry is not None:
+            self.retry.cancel()
+            self.retry = None
+        for sock in self.sockets:
+            self.loop.remove_reader(sock.fileno())
+            sock.close()
+        self.sockets = ()
+
+    async def wait_closed(self) -> None:
+        """Nothing to wait for: the socket is closed by :meth:`close` itself."""
+
+    async def __aenter__(self) -> "Listener":
+        return self
+
+    async def __aexit__(self, *exc: _t.Any) -> None:
+        self.close()
+
+
+async def server_for(system: System, service: "LiveService", host: str) -> Listener:
     """Bind ``service`` on an OS-assigned port speaking its system's dialect."""
+    factory: _t.Callable[[], _Exchange]
     if system is System.RGMA:
-        def factory() -> _Exchange:
-            return _HttpExchange(service)
+        factory = functools.partial(_HttpExchange, service)
     else:
-        verbs = _LINE_VERBS[system]
-
-        def factory() -> _Exchange:
-            return _LineExchange(service, verbs)
-
-    return await asyncio.get_running_loop().create_server(factory, host, 0)
+        factory = functools.partial(_LineExchange, service, _LINE_VERBS[system])
+    sock = socket.create_server((host, 0), family=address_family(host), backlog=_BACKLOG)
+    sock.setblocking(False)
+    return Listener(sock, factory)

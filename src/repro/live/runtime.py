@@ -54,6 +54,9 @@ from repro.core.stablehash import stable_hash
 from repro.core.topology.plan import DeploymentPlan, PlanError
 from repro.errors import ServiceCrashError, ServiceUnavailableError
 
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.live.protocols import Listener
+
 __all__ = [
     "LiveClock",
     "LiveLock",
@@ -278,7 +281,7 @@ class LiveDeployment:
         self.host = host
         self.loops = loops
         self.ports: dict[str, int] = {}
-        self._servers: list[asyncio.base_events.Server] = []
+        self._servers: list[Listener] = []
         self._tasks: list[asyncio.Task] = []
         self.running = False
 

@@ -4,13 +4,16 @@ Listeners and clients frame their own bytes, so these tests feed each end
 its input one byte at a time, add bytes after a complete request, and end
 a request line at EOF instead of ``\\n``.  Every reply a client cannot
 parse must raise :class:`ProtocolError` (a load run counts it and goes
-on), and no exchange -- answered, refused, malformed or timed out -- may
-leave a transport for the garbage collector to warn about.
+on), a reply the kernel takes in pieces is sent from views of its own
+bytes, and no exchange -- answered, refused, malformed or timed out -- may
+leave a socket open, a reader or writer registered with the loop, or
+anything for the garbage collector to warn about.
 """
 
 import asyncio
 import gc
 import json
+import os
 import re
 import types
 import warnings
@@ -292,25 +295,58 @@ def test_large_replies_reuse_one_receive_buffer_and_failed_ones_keep_theirs():
 
 
 def test_a_large_reply_body_is_written_as_it_is():
-    class Transport:
-        def __init__(self):
-            self.writes = []
+    """One ``sendmsg`` of head and body; what the kernel leaves is sent from views of them."""
 
-        def write(self, data):
-            self.writes.append(data)
+    class Loop:  # the writer callback runs when the test calls it
+        writer = None
 
-        def close(self):
+        def add_writer(self, fd, callback):
+            self.writer = callback
+
+        def remove_writer(self, fd):
+            self.writer = None
+
+        def remove_reader(self, fd):
             pass
 
-    for size, joined in ((protocols._JOINED_BODY, True), (protocols._JOINED_BODY + 1, False)):
+    class Socket:  # takes a few KB per call, and would block on every third
+        def __init__(self):
+            self.calls, self.received, self.closed = [], bytearray(), False
+
+        def sendmsg(self, buffers):
+            self.calls.append(list(buffers))
+            if len(self.calls) % 3 == 0:
+                raise BlockingIOError
+            room = 3000
+            for data in buffers:
+                take = bytes(data[:room])
+                self.received += take
+                room -= len(take)
+            return 3000 - room
+
+        def close(self):
+            self.closed = True
+
+    for size in (64 * 1024, 460_000):
         conn = protocols._LineExchange(service=None, verbs=frozenset())
-        conn.transport = transport = Transport()
-        head, body = b"OK {} %d\n" % size, b"x" * size
+        loop, sock = Loop(), Socket()
+        conn.loop, conn.sock, conn.fd = loop, sock, 7
+        head, body = b"OK {} %d\n" % size, bytes(range(256)) * (size // 256) + b"x" * (size % 256)
         conn.reply(head, body)
-        if joined:
-            assert transport.writes == [head + body]
-        else:
-            assert transport.writes == [head, body] and transport.writes[1] is body
+        while loop.writer is not None:
+            loop.writer()
+        assert sock.closed and conn.sock is None
+        assert bytes(sock.received) == head + body
+        first, *rest = sock.calls
+        assert first[0] is head and first[1] is body
+        # Every later call hands over the rest of the body, as a view of the
+        # kernel's own bytes: no size gets a copy.
+        assert len(rest) > size // 3000
+        for buffers in rest:
+            [view] = buffers
+            assert isinstance(view, memoryview) and view.obj is body
+        conn.reply(b"late\n")  # written after the close: dropped
+        assert len(sock.calls) == len(rest) + 1
 
 
 def test_a_load_run_counts_bad_replies_and_finishes():
@@ -337,6 +373,15 @@ def test_a_load_run_counts_bad_replies_and_finishes():
 # -- nothing left open -----------------------------------------------------------
 
 
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def registrations(loop: asyncio.AbstractEventLoop) -> set[int]:
+    """The descriptors the loop has a reader or writer for (its own wake-up pipe included)."""
+    return set(loop._selector.get_map())  # no public view of a selector loop's registrations
+
+
 async def silent_server():
     """A listener that reads the request, never answers, and counts peers that hang up."""
     hung_up: list[bytes] = []
@@ -359,10 +404,14 @@ class StuckService:
         await asyncio.Event().wait()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
 def test_no_exchange_leaves_a_transport_open(monkeypatch):
     monkeypatch.setattr(protocols, "READ_TIMEOUT", 0.05)
+    fds = open_fds()
 
     async def main():
+        loop = asyncio.get_running_loop()
+        registered, fds_in_loop = registrations(loop), open_fds()
         dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("rgma-ps-lucky"))
         gris = AsyncioRuntime(time_scale=TS).compile(exp1_plan("mds-gris-cache"))
         async with dep, gris:
@@ -383,6 +432,8 @@ def test_no_exchange_leaves_a_transport_open(monkeypatch):
                 assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
                 writer.close()
                 await writer.wait_closed()
+        # Every exchange above has ended: no socket, reader or writer is left.
+        assert registrations(loop) == registered and open_fds() == fds_in_loop
         server, port, hung_up = await silent_server()
         async with server:
             for system in (System.MDS, System.RGMA):  # the client's timeout
@@ -398,10 +449,12 @@ def test_no_exchange_leaves_a_transport_open(monkeypatch):
         listener = await protocols.server_for(System.MDS, StuckService(), "127.0.0.1")
         with pytest.raises(asyncio.TimeoutError):
             await query_stub(System.MDS, listener.sockets[0].getsockname()[1], timeout=0.05)
-        listener.close()  # no wait_closed(): from 3.12 on it waits for that connection
+        listener.close()
+        await listener.wait_closed()
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         in_loop(main())
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert open_fds() == fds  # the stuck request's socket closed with its task

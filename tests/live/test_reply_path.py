@@ -4,15 +4,25 @@ The listeners write the bytes the answer memo holds, so these tests pin
 the two ways that could go wrong — serving bytes of data that has since
 changed — and the bugs the same code carried: a request line longer than
 the stream limit, and an ``ADVERTISE`` whose ad is not ClassAd text, used
-to raise out of the connection handler.
+to raise out of the connection handler.  Hostile peers (resets before the
+request is complete or before the reply is read) and an ``accept`` that
+fails for want of descriptors must leave the next connection served, no
+error for the loop to log and no descriptor open.
 """
 
 import asyncio
+import errno
 import json
+import os
+import socket
+import struct
+import time
+import types
 
 import numpy as np
 import pytest
 
+from repro.core.components import System
 from repro.core.topology.catalog import exp1_plan, exp4_plan
 from repro.hawkeye import synthesize_startd_ad
 from repro.ldap.ldif import from_ldif, to_ldif
@@ -213,5 +223,163 @@ def test_a_malformed_ad_gets_an_error_and_the_ingest_port_lives_on():
             value, _body = await query_once(dep)
             assert value == {"ads": 0, "scanned": 3 + good_ones}
         assert errors == []
+
+    in_loop(main())
+
+
+# -- hostile peers ---------------------------------------------------------------
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def resetting_socket(port: int) -> socket.socket:
+    """A connected client socket with a small receive window whose close sends a reset."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.connect(("127.0.0.1", port))
+    return sock
+
+
+BIG = 8_000_000  # more than the kernel takes at once for a peer that does not read
+
+
+class GatedService:
+    """Answers every request with a ``BIG`` body once ``gate`` is set."""
+
+    def __init__(self) -> None:
+        self.gate = asyncio.Event()
+        self.requests = 0
+
+    async def request(self, payload):
+        self.requests += 1
+        await self.gate.wait()
+        return types.SimpleNamespace(value={"n": self.requests}, wire=b"x" * BIG)
+
+
+async def until(predicate, what: str) -> None:
+    for _ in range(500):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+hostile = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+
+
+@hostile
+def test_a_peer_that_resets_mid_request_is_dropped_and_the_next_is_served():
+    async def main():
+        errors = loop_errors()
+        fds = open_fds()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("mds-gris-cache"))
+        service = dep.services[dep.entry]
+        async with dep:
+            port = dep.ports[dep.entry]
+            for half in (b'SEARCH {"filter":', b"SEARCH"):
+                sock = resetting_socket(port)
+                sock.sendall(half)
+                await asyncio.sleep(0.02)  # the listener has read it
+                sock.close()
+            value, body = await query_once(dep)
+            assert value["entries"] == len(from_ldif(body)) > 0
+            assert service.requests == 1 and service.admission.open == 0
+        assert errors == []
+        assert open_fds() == fds
+
+    in_loop(main())
+
+
+@hostile
+def test_a_peer_that_resets_before_reading_its_reply_is_dropped_and_the_next_is_served(
+    monkeypatch,
+):
+    sends = []
+    writable = protocols._Exchange.writable
+    monkeypatch.setattr(protocols._Exchange, "writable", lambda self: sends.append(1) or writable(self))
+
+    async def main():
+        errors = loop_errors()
+        fds = open_fds()
+        service = GatedService()
+        async with await protocols.server_for(System.MDS, service, "127.0.0.1") as listener:
+            port = listener.sockets[0].getsockname()[1]
+            peers = []
+            for _ in range(2):
+                sock = resetting_socket(port)
+                sock.sendall(b"SEARCH {}\n")
+                peers.append(sock)
+            peers[1].shutdown(socket.SHUT_WR)  # EOF: the listener stops reading it
+            await until(lambda: service.requests == 2, "both requests to reach the service")
+            peers[0].close()  # reset while the service works: seen by the reader
+            await asyncio.sleep(0.02)
+            service.gate.set()  # the reply to peers[0] goes nowhere
+            await until(lambda: len(sends) == 1, "the reply to peers[1]")
+            await asyncio.sleep(0.02)
+            assert len(sends) == 1  # the kernel took only part of it ...
+            peers[1].close()  # ... and the peer resets with the rest unsent
+            await until(lambda: len(sends) > 1, "the writer callback to meet the reset")
+            value, body = await line_query("127.0.0.1", port, {})
+            assert value == {"n": 3} and body == "x" * BIG
+        assert errors == []
+        assert open_fds() == fds
+
+    in_loop(main())
+
+
+class FlakyListeningSocket:
+    """A listening socket whose first ``accept`` fails as if the process ran out of descriptors."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.calls: list[float] = []
+
+    def accept(self):
+        self.calls.append(time.monotonic())
+        if len(self.calls) == 1:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self.sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@hostile
+def test_a_listener_out_of_descriptors_pauses_accepting_and_then_resumes(monkeypatch):
+    monkeypatch.setattr(protocols, "ACCEPT_RETRY_DELAY", 0.05)
+
+    async def main():
+        errors = loop_errors()
+        fds = open_fds()
+        dep = AsyncioRuntime(time_scale=TS).compile(exp1_plan("hawkeye-agent"))
+        async with dep:
+            [listener] = dep._servers
+            flaky = FlakyListeningSocket(listener.sockets[0])
+            listener.sockets = (flaky,)
+            value, _body = await query_once(dep, timeout=5.0)
+            assert value["attrs"] > 0
+            # The failed accept, the retry that took the connection, and the
+            # one that found the queue empty: no spinning in between.
+            assert len(flaky.calls) == 3
+            assert flaky.calls[1] - flaky.calls[0] >= 0.9 * protocols.ACCEPT_RETRY_DELAY
+            value, _body = await query_once(dep, timeout=5.0)
+            assert value["attrs"] > 0 and len(flaky.calls) == 5
+        assert errors == []
+        assert open_fds() == fds
+
+    in_loop(main())
+
+
+@pytest.mark.parametrize("name", ["mds-gris-cache", "hawkeye-agent", "rgma-ps-lucky"])
+def test_a_deployment_on_a_host_name_is_served(name):
+    async def main():
+        dep = AsyncioRuntime(time_scale=TS, host="localhost").compile(exp1_plan(name))
+        async with dep:
+            value, body = await query_once(dep)
+            assert value and body
+            assert dep.services[dep.entry].requests == 1
 
     in_loop(main())
